@@ -247,16 +247,14 @@ def boxes_intersect(b1, b2):
 
 
 def translates_disjoint(family):
-    """Exact pairwise disjointness of the translated rectangles or boxes."""
+    """Exact pairwise disjointness of a family's translated rectangles or
+    (for a BoxFamily) translated boxes."""
     if isinstance(family, RectangleFamily):
         shapes = family.translates()
         overlap = rects_intersect
-    elif isinstance(family, BoxFamily):
+    else:
         shapes = family.boxes_f_shifted
         overlap = boxes_intersect
-    else:
-        shapes = tuple(family)
-        overlap = rects_intersect if isinstance(shapes[0], Rect2) else boxes_intersect
     m = len(shapes)
     for i in range(m):
         for j in range(i + 1, m):

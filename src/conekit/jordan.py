@@ -30,7 +30,6 @@ from .errors import DivisionSingularityError
 
 IDEMPOTENT_TOL = 1e-8
 FRAME_TOL = 1e-10
-SPLIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,21 +117,17 @@ def _require_same_algebra(x, y):
 
 # --- symmetric matrix <-> coordinate vector layout -------------------------
 
-def _triu_indices(r):
-    return np.triu_indices(r)
-
-
 def mat_to_vec(m):
     """Flatten a symmetric matrix to the canonical upper-triangle vector."""
     m = np.asarray(m)
     r = m.shape[0]
-    return m[_triu_indices(r)]
+    return m[np.triu_indices(r)]
 
 
 def vec_to_mat(v, r):
     """Rebuild the full symmetric matrix from its upper-triangle vector."""
     m = np.zeros((r, r), dtype=np.asarray(v).dtype)
-    iu = _triu_indices(r)
+    iu = np.triu_indices(r)
     m[iu] = v
     m[(iu[1], iu[0])] = v
     return m
@@ -150,12 +145,6 @@ def as_matrix(x):
     if x.algebra.kind != "sym":
         raise ValueError("as_matrix requires a Sym(r) element")
     return vec_to_mat(x.coords, x.algebra.size)
-
-
-def from_spin(x1, xprime):
-    xprime = np.atleast_1d(np.asarray(xprime))
-    coords = np.concatenate(([x1], xprime))
-    return Element(spin_factor(coords.shape[0]), coords)
 
 
 def identity(algebra):
@@ -259,7 +248,7 @@ def mult_operator(c):
         op[1:, 1:] = c1 * np.eye(n - 1)
         return op
     r = a.size
-    iu = _triu_indices(r)
+    iu = np.triu_indices(r)
     scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
     cm = as_matrix(c)
     dim = a.dim
@@ -327,7 +316,8 @@ def peirce_decompose(x, c):
 
 @dataclass(frozen=True)
 class JordanFrame:
-    """Complete system of orthogonal primitive idempotents summing to e."""
+    """Complete system of orthogonal primitive idempotents summing to e,
+    validated once when built (an invalid frame raises ValueError)."""
 
     algebra: Algebra
     idempotents: tuple
@@ -335,21 +325,20 @@ class JordanFrame:
     def __post_init__(self):
         if len(self.idempotents) != self.algebra.rank:
             raise ValueError("frame size must equal the algebra rank")
+        if not self.validate():
+            raise ValueError("incomplete or invalid Jordan frame")
 
     def validate(self, tol=FRAME_TOL):
         cs = self.idempotents
         for i, c in enumerate(cs):
-            if norm(jordan_product(c, c) - c) > tol * max(1.0, norm(c)):
+            if not is_idempotent(c, tol):
                 return False
             if not primitive_idempotent_check(c):
                 return False
             for j in range(i):
                 if norm(jordan_product(c, cs[j])) > tol:
                     return False
-        total = cs[0]
-        for c in cs[1:]:
-            total = total + c
-        return norm(total - identity(self.algebra)) <= tol
+        return norm(sum(cs[1:], cs[0]) - identity(self.algebra)) <= tol
 
 
 def standard_frame(algebra):
@@ -401,8 +390,6 @@ def principal_minors(x, frame):
     """
     if frame.algebra != x.algebra:
         raise ValueError("frame belongs to a different algebra")
-    if not frame.validate():
-        raise ValueError("incomplete or invalid Jordan frame")
     if x.algebra.kind == "spin":
         return np.array(
             [peirce_coefficient(x, frame.idempotents[0]), determinant(x)]
@@ -545,17 +532,9 @@ def slice_test(xi_tilde, frame):
     a = frame.algebra
     if a.rank < 3:
         raise ValueError("slice_test needs an ambient algebra of rank >= 3")
-    if not frame.validate():
-        raise ValueError("incomplete or invalid Jordan frame")
-    eprime = zero(a)
-    for c in frame.idempotents[2:]:
-        eprime = eprime + c
-    ambient = in_cone_via_minors(xi_tilde + eprime, frame)
+    eprime = sum(frame.idempotents[2:], zero(a))
+    ambient = cone_contains(xi_tilde + eprime, frame)
     q = frame_vectors(frame)[:, :2]
     m2 = q.T @ as_matrix(xi_tilde) @ q
     rank2 = bool(m2[0, 0] > 0.0 and np.linalg.det(m2) > 0.0)
     return ambient, rank2
-
-
-def in_cone_via_minors(x, frame):
-    return bool(np.all(principal_minors(x, frame) > 0.0))

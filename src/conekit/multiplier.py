@@ -101,9 +101,6 @@ class HalfSpace:
 
     normal: tuple
 
-    def normal_array(self):
-        return np.asarray(self.normal, dtype=float)
-
 
 @dataclass(frozen=True)
 class Cone:
@@ -120,7 +117,7 @@ def sample_symbol(symbol, freq_axes, shift=None):
         xi = freq_axes[0] + (0.0 if shift is None else shift)
         g = symbol.sign * xi
     elif isinstance(symbol, HalfSpace):
-        normal = symbol.normal_array()
+        normal = np.asarray(symbol.normal, dtype=float)
         mesh = np.meshgrid(*freq_axes, indexing="ij", sparse=True)
         if shift is None:
             shift = np.zeros(len(mesh))
@@ -161,22 +158,31 @@ def indicator_interval(extent, samples, a, b):
     return g.with_values(cov.astype(complex), support_radius=max(abs(a), abs(b)))
 
 
+def _grid_slabs(x, dtype, fill):
+    """``fill(mesh)`` over the 3D grid x^3, evaluated in 32-row slabs along
+    the first axis to bound the (rows, m, m, 3) coordinate temporaries."""
+    m = x.shape[0]
+    vals = np.empty((m, m, m), dtype=dtype)
+    for i0 in range(0, m, 32):
+        mesh = np.stack(np.meshgrid(x[i0:i0 + 32], x, x, indexing="ij"),
+                        axis=-1)
+        vals[i0:i0 + 32] = fill(mesh)
+    return vals
+
+
 def indicator_box(box, extent, samples):
     """3D grid samples of a box indicator, antialiased per box axis."""
     g = GridFunction(np.zeros((samples,) * 3), extent)
-    x = g.axis()
     h = g.spacing
-    vals = np.empty((samples,) * 3)
-    for i0 in range(0, samples, 32):
-        i1 = min(i0 + 32, samples)
-        mesh = np.stack(
-            np.meshgrid(x[i0:i1], x, x, indexing="ij"), axis=-1
-        )
+
+    def coverage(mesh):
         local = (mesh - box.center) @ box.axes.T
         cov = np.clip(
             (box.half_extents - np.abs(local)) / h + 0.5, 0.0, 1.0
         )
-        vals[i0:i1] = np.prod(cov, axis=-1)
+        return np.prod(cov, axis=-1)
+
+    vals = _grid_slabs(g.axis(), float, coverage)
     radius = float(np.max(np.abs(box.vertices()))) + h
     return g.with_values(vals.astype(complex), support_radius=radius)
 
@@ -265,28 +271,12 @@ def box_halfspace_image(box, n_tilde, x):
 
 def box_image_grid(box, n_tilde, grid):
     """Closed-form image sampled on a 3D grid (chunked over the first axis)."""
-    x = grid.axis()
-    m = grid.samples_per_axis
-    vals = np.empty((m, m, m), dtype=complex)
-    for i0 in range(0, m, 32):
-        i1 = min(i0 + 32, m)
-        mesh = np.stack(np.meshgrid(x[i0:i1], x, x, indexing="ij"), axis=-1)
+
+    def image(mesh):
         flat = mesh.reshape(-1, 3)
-        vals[i0:i1] = box_halfspace_image(box, n_tilde, flat).reshape(
-            i1 - i0, m, m
-        )
-    return grid.with_values(vals)
+        return box_halfspace_image(box, n_tilde, flat).reshape(mesh.shape[:-1])
 
-
-def gaussian_halfline_image(t, sigma, sign=1):
-    """Positive/negative-frequency part of a centered Gaussian.
-
-    For g = exp(-x^2 / 2 sigma^2) the half-line projection is
-    (1/2) w(sign * t / (sigma sqrt 2)) with w the Faddeeva function.
-    """
-    from scipy.special import wofz
-
-    return 0.5 * wofz(sign * np.asarray(t) / (sigma * np.sqrt(2.0)))
+    return grid.with_values(_grid_slabs(grid.axis(), complex, image))
 
 
 def hermite_probe_axis(t, sigma):
@@ -363,19 +353,18 @@ def gaussian_box_probe(box, n_tilde, extent, samples, widths=None,
     reach = np.sqrt(3.0) * window + float(np.linalg.norm(box.center))
     shifts = _live_image_shifts(box, widths, idx, extent, reach)
     x = template.axis()
-    vals = np.empty((samples,) * 3, dtype=complex)
     center = box.center
     cross_idx = [j for j in range(3) if j != idx]
-    for i0 in range(0, samples, 32):
-        i1 = min(i0 + 32, samples)
-        mesh = np.stack(np.meshgrid(x[i0:i1], x, x, indexing="ij"), axis=-1)
+
+    def probe_values(mesh):
         local = (mesh - center) @ box.axes.T
         cross = np.exp(
             -sum(local[..., j] ** 2 / (2.0 * widths[j] ** 2)
                  for j in cross_idx)
         )
-        vals[i0:i1] = hermite_probe_axis(local[..., idx], widths[idx]) * cross
-    probe = template.with_values(vals)
+        return hermite_probe_axis(local[..., idx], widths[idx]) * cross
+
+    probe = template.with_values(_grid_slabs(x, complex, probe_values))
     image = fft_multiplier_apply(probe, HalfSpace(tuple(n_tilde)))
 
     sel = np.abs(x) <= window
@@ -637,11 +626,7 @@ class ExperimentReport:
         "rhs_holder", "ratio", "ratio_holder", "m_lower", "wall_ms",
         "control",
     )
-    CSV_HEADER = (
-        "k", "N", "eps_hat", "p", "lhs", "rhs_exact", "rhs_stderr",
-        "rhs_holder", "ratio", "ratio_holder", "m_lower", "wall_ms",
-        "control",
-    )
+    CSV_HEADER = tuple("N" if f == "n" else f for f in CSV_FIELDS)
 
 
 DEFAULT_KHINTCHINE_CP = float(np.sqrt(2.0))   # config value, not from theory
@@ -655,22 +640,20 @@ def ratio_experiment(
     c_p=DEFAULT_KHINTCHINE_CP,
     eps_resolution=2**-14,
 ):
-    """Run the square-function experiment over a (k, p) grid.
+    """Run the square-function experiment over a (k, p) grid, yielding one
+    ExperimentReport per cell as soon as that cell is done.
 
     For p < 2 the Holder-normalized ratio grows like eps_hat^(1/2 - 1/p) as
     the union shrinks; the optional p = 2 entries are control runs whose
     ratio stays bounded.
     """
-    reports = []
     for k in k_list:
         boxes = bs.build_boxes(bs.build_perron_rectangles(k))
         for p in p_list:
-            report = ratio_experiment_cell(
+            yield ratio_experiment_cell(
                 boxes, p, mc_samples, seed=seed, c_p=c_p,
                 eps_resolution=eps_resolution,
             )
-            reports.append(report)
-    return reports
 
 
 def ratio_experiment_cell(boxes, p, mc_samples, seed=0,
@@ -752,12 +735,6 @@ def modulated_box_images(boxes, r_mod, samples_per_axis=256, extent=24.0):
         indicators.append(ind)
         images.append(g)
     return indicators, images
-
-
-def modulated_box_distance(boxes, r_mod, samples_per_axis=256, extent=24.0):
-    """Relative L2 distances between the modulated cone images and the
-    closed-form half-space images, per box."""
-    return modulation_convergence(boxes, [r_mod], samples_per_axis, extent)[0]
 
 
 def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
@@ -866,13 +843,9 @@ def tensor_extension_check(
 
     prod4 = np.multiply.outer(ind3.values, phi.values)
     fhat = np.fft.fftn(prod4)
-    freqs3 = [ind3.freqs()] * 3
-    freq4 = phi.freqs()
     normal4 = np.concatenate([ntilde3, [normal_last]])
-    mesh = np.meshgrid(*freqs3, freq4, indexing="ij", sparse=True)
-    g = sum(-m * c for m, c in zip(mesh, normal4))
-    symbol = np.where(g > BOUNDARY_TOL, 1.0, 0.0)
-    symbol = np.where(np.abs(g) <= BOUNDARY_TOL, BOUNDARY_VALUE, symbol)
+    symbol = sample_symbol(HalfSpace(tuple(normal4)),
+                           [ind3.freqs()] * 3 + [phi.freqs()])
     applied = np.fft.ifftn(fhat * symbol)
 
     image3 = fft_multiplier_apply(ind3, HalfSpace(tuple(ntilde3)))

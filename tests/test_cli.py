@@ -10,9 +10,20 @@ import pytest
 from conekit import cli
 from conekit import multiplier as mp
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
 
 def run_main(argv):
     return cli.main(argv)
+
+
+@pytest.mark.parametrize("command", ["ratio", "szego"])
+@pytest.mark.parametrize("text", ["null", "5", "[]"])
+def test_non_object_config_is_usage_error(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_main([command, "--config", str(cfg)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 class TestBesicovitchCommand:
@@ -80,6 +91,18 @@ class TestRatioCommand:
         }))
         assert run_main(["ratio", "--config", str(cfg)]) == 2
 
+    def test_failing_cell_leaves_finished_rows(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "run"
+        cfg.write_text(json.dumps({
+            "k_list": [3, 13], "p_list": [1.0, 2.0], "mc_samples": 10_000,
+            "seed": 5, "out_dir": str(out),
+        }))
+        assert run_main(["ratio", "--config", str(cfg)]) == 2
+        lines = (out / "report.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+        assert [(r["k"], r["p"]) for r in rows] == [("3", "1"), ("3", "2")]
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({
@@ -131,6 +154,15 @@ class TestEntryPoint:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+    def test_benchmark_tracer_installs(self):
+        # the benchmark's tracer wraps conekit attributes by name; a rename
+        # or deletion of one of them must fail here, not in a traced run
+        code = ("import sys; sys.path[:0] = ['perfbench', 'src']; "
+                "import tracer; tracer.Recorder().install()")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_version_flag(self):
         proc = subprocess.run(

@@ -256,6 +256,28 @@ class TestFrames:
         cs = tuple(jd.from_matrix(np.outer(q[:, i], q[:, i])) for i in range(3))
         assert jd.JordanFrame(jd.sym_matrix(3), cs).validate()
 
+    def test_invalid_frame_rejected_when_built(self):
+        c = jd.from_matrix(np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            jd.JordanFrame(jd.sym_matrix(2), (c, c))
+
+    def test_frame_validated_once(self, monkeypatch):
+        calls = []
+        validate = jd.JordanFrame.validate
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return validate(self, *args, **kwargs)
+
+        monkeypatch.setattr(jd.JordanFrame, "validate", counting)
+        frame = jd.standard_frame(jd.sym_matrix(3))
+        x = jd.from_matrix(np.diag([1.0, 2.0, 0.0]))
+        for _ in range(5):
+            jd.cone_contains(x, frame)
+            jd.principal_minors(x, frame)
+            jd.slice_test(x, frame)
+        assert len(calls) == 1 and calls[0] is frame
+
 
 class TestFillingRadius:
     def test_already_inside_returns_zero(self):

@@ -215,7 +215,7 @@ class TestSquareFunction:
             mp.square_function_v2(boxes_k3, 1.0, 100)
 
     def test_ratio_experiment_growth_and_control(self):
-        reports = mp.ratio_experiment([3, 4], [1.0, 2.0], 15_000, seed=11)
+        reports = list(mp.ratio_experiment([3, 4], [1.0, 2.0], 15_000, seed=11))
         p1 = [r for r in reports if r.p == 1.0]
         p2 = [r for r in reports if r.control]
         assert p1[1].ratio_holder > p1[0].ratio_holder
@@ -246,9 +246,9 @@ class TestRandomSign:
 
     def test_modulated_distance_decreases(self, boxes_k1):
         dists = [
-            max(mp.modulated_box_distance(boxes_k1, r, samples_per_axis=128,
-                                          extent=16.0))
-            for r in (1.0, 4.0, 16.0)
+            max(row) for row in mp.modulation_convergence(
+                boxes_k1, [1.0, 4.0, 16.0], samples_per_axis=128, extent=16.0
+            )
         ]
         assert dists[0] > dists[1] > dists[2]
 

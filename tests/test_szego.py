@@ -264,3 +264,6 @@ class TestErrorPaths:
         with pytest.raises(BudgetExceededError) as err:
             sz.szego_kernel_quadrature(z, np.zeros(3), tol=1e-18)
         assert err.value.partial is not None
+        estimate = err.value.error_estimate
+        assert isinstance(estimate, float) and np.isfinite(estimate)
+        assert estimate > 1e-18
