@@ -18,9 +18,8 @@ the common-anchor arrangement, which separates trivially.
 rotated box F_j spanned by (1,-u_j), (1,u_j), (0,u_j-perp) with side 1/sqrt2
 along the light-ray direction, plus the translates F_j + 5*(-1, u_j).
 
-``union_measure`` rasterizes by horizontal scanlines with exact per-line
-interval unions, so the only error is the midpoint rule in y; the reported
-bound is the conservative perimeter certificate.
+``union_measure`` is exact: a closed-form boundary integral over the parts
+of the edges no other rectangle covers; its bound covers only rounding.
 """
 
 from __future__ import annotations
@@ -265,66 +264,101 @@ def translates_disjoint(family):
 
 # --- union measure -----------------------------------------------------------
 
+_EPS = np.finfo(float).eps
+
+
 def union_measure(shapes, resolution):
-    """Measure of a union of rectangles by exact-interval scanlines.
+    """Exact measure of a union of rectangles and a bound on its rounding.
 
-    Every horizontal line meets each rectangle in an interval computed in
-    closed form; per-line interval unions are exact, so the only error is the
-    midpoint rule across lines.  Returns (measure, error_bound) with the
-    conservative certificate error = total_perimeter * resolution * 2.
-
-    Accepts a RectangleFamily (its overlapping rectangles), a BoxFamily
-    (planar projections of the E_j, which reproduce the R_j) or a plain
-    sequence of Rect2.
+    Integrates 1/2 cross(x, dx) over the parts of the edges P + t d, t in
+    [0, 1], that no other rectangle's open interior covers; each rectangle
+    covers one t-interval, cut out by two slab inequalities.  Coincident
+    pieces with the same outward normal belong to the lower index; pieces
+    with opposite normals both stay and cancel.  Returns (measure, bound);
+    the bound covers rounding, including the 1/|s1| growth of clip
+    endpoints on near-parallel edges.  ``resolution`` must be positive but
+    has no effect.  Accepts a RectangleFamily, a BoxFamily (planar
+    projections of the E_j) or a sequence of Rect2.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     rects = _as_rect_list(shapes)
-    verts = np.concatenate([r.vertices() for r in rects])
-    ymin, ymax = verts[:, 1].min(), verts[:, 1].max()
-    n_rows = int(np.ceil((ymax - ymin) / resolution))
-    chunk = max(1, min(n_rows, 2**22 // max(len(rects), 1)))
+    verts = np.array([r.vertices() for r in rects])        # clockwise
+    starts = verts.reshape(-1, 2)
+    vectors = (np.roll(verts, -1, axis=1) - verts).reshape(-1, 2)
+    # bounds the rounding of every vertex, edge and slab coordinate
+    err = 16.0 * _EPS * float(np.abs(verts).max())
+    block = max(1, 2**21 // len(rects))    # (edges, 2, rects) arrays <= 2^22
+    covered, frac_err, bands = np.concatenate([
+        _edge_coverage(rects, starts[e0:e0 + block], vectors[e0:e0 + block],
+                       e0, err)
+        for e0 in range(0, len(starts), block)], axis=1)
+    cross = starts[:, 0] * vectors[:, 1] - starts[:, 1] * vectors[:, 0]
+    terms = 0.5 * cross * (covered - 1.0)    # clockwise: area = -1/2 sum
+    lengths = np.hypot(*vectors.T)
+    cross_err = err * (np.hypot(*starts.T) + 2.0 * lengths)
+    bound = (0.5 * np.abs(cross) @ np.minimum(frac_err, 1.0)
+             + 0.5 * cross_err @ (1.0 - covered) + 3.0 * err * lengths @ bands
+             + (len(terms) + 2) * _EPS * np.abs(terms).sum())
+    # eps_hat = measure + bound must not round below the true sum: step the
+    # sum up until the difference (exact if bound <= measure) holds the bound
+    measure = float(terms.sum())
+    total = measure + bound
+    while total - measure < bound:
+        total = np.nextafter(total, np.inf)
+    return measure, float(total - measure)
 
-    covered = 0.0
-    for row0 in range(0, n_rows, chunk):
-        rows = min(chunk, n_rows - row0)
-        ys = ymin + (row0 + np.arange(rows) + 0.5) * resolution
-        covered += _scanline_coverage(rects, ys)
-    measure = float(resolution * covered)
 
-    total_perimeter = sum(2.0 * (r.length + r.width) for r in rects)
-    error_bound = float(total_perimeter * resolution * 2.0)
-    return measure, error_bound
+def _edge_coverage(rects, starts, vectors, first, err):
+    """For the edges first, first + 1, ...: the fraction covered by the other
+    rectangles, a first-order bound on its rounding, and the number of
+    slab-boundary bands met."""
+    centers = np.array([r.center for r in rects])
+    axes = np.array([[r.direction for r in rects], [r.normal for r in rects]])
+    # half-widths in the slab coordinates of the vertices, which carry |u|^2
+    halves = 0.5 * np.array([[r.length, r.width] for r in rects]).T * [
+        r.direction @ r.direction for r in rects]
+    n, rows = len(rects), np.arange(len(starts))
+    owner = (first + rows) // 4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # edge point t lies inside slab k of rectangle j if |s0 + t s1| <
+        # half; arrays are indexed [edge, k, j]
+        flat = axes.reshape(-1, 2).T
+        s0 = (starts @ flat).reshape(-1, 2, n) - np.sum(centers * axes, 2)
+        s1 = (vectors @ flat).reshape(-1, 2, n)
+        t1, t2 = (-halves - s0) / s1, (halves - s0) / s1
+        # an edge parallel to the slab up to rounding is inside it for all t
+        # or for none; within 3 err of the slab boundary (a band, whose
+        # sliver of area 3 err |d| enters the bound) the tie rule compares
+        # the side with the outward normal (-d_y, d_x)
+        i, k, j = np.nonzero(np.abs(s1) <= err)
+        side, half = s0[i, k, j], halves[k, j]
+        band = np.abs(np.abs(side) - half) <= 3.0 * err
+        normal = vectors[i, 0] * axes[k, j, 1] - vectors[i, 1] * axes[k, j, 0]
+        inside = np.where(band, (owner[i] > j)
+                          & (np.sign(side) == np.sign(normal)),
+                          np.abs(side) < half)
+        t1[i, k, j], t2[i, k, j] = np.where(inside, -np.inf, np.inf), np.inf
+        t1[rows, :, owner] = t2[rows, :, owner] = np.inf   # not by itself
+        # an endpoint that may land in [0, 1] is off by up to
+        # (err / |s1| + 2 eps)(1 + |t|); the sweep adds n eps
+        scale = err / np.abs(s1) + 2.0 * _EPS
+        frac_err = n * _EPS
+        for t in (t1, t2):
+            dt = scale * (1.0 + np.abs(t))
+            frac_err = frac_err + np.where(
+                np.abs(t - 0.5) < 0.5 + dt, dt, 0.0).sum(axis=(1, 2))
+        lo = np.clip(np.minimum(t1, t2).max(axis=1), 0.0, 1.0)
+        hi = np.clip(np.maximum(t1, t2).min(axis=1), lo, 1.0)
 
-
-def _scanline_coverage(rects, ys):
-    """Sum over rows of the exact 1D measure of the union's slice."""
-    n_rows = ys.shape[0]
-    lo = np.full((n_rows, len(rects)), np.inf)
-    hi = np.full((n_rows, len(rects)), -np.inf)
-    for idx, rect in enumerate(rects):
-        v = rect.vertices()
-        for a in range(4):
-            p, q = v[a], v[(a + 1) % 4]
-            if p[1] == q[1]:
-                continue
-            t = (ys - p[1]) / (q[1] - p[1])
-            mask = (t >= 0.0) & (t <= 1.0)
-            xs = p[0] + t * (q[0] - p[0])
-            lo[mask, idx] = np.minimum(lo[mask, idx], xs[mask])
-            hi[mask, idx] = np.maximum(hi[mask, idx], xs[mask])
-
+    # measure of the union of the intervals: sort, then a running maximum;
+    # covered = (last run - first lo) - gaps between run_(k-1) and lo_k
     order = np.argsort(lo, axis=1)
-    lo_sorted = np.take_along_axis(lo, order, axis=1)
-    hi_sorted = np.take_along_axis(hi, order, axis=1)
-    running = np.maximum.accumulate(hi_sorted, axis=1)
-    prev = np.concatenate(
-        [np.full((n_rows, 1), -np.inf), running[:, :-1]], axis=1
-    )
-    start = np.maximum(lo_sorted, prev)
-    contrib = np.clip(hi_sorted - start, 0.0, None)
-    contrib[~np.isfinite(contrib)] = 0.0
-    return float(contrib.sum())
+    lo = np.take_along_axis(lo, order, axis=1)
+    run = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
+    gaps = np.clip(lo[:, 1:] - run[:, :-1], 0.0, None).sum(axis=1)
+    bands = np.bincount(i[band], minlength=len(starts))
+    return np.array([run[:, -1] - lo[:, 0] - gaps, frac_err, bands])
 
 
 def _as_rect_list(shapes):

@@ -75,23 +75,55 @@ def write_manifest(out_dir, config, timings, outputs):
     )
 
 
-def load_config(path, required, optional):
-    """Schema-checked JSON config: unknown keys are rejected."""
+def _list_of(types):
+    return lambda v: (isinstance(v, list) and bool(v)
+                      and all(type(x) in types for x in v))
+
+
+# kind of a config value: (test, what the error message asks for); type()
+# rather than isinstance() keeps JSON booleans out of the integers
+KINDS = {
+    "ints": (_list_of((int,)), "a non-empty list of integers"),
+    "numbers": (_list_of((int, float)), "a non-empty list of numbers"),
+    "count": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "positive": (lambda v: type(v) in (int, float) and v > 0,
+                 "a positive number"),
+    "path": (lambda v: type(v) is str, "a string"),
+}
+REQUIRED = None     # schema default of a key the config must give
+
+
+def load_config(path, schema):
+    """Schema-checked JSON config.  ``schema`` maps each key to its kind
+    and default; unknown keys, missing required keys and values of the
+    wrong kind are rejected with a ValueError naming the key."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(doc) - set(required) - set(optional)
+    unknown = set(doc) - set(schema)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = set(required) - set(doc)
+    missing = {key for key, (_, default) in schema.items()
+               if default is REQUIRED} - set(doc)
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-    merged = dict(optional)
+    merged = {key: default for key, (_, default) in schema.items()
+              if default is not REQUIRED}
     merged.update(doc)
+    for key, (kind, _) in schema.items():
+        test, expected = KINDS[kind]
+        if not test(merged[key]):
+            raise ValueError(f"config key {key!r} must be {expected}")
     return merged
 
 
 # --- besicovitch -----------------------------------------------------------------
+
+# union_measure is exact: the resolution it requires changes nothing (stats.csv
+# keeps the column at the old default)
+UNION_RESOLUTION = 2.0**-14
+
 
 def cmd_besicovitch(args):
     out_dir = Path(args.out)
@@ -102,7 +134,7 @@ def cmd_besicovitch(args):
     timings["build"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    measure, err = bs.union_measure(family, args.resolution)
+    measure, err = bs.union_measure(family, UNION_RESOLUTION)
     timings["union_measure"] = 1e3 * (time.perf_counter() - t0)
 
     (out_dir / "family.json").write_text(bs.family_to_json(family) + "\n")
@@ -116,11 +148,10 @@ def cmd_besicovitch(args):
         "total_area": family.total_area(),
         # build_perron_rectangles returns only SAT-verified families
         "translates_disjoint": True,
-        "resolution": args.resolution,
+        "resolution": UNION_RESOLUTION,
     }
     write_csv(out_dir / "stats.csv", list(row), [row])
-    config = {"command": "besicovitch", "k": args.k,
-              "resolution": args.resolution}
+    config = {"command": "besicovitch", "k": args.k}
     write_manifest(out_dir, config, timings,
                    ["family.json", "family.svg", "stats.csv"])
     return 0
@@ -128,15 +159,18 @@ def cmd_besicovitch(args):
 
 # --- ratio experiment --------------------------------------------------------------
 
-RATIO_REQUIRED = ("k_list", "p_list", "mc_samples", "seed", "out_dir")
-RATIO_OPTIONAL = {
-    "c_p": mp.DEFAULT_KHINTCHINE_CP,
-    "eps_resolution": 2.0**-14,
+RATIO_SCHEMA = {
+    "k_list": ("ints", REQUIRED),
+    "p_list": ("numbers", REQUIRED),
+    "mc_samples": ("count", REQUIRED),
+    "seed": ("seed", REQUIRED),
+    "out_dir": ("path", REQUIRED),
+    "c_p": ("positive", mp.DEFAULT_KHINTCHINE_CP),
 }
 
 
 def cmd_ratio(args):
-    config = load_config(args.config, RATIO_REQUIRED, RATIO_OPTIONAL)
+    config = load_config(args.config, RATIO_SCHEMA)
     for p in config["p_list"]:
         if not (1.0 <= p < 2.0 or p == 2.0):
             raise ValueError("p_list entries must lie in [1, 2) or be the "
@@ -148,7 +182,6 @@ def cmd_ratio(args):
     for report in mp.ratio_experiment(
         config["k_list"], config["p_list"], config["mc_samples"],
         seed=config["seed"], c_p=config["c_p"],
-        eps_resolution=config["eps_resolution"],
     ):
         timings[f"k{report.k}_p{report.p:g}"] = report.wall_ms
         row = {
@@ -206,18 +239,19 @@ def _kernel_relation(n, n_held_out, rng, tol):
     return c0, residuals
 
 
-SZEGO_REQUIRED = ("seed", "out_dir")
-SZEGO_OPTIONAL = {
-    "n_kernel_samples": 20,
-    "n_consistency_samples": 10_000,
-    "n_relation_samples": 10,
-    "tol": 1e-6,
-    "dimension": 3,
+SZEGO_SCHEMA = {
+    "seed": ("seed", REQUIRED),
+    "out_dir": ("path", REQUIRED),
+    "n_kernel_samples": ("count", 20),
+    "n_consistency_samples": ("count", 10_000),
+    "n_relation_samples": ("count", 10),
+    "tol": ("positive", 1e-6),
+    "dimension": ("count", 3),
 }
 
 
 def cmd_szego(args):
-    config = load_config(args.config, SZEGO_REQUIRED, SZEGO_OPTIONAL)
+    config = load_config(args.config, SZEGO_SCHEMA)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -538,7 +572,6 @@ def build_parser():
     p_bes = sub.add_parser("besicovitch", help="build a rectangle family")
     p_bes.add_argument("--k", type=int, required=True)
     p_bes.add_argument("--out", required=True)
-    p_bes.add_argument("--resolution", type=float, default=2.0**-14)
     p_bes.set_defaults(func=cmd_besicovitch)
 
     p_ratio = sub.add_parser("ratio", help="run the ratio experiment")

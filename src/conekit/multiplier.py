@@ -172,7 +172,7 @@ def _grid_slabs(x, dtype, fill):
 
 def indicator_box(box, extent, samples):
     """3D grid samples of a box indicator, antialiased per box axis."""
-    g = GridFunction(np.zeros((samples,) * 3), extent)
+    g = GridFunction(np.zeros(samples), extent)
     h = g.spacing
 
     def coverage(mesh):
@@ -343,7 +343,7 @@ def gaussian_box_probe(box, n_tilde, extent, samples, widths=None,
     periodization copies that still matter are summed into the closed form.
     The comparison runs on the central window |x|_inf <= window.
     """
-    template = GridFunction(np.zeros((samples,) * 3), extent)
+    template = GridFunction(np.zeros(samples), extent)
     h = template.spacing
     if widths is None:
         widths = np.maximum(box.half_extents, 2.0 * h)
@@ -420,8 +420,7 @@ def cone_dilation_symbol_defect(lam, samples=128, extent=8.0):
     defect is zero unless a lattice point falls inside the boundary
     tolerance band for one scale but not the other.
     """
-    template = GridFunction(np.zeros((samples,) * 3), extent)
-    freqs = [template.freqs()] * 3
+    freqs = [GridFunction(np.zeros(samples), extent).freqs()] * 3
     base = sample_symbol(Cone(), freqs)
     scaled = sample_symbol(Cone(), [lam * f for f in freqs])
     return float(np.max(np.abs(base - scaled)))
@@ -438,8 +437,7 @@ def cone_dilation_probe(lam, samples=128, extent=8.0, order=3,
     bound what any finite grid can achieve here; the window keeps them
     subdominant.
     """
-    template = GridFunction(np.zeros((samples,) * 3), extent)
-    freqs = template.freqs()
+    freqs = GridFunction(np.zeros(samples), extent).freqs()
     mesh = np.meshgrid(freqs, freqs, freqs, indexing="ij", sparse=True)
 
     def spectrum(scale):
@@ -707,6 +705,14 @@ def _check_resolvable(boxes, grid):
         )
 
 
+def _box_indicators(boxes, samples_per_axis, extent):
+    """Grid indicators of the F_j, refused when the grid cannot resolve
+    the boxes."""
+    _check_resolvable(boxes, GridFunction(np.zeros(samples_per_axis), extent))
+    return [indicator_box(f_box, extent, samples_per_axis)
+            for f_box in boxes.boxes_f]
+
+
 def _modulation_phase(grid, freq_vector):
     """exp(2 pi i <x, v>) on the grid, built separably."""
     x = grid.axis()
@@ -725,15 +731,11 @@ def modulated_box_images(boxes, r_mod, samples_per_axis=256, extent=24.0):
     """
     if r_mod < 1.0:
         raise ValueError("modulation parameter must be >= 1")
-    template = GridFunction(np.zeros((samples_per_axis,) * 3), extent)
-    _check_resolvable(boxes, template)
-    images = []
-    indicators = []
-    for f_box, ray in zip(boxes.boxes_f, boxes.light_rays):
-        ind = indicator_box(f_box, extent, samples_per_axis)
-        g = fft_multiplier_apply(ind, Cone(), shift=r_mod * ray)
-        indicators.append(ind)
-        images.append(g)
+    indicators = _box_indicators(boxes, samples_per_axis, extent)
+    images = [
+        fft_multiplier_apply(ind, Cone(), shift=r_mod * ray)
+        for ind, ray in zip(indicators, boxes.light_rays)
+    ]
     return indicators, images
 
 
@@ -745,14 +747,10 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     translated cones grow with the modulation (Omega - R1 n is contained in
     Omega - R2 n for R1 < R2), so the distances decrease monotonically.
     """
-    template = GridFunction(np.zeros((samples_per_axis,) * 3), extent)
-    _check_resolvable(boxes, template)
-    indicators = [
-        indicator_box(f_box, extent, samples_per_axis)
-        for f_box in boxes.boxes_f
-    ]
+    indicators = _box_indicators(boxes, samples_per_axis, extent)
+    grid = GridFunction(np.zeros(samples_per_axis), extent)
     oracles = [
-        box_image_grid(f_box, ntilde, template)
+        box_image_grid(f_box, ntilde, grid)
         for f_box, ntilde in zip(boxes.boxes_f, boxes.normals)
     ]
     norms = [np.linalg.norm(o.values) for o in oracles]
@@ -835,14 +833,13 @@ def tensor_extension_check(
     boxes = bs.build_boxes(bs.build_perron_rectangles(k))
     f_box = boxes.boxes_f[0]
     ntilde3 = boxes.normals[0]
-    _check_resolvable(boxes, GridFunction(np.zeros((samples_3d,) * 3), extent_3d))
+    _check_resolvable(boxes, GridFunction(np.zeros(samples_3d), extent_3d))
 
     ind3 = indicator_box(f_box, extent_3d, samples_3d)
     if np.all(phi.values == 0):
         return 0.0
 
-    prod4 = np.multiply.outer(ind3.values, phi.values)
-    fhat = np.fft.fftn(prod4)
+    fhat = np.fft.fftn(np.multiply.outer(ind3.values, phi.values))
     normal4 = np.concatenate([ntilde3, [normal_last]])
     symbol = sample_symbol(HalfSpace(tuple(normal4)),
                            [ind3.freqs()] * 3 + [phi.freqs()])

@@ -1,5 +1,7 @@
 """Tests for the rectangle families, 3D boxes and measure estimators."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -111,12 +113,17 @@ class TestIntersectionPredicates:
             assert bs.boxes_intersect(b, shifted) == expected
 
 
+def _square(cx, cy, direction=(0.0, 1.0), length=1.0, width=1.0):
+    return bs.Rect2(center=[cx, cy], direction=list(direction),
+                    length=length, width=width)
+
+
 class TestUnionMeasure:
     def test_unit_square(self):
         sq = [bs.Rect2(center=[0.5, 0.5], direction=[0.0, 1.0],
                        length=1.0, width=1.0)]
         m, err = bs.union_measure(sq, 2**-10)
-        assert err == pytest.approx(2**-7)
+        assert err <= 1e-12
         assert abs(m - 1.0) <= err
 
     def test_disjoint_translates_measure_one(self):
@@ -142,6 +149,75 @@ class TestUnionMeasure:
         b = bs.Rect2(center=[1.0, 0.5], direction=[0.0, 1.0], length=1.0, width=1.0)
         m, err = bs.union_measure([a, b], 2**-11)
         assert abs(m - 1.5) <= err
+
+    @pytest.mark.parametrize("rects, expected", [
+        # identical squares: the copy's edges belong to the lower index,
+        # also when rotated, where coincidence holds only up to rounding
+        ([_square(0.5, 0.5), _square(0.5, 0.5)], 1.0),
+        ([_square(0.1, 0.2, (np.cos(1.0), np.sin(1.0)))] * 3, 1.0),
+        # edge-adjacent squares: the shared edge has opposite normals
+        ([_square(0.5, 0.5), _square(1.5, 0.5)], 2.0),
+        # a square and its 45 degree rotation about the common center
+        ([_square(0.0, 0.0), _square(0.0, 0.0, np.sqrt([0.5, 0.5]))],
+         4.0 - 2.0 * np.sqrt(2.0)),
+        # nested, strictly inside and sharing three edges, in both orders
+        ([_square(0.5, 0.5), _square(0.5, 0.5, length=0.5, width=0.5)], 1.0),
+        ([_square(0.5, 0.5, length=0.5, width=0.5), _square(0.5, 0.5)], 1.0),
+        ([_square(0.5, 0.5), _square(0.25, 0.5, width=0.5)], 1.0),
+        ([_square(0.25, 0.5, width=0.5), _square(0.5, 0.5)], 1.0),
+        # a direction 1e-13 off unit length, which Rect2 accepts: the sides
+        # of the drawn square are |u| long
+        ([_square(0.0, 0.0, (1.0 + 1e-13, 0.0))] * 2, (1.0 + 1e-13)**2),
+    ])
+    def test_closed_form_oracles(self, rects, expected):
+        m, err = bs.union_measure(rects, 1.0)
+        assert err <= 1e-12
+        assert abs(m - expected) <= err
+
+    def test_random_rotated_families_against_monte_carlo(self):
+        rng = np.random.default_rng(20240)
+        for seed in range(6):
+            n = int(rng.integers(2, 12))
+            angles = rng.uniform(0.0, np.pi, n)
+            rects = [
+                bs.Rect2(center=rng.uniform(-1.0, 1.0, 2),
+                         direction=[np.cos(a), np.sin(a)],
+                         length=rng.uniform(0.2, 1.5),
+                         width=rng.uniform(0.05, 1.0))
+                for a in angles
+            ]
+            m, err = bs.union_measure(rects, 1.0)
+            est, stderr = bs.mc_union_measure(rects, 200_000, seed=seed)
+            assert abs(m - est) <= err + 4 * stderr
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_invariant_under_permutation_reflection_translation(self, k):
+        rects = list(bs.build_perron_rectangles(k).rects)
+        m, err = bs.union_measure(rects, 1.0)
+        order = np.random.default_rng(k).permutation(len(rects))
+        swap = np.array([1, 0])
+        variants = [
+            [rects[i] for i in order],
+            [bs.Rect2(r.center[swap], r.direction[swap], r.length, r.width)
+             for r in rects],
+            [r.translated(np.array([2.0, -0.75])) for r in rects],
+        ]
+        for variant in variants:
+            m2, err2 = bs.union_measure(variant, 1.0)
+            assert abs(m2 - m) <= err + err2
+
+    def test_k8_bound_is_tiny(self):
+        m, err = bs.union_measure(bs.build_perron_rectangles(8), 2**-14)
+        assert err <= 1e-9
+        assert (m + err) - m == err      # eps_hat = m + err is exact
+
+    def test_eps_hat_exact_across_a_power_of_two(self):
+        # measure just below 1, measure + bound above it
+        rects = [_square(0.5, 0.5, (np.cos(0.35), np.sin(0.35)),
+                         length=1.25, width=0.8)] * 2
+        m, err = bs.union_measure(rects, 1.0)
+        assert m < 1.0 < m + err
+        assert Fraction(m + err) - Fraction(m) == Fraction(err)
 
     def test_invalid_resolution(self):
         fam = bs.build_perron_rectangles(1)

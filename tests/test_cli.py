@@ -26,6 +26,43 @@ def test_non_object_config_is_usage_error(tmp_path, capsys, command, text):
     assert "config must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, override, key", [
+    ("ratio", {"k_list": ["3"]}, "k_list"),
+    ("ratio", {"k_list": 3}, "k_list"),
+    ("ratio", {"k_list": []}, "k_list"),
+    ("ratio", {"p_list": ["1"]}, "p_list"),
+    ("ratio", {"mc_samples": "1e5"}, "mc_samples"),
+    ("ratio", {"seed": "x"}, "seed"),
+    ("ratio", {"seed": True}, "seed"),
+    ("szego", {"dimension": "3"}, "dimension"),
+    ("szego", {"n_kernel_samples": 0}, "n_kernel_samples"),
+])
+def test_config_value_of_wrong_kind_is_usage_error(tmp_path, capsys, command,
+                                                   override, key):
+    cfg = {"seed": 1, "out_dir": str(tmp_path / "out")}
+    if command == "ratio":
+        cfg.update(k_list=[3], p_list=[1.0], mc_samples=10_000)
+    cfg.update(override)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_main([command, "--config", str(path)]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_resolution_knobs_are_gone(tmp_path, capsys):
+    # the union measure is exact, so a resolution could change nothing
+    cfg = {"k_list": [3], "p_list": [1.0], "mc_samples": 10_000, "seed": 1,
+           "out_dir": str(tmp_path / "out"), "eps_resolution": 2.0**-14}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_main(["ratio", "--config", str(path)]) == 2
+    assert "eps_resolution" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_main(["besicovitch", "--k", "2", "--out", str(tmp_path / "b"),
+                  "--resolution", "0.001"])
+    assert exc.value.code == 2
+
+
 class TestBesicovitchCommand:
     def test_outputs_and_stats(self, tmp_path):
         out = tmp_path / "fam"
@@ -155,11 +192,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
-    def test_benchmark_tracer_installs(self):
-        # the benchmark's tracer wraps conekit attributes by name; a rename
-        # or deletion of one of them must fail here, not in a traced run
-        code = ("import sys; sys.path[:0] = ['perfbench', 'src']; "
-                "import tracer; tracer.Recorder().install()")
+    def test_benchmark_tracer_installs(self, tmp_path):
+        # the benchmark's tracer wraps conekit attributes by name and reads
+        # their arguments; a rename, a deletion or a signature change that
+        # breaks a hook must fail here, not in a traced run
+        code = "\n".join([
+            "import sys",
+            "sys.path[:0] = ['perfbench', 'src']",
+            "import tracer",
+            "from conekit import cli",
+            "recorder = tracer.Recorder()",
+            "recorder.install()",
+            f"argv = ['besicovitch', '--k', '2', '--out', {str(tmp_path)!r}]",
+            "assert cli.main(argv) == 0",
+            "assert recorder.report()['besicovitch.union_calls'] == 1",
+        ])
         proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
