@@ -120,11 +120,6 @@ def load_config(path, schema):
 
 # --- besicovitch -----------------------------------------------------------------
 
-# union_measure is exact: the resolution it requires changes nothing (stats.csv
-# keeps the column at the old default)
-UNION_RESOLUTION = 2.0**-14
-
-
 def cmd_besicovitch(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -134,7 +129,7 @@ def cmd_besicovitch(args):
     timings["build"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    measure, err = bs.union_measure(family, UNION_RESOLUTION)
+    measure, err = bs.union_measure(family, bs.UNION_RESOLUTION)
     timings["union_measure"] = 1e3 * (time.perf_counter() - t0)
 
     (out_dir / "family.json").write_text(bs.family_to_json(family) + "\n")
@@ -148,7 +143,7 @@ def cmd_besicovitch(args):
         "total_area": family.total_area(),
         # build_perron_rectangles returns only SAT-verified families
         "translates_disjoint": True,
-        "resolution": UNION_RESOLUTION,
+        "resolution": bs.UNION_RESOLUTION,
     }
     write_csv(out_dir / "stats.csv", list(row), [row])
     config = {"command": "besicovitch", "k": args.k}
@@ -454,8 +449,7 @@ def _engine_checks(fast):
 
     def square_function():
         boxes = bs.build_boxes(bs.build_perron_rectangles(3))
-        res = mp.square_function_v2(boxes, 1.0, mc, seed=77,
-                                    eps_resolution=2.0**-12)
+        res = mp.square_function_v2(boxes, 1.0, mc, seed=77)
         lhs_expected = 0.05 / (2.0 * np.pi)
         return bool(
             res.lhs >= lhs_expected

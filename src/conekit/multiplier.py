@@ -547,7 +547,6 @@ def square_function_v2(
     p,
     mc_samples,
     seed=0,
-    eps_resolution=2**-14,
     control=False,
     quad_tol=1e-8,
 ):
@@ -583,7 +582,7 @@ def square_function_v2(
         (1.0 / p) * moment ** (1.0 / p - 1.0) * moment_err if moment > 0 else 0.0
     )
 
-    union, union_err = bs.union_measure(boxes, eps_resolution)
+    union, union_err = bs.union_measure(boxes, bs.UNION_RESOLUTION)
     eps_hat = union + union_err
     total_volume = sum(b.volume() for b in boxes.boxes_f)
     rhs_holder = np.sqrt(total_volume) * eps_hat ** (1.0 / p - 0.5)
@@ -636,7 +635,6 @@ def ratio_experiment(
     mc_samples,
     seed=0,
     c_p=DEFAULT_KHINTCHINE_CP,
-    eps_resolution=2**-14,
 ):
     """Run the square-function experiment over a (k, p) grid, yielding one
     ExperimentReport per cell as soon as that cell is done.
@@ -648,15 +646,12 @@ def ratio_experiment(
     for k in k_list:
         boxes = bs.build_boxes(bs.build_perron_rectangles(k))
         for p in p_list:
-            yield ratio_experiment_cell(
-                boxes, p, mc_samples, seed=seed, c_p=c_p,
-                eps_resolution=eps_resolution,
-            )
+            yield ratio_experiment_cell(boxes, p, mc_samples, seed=seed,
+                                        c_p=c_p)
 
 
 def ratio_experiment_cell(boxes, p, mc_samples, seed=0,
-                          c_p=DEFAULT_KHINTCHINE_CP,
-                          eps_resolution=2**-14):
+                          c_p=DEFAULT_KHINTCHINE_CP):
     """One (k, p) cell of the ratio experiment.
 
     The cell's RNG stream is derived from (seed, k, p), so results do not
@@ -674,7 +669,6 @@ def ratio_experiment_cell(boxes, p, mc_samples, seed=0,
         p,
         mc_samples,
         seed=child_seed,
-        eps_resolution=eps_resolution,
         control=control,
     )
     wall_ms = 1e3 * (time.perf_counter() - start)

@@ -87,7 +87,6 @@ def test_criterion_3_blowup_demonstration(box_families):
         for p in (1.0, 2.0):
             reports[(k, p)] = mp.ratio_experiment_cell(
                 box_families[k], p, mc_samples, seed=2026,
-                eps_resolution=2.0**-17,
             )
     lhs_ok = all(reports[(k, 1.0)].lhs >= lhs_floor for k in range(3, 9))
     eps_decreasing = all(

@@ -1,9 +1,12 @@
 """Tests for the rectangle families, 3D boxes and measure estimators."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conekit import besicovitch as bs
 
@@ -54,6 +57,15 @@ class TestRectangleFamilies:
             bs.build_perron_rectangles(0)
         with pytest.raises(ValueError):
             bs.build_perron_rectangles(13)
+
+
+_ROT = np.linalg.qr(np.random.default_rng(89).normal(size=(3, 3)))[0]
+
+
+def _box(axes, half_extents, center=(0.0, 0.0, 0.0)):
+    return bs.Box3(center=np.asarray(center, dtype=float),
+                   axes=np.asarray(axes, dtype=float),
+                   half_extents=half_extents)
 
 
 class TestIntersectionPredicates:
@@ -111,6 +123,123 @@ class TestIntersectionPredicates:
             shifted = b.translated(s * b.axes[0])
             expected = s < 2 * b.half_extents[0]
             assert bs.boxes_intersect(b, shifted) == expected
+
+    def test_random_pairs_against_lp_margin(self):
+        rng = np.random.default_rng(83)
+        verdicts = []
+        for _ in range(150):
+            r1, r2 = (bs.Rect2(center=rng.uniform(-1.0, 1.0, 2),
+                               direction=[np.sin(t), np.cos(t)],
+                               length=rng.uniform(0.2, 1.5),
+                               width=rng.uniform(0.05, 0.6))
+                      for t in rng.uniform(0.0, np.pi, 2))
+            verdicts.append((bs.rects_intersect(r1, r2), _lp_margin(r1, r2)))
+            b1, b2 = (bs.Box3(center=rng.uniform(-0.8, 0.8, 3),
+                              axes=np.linalg.qr(rng.normal(size=(3, 3)))[0],
+                              half_extents=rng.uniform(0.05, 0.6, 3))
+                      for _ in range(2))
+            verdicts.append((bs.boxes_intersect(b1, b2), _lp_margin(b1, b2)))
+        checked = [(got, s > 0) for got, s in verdicts if abs(s) >= 1e-9]
+        assert all(got == expected for got, expected in checked)
+        assert {expected for _, expected in checked} == {True, False}
+
+    @pytest.mark.parametrize("a, b, expected", [
+        # identical rotated frames: the diagonal cross products vanish
+        (_box(_ROT, [0.3, 0.2, 0.1]),
+         _box(_ROT, [0.2, 0.2, 0.2], 0.45 * _ROT[0] + 0.1 * _ROT[1]), True),
+        (_box(_ROT, [0.3, 0.2, 0.1]),
+         _box(_ROT, [0.2, 0.2, 0.2], 0.55 * _ROT[0] + 0.1 * _ROT[1]), False),
+        # parallel axes in another order and sign
+        (_box(_ROT, [0.3, 0.2, 0.1]),
+         _box([-_ROT[2], _ROT[0], -_ROT[1]], [0.1, 0.3, 0.2], 0.35 * _ROT[1]),
+         True),
+        # face- and edge-touching boxes have disjoint interiors
+        (_box(np.eye(3), [1.0, 0.5, 0.25]),
+         _box(np.eye(3), [0.5, 0.5, 0.5], [1.5, 0.25, 0.0]), False),
+        (_box(np.eye(3), [1.0, 0.5, 0.25]),
+         _box(np.eye(3)[[1, 2, 0]], [0.5, 0.5, 0.5], [1.5, 1.0, 0.0]), False),
+        # a rotated box nested inside another
+        (_box(np.eye(3), [1.0, 1.0, 1.0]),
+         _box(_ROT, [0.1, 0.2, 0.3], [0.1, -0.2, 0.3]), True),
+    ])
+    def test_box_special_cases(self, a, b, expected):
+        assert bs.boxes_intersect(a, b) == expected
+        assert bs.boxes_intersect(b, a) == expected
+        s = _lp_margin(a, b)
+        assert s > 1e-9 if expected else s < 1e-9
+
+    def test_nested_rectangles_overlap(self):
+        big = bs.Rect2(center=[0.0, 0.0], direction=[0.0, 1.0],
+                       length=2.0, width=1.0)
+        small = bs.Rect2(center=[0.1, 0.2], direction=[0.6, 0.8],
+                         length=0.5, width=0.2)
+        assert bs.rects_intersect(big, small)
+        assert bs.rects_intersect(small, big)
+
+    @pytest.mark.parametrize("lift", [False, True])
+    def test_overlap_found_in_every_block(self, monkeypatch, lift):
+        # small blocks, so a k = 8 family spans many of them
+        monkeypatch.setattr(bs, "_BLOCK_VALUES", 2**16)
+        family = bs.build_perron_rectangles(8)
+        boxes = bs.build_boxes(family)
+        shapes = boxes.boxes_f_shifted if lift else family.translates()
+        n = len(shapes)
+        blocks = list(bs._sat_blocks(*bs._frames(shapes)))
+        assert len(blocks) > 2
+        pairs = [np.concatenate(p) for p in zip(*(b[:2] for b in blocks))]
+        np.testing.assert_array_equal(pairs, np.triu_indices(n, 1))
+        boundary = blocks[1][0][0]           # first row of the second block
+        for i, j in ((boundary - 1, boundary), (boundary, boundary + 1),
+                     (n - 2, n - 1)):
+            # shape j becomes a copy of shape i: the only overlapping pair
+            if lift:
+                shifted = list(boxes.boxes_f_shifted)
+                shifted[j] = shifted[i]
+                planted = dataclasses.replace(
+                    boxes, boxes_f_shifted=tuple(shifted))
+            else:
+                rects = list(family.rects)
+                rects[j] = rects[i]
+                planted = dataclasses.replace(family, rects=tuple(rects))
+            assert not bs.translates_disjoint(planted), (i, j)
+        assert bs.translates_disjoint(boxes if lift else family)
+
+    def test_batched_verdicts_match_pairwise(self):
+        outcomes = set()
+        for k in range(1, 7):
+            family = bs.build_perron_rectangles(k)
+            for shapes, pairwise in (
+                (family.rects, bs.rects_intersect),
+                (bs.build_boxes(family).boxes_f, bs.boxes_intersect),
+            ):
+                batched = np.concatenate(
+                    [b[2] for b in bs._sat_blocks(*bs._frames(shapes))])
+                expected = [pairwise(a, b)
+                            for a, b in itertools.combinations(shapes, 2)]
+                assert batched.tolist() == expected
+                outcomes.update(expected)
+        assert outcomes == {True, False}
+
+
+def _lp_margin(shape1, shape2):
+    """Largest s such that some x has |A (x - c)| <= h - s row-wise for both
+    shapes (center c, axis rows A, half extents h): the shapes' interiors
+    overlap iff s > 0.  An independent oracle for the separating-axis test."""
+    rows, bounds = [], []
+    for shape in (shape1, shape2):
+        if isinstance(shape, bs.Rect2):
+            axes = np.array([shape.direction, shape.normal])
+            half = 0.5 * np.array([shape.length, shape.width])
+        else:
+            axes, half = shape.axes, shape.half_extents
+        for sign in (1.0, -1.0):
+            rows.append(np.column_stack([sign * axes, np.ones(len(axes))]))
+            bounds.append(half + sign * axes @ shape.center)
+    d = len(shape1.center)
+    res = linprog(np.r_[np.zeros(d), -1.0], A_ub=np.vstack(rows),
+                  b_ub=np.concatenate(bounds), bounds=[(None, None)] * (d + 1))
+    assert res.status == 0
+    return -res.fun
 
 
 def _square(cx, cy, direction=(0.0, 1.0), length=1.0, width=1.0):
@@ -264,6 +393,11 @@ class TestBoxFamilies:
             report = bs.box_geometry_check(boxes)
             assert report["all_passed"], (k, report)
             assert report["max_vertex_norm"] <= 20.0
+
+    def test_geometry_check_k10(self):
+        boxes = bs.build_boxes(bs.build_perron_rectangles(10))
+        report = bs.box_geometry_check(boxes)
+        assert report["all_passed"], report
 
     def test_box_disjointness_matches_rect_disjointness(self, boxes_k3):
         fam = bs.build_perron_rectangles(3)
