@@ -210,7 +210,8 @@ def _family_in_ball(family, radius=BALL_RADIUS_2D):
 
 # --- exact intersection predicates -------------------------------------------
 
-# values per array in one block of pair or edge work: memory stays flat in k
+# values live at once in one block of pair work, and per array in one block
+# of edge work: memory stays flat in k
 _BLOCK_VALUES = 2**22
 
 
@@ -258,7 +259,8 @@ def _sat_blocks(centers, axes, halves):
     """
     n, d = centers.shape
     n_axes = 2 * d + (9 if d == 3 else 0)
-    rows = max(1, _BLOCK_VALUES // (n * n_axes * 2 * d))
+    # per pair, all live values stay below 3x the candidate x own-row product
+    rows = max(1, _BLOCK_VALUES // (n * 3 * n_axes * 2 * d))
     index = np.arange(n)
     for first in range(0, n - 1, rows):
         i, j = np.nonzero(index[first:first + rows, None] < index)
@@ -272,7 +274,8 @@ def _sat_blocks(centers, axes, halves):
                 [own, cross / np.where(norm > 1e-14, norm, np.nan)], axis=1)
         dist = np.abs(cand @ (centers[j] - centers[i])[:, :, None])
         # r_i + r_j in one product: all 2d own rows against both half extents
-        radii = (np.abs(cand @ own.transpose(0, 2, 1))
+        proj = cand @ own.transpose(0, 2, 1)
+        radii = (np.abs(proj, out=proj)
                  @ np.hstack([halves[i], halves[j]])[:, :, None])
         yield i, j, ~(dist >= radii).any(axis=(1, 2))
 

@@ -22,6 +22,7 @@ the cone, which exists exactly when <xi, c1> > 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,17 +118,25 @@ def _require_same_algebra(x, y):
 
 # --- symmetric matrix <-> coordinate vector layout -------------------------
 
+@functools.cache
+def _triu(r):
+    """Upper-triangle indices of an r x r matrix, shared and read-only."""
+    iu = np.triu_indices(r)
+    for index in iu:
+        index.flags.writeable = False
+    return iu
+
+
 def mat_to_vec(m):
     """Flatten a symmetric matrix to the canonical upper-triangle vector."""
     m = np.asarray(m)
-    r = m.shape[0]
-    return m[np.triu_indices(r)]
+    return m[_triu(m.shape[0])]
 
 
 def vec_to_mat(v, r):
     """Rebuild the full symmetric matrix from its upper-triangle vector."""
     m = np.zeros((r, r), dtype=np.asarray(v).dtype)
-    iu = np.triu_indices(r)
+    iu = _triu(r)
     m[iu] = v
     m[(iu[1], iu[0])] = v
     return m
@@ -230,53 +239,17 @@ def is_idempotent(c, tol=FRAME_TOL):
     return norm(jordan_product(c, c) - c) <= tol * max(1.0, norm(c))
 
 
-def mult_operator(c):
-    """Matrix of L(c): y -> c*y in an orthonormal coordinate basis.
-
-    For Sym(r) the coordinates are rescaled (off-diagonal entries by
-    sqrt(2)) so that the trace form becomes the Euclidean dot product and
-    L(c) is represented by a symmetric matrix.
-    """
-    a = c.algebra
-    if a.kind == "spin":
-        c1, cp = c.coords[0], c.coords[1:]
-        n = a.dim
-        op = np.zeros((n, n))
-        op[0, 0] = c1
-        op[0, 1:] = cp
-        op[1:, 0] = cp
-        op[1:, 1:] = c1 * np.eye(n - 1)
-        return op
-    r = a.size
-    iu = np.triu_indices(r)
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    cm = as_matrix(c)
-    dim = a.dim
-    op = np.zeros((dim, dim))
-    for col in range(dim):
-        v = np.zeros(dim)
-        v[col] = 1.0
-        basis_mat = vec_to_mat(v / scale, r)
-        prod = (cm @ basis_mat + basis_mat @ cm) / 2
-        op[:, col] = mat_to_vec(prod) * scale
-    return op
-
-
 def primitive_idempotent_check(c, tol=IDEMPOTENT_TOL):
-    """True iff c is a nonzero idempotent whose Peirce 1-eigenspace is a line.
+    """True iff c is an idempotent of trace 1.
 
-    The eigenvalue-1 multiplicity of L(c) is counted spectrally; spectra of
-    idempotent multiplications sit near {0, 1/2, 1}.
+    The trace of an idempotent is the number of orthogonal primitive
+    idempotents it splits into (Faraut & Koranyi, 1994), an integer, so
+    trace 1 means primitive and the window around 1 can be wide.
     """
     if c.is_complex:
         raise ValueError("primitivity is defined for real elements")
-    if norm(c) == 0.0:
-        return False
-    if not is_idempotent(c, tol=tol * max(1.0, norm(c))):
-        return False
-    eigvals = np.linalg.eigvalsh(mult_operator(c))
-    ones = np.sum(np.abs(eigvals - 1.0) <= 0.25)
-    return int(ones) == 1
+    return (is_idempotent(c, tol=tol * max(1.0, norm(c)))
+            and abs(trace(c) - 1.0) <= 0.25)
 
 
 def peirce_components(x, c):

@@ -244,6 +244,47 @@ class TestPrimitiveIdempotents:
         assert not jd.primitive_idempotent_check(jd.zero(a))
         assert not jd.primitive_idempotent_check(jd.identity(a))
 
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_rotated_projections_against_matrix_rank(self, r):
+        # the oracle is the rank of the matrix, not the Jordan trace
+        rng = np.random.default_rng(40 + r)
+        for m in range(r + 1):
+            for _ in range(4):
+                q, _ = np.linalg.qr(rng.normal(size=(r, r)))
+                p = q @ np.diag([1.0] * m + [0.0] * (r - m)) @ q.T
+                expected = np.linalg.matrix_rank(p) == 1
+                c = jd.from_matrix(p)
+                assert jd.primitive_idempotent_check(c) == expected
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_spin_idempotents(self, n):
+        rng = np.random.default_rng(50 + n)
+        a = jd.spin_factor(n)
+        for _ in range(10):
+            u = rng.normal(size=n - 1)
+            u /= np.linalg.norm(u)
+            c = jd.Element(a, np.concatenate(([1.0], u)) / 2)
+            assert jd.primitive_idempotent_check(c)
+        assert not jd.primitive_idempotent_check(jd.zero(a))
+        assert not jd.primitive_idempotent_check(jd.identity(a))
+
+    def test_perturbation_above_tolerance_rejected(self):
+        rng = np.random.default_rng(60)
+        for c in (jd.from_matrix(np.diag([1.0, 0.0, 0.0])),
+                  spin3(0.5, 0.3, 0.4)):
+            for _ in range(10):
+                d = rng.normal(size=c.algebra.dim)
+                d *= 1e-4 / np.linalg.norm(d)
+                assert not jd.primitive_idempotent_check(
+                    jd.Element(c.algebra, c.coords + d))
+                assert jd.primitive_idempotent_check(
+                    jd.Element(c.algebra, c.coords + 1e-8 * d))
+
+    def test_complex_input_rejected(self):
+        c = jd.Element(jd.spin_factor(3), np.array([0.5, 0.5, 0.0], complex))
+        with pytest.raises(ValueError):
+            jd.primitive_idempotent_check(c)
+
 
 class TestFrames:
     def test_standard_frames_validate(self):
@@ -260,6 +301,28 @@ class TestFrames:
         c = jd.from_matrix(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError):
             jd.JordanFrame(jd.sym_matrix(2), (c, c))
+
+    @pytest.mark.parametrize("r, delta", [(2, 1e-9), (3, 1.8e-10)])
+    def test_frame_keeps_the_strict_idempotent_tolerance(self, r, delta):
+        # c1 = diag(1 + delta, 0, ..), the others share -delta in the corner:
+        # each passes the looser primitivity check, but |c1^2 - c1| ~ delta
+        # lies above FRAME_TOL.  At r = 3 the sum is e and every product
+        # stays within FRAME_TOL, so only the idempotent test rejects it.
+        a = jd.sym_matrix(r)
+        cs = [jd.from_matrix(np.diag([1.0 + delta] + [0.0] * (r - 1)))]
+        for i in range(1, r):
+            m = np.zeros((r, r))
+            m[0, 0], m[i, i] = -delta / (r - 1), 1.0
+            cs.append(jd.from_matrix(m))
+        defect = jd.norm(jd.square(cs[0]) - cs[0])
+        assert jd.FRAME_TOL < defect < jd.IDEMPOTENT_TOL
+        assert all(jd.primitive_idempotent_check(c) for c in cs)
+        if r == 3:
+            assert jd.norm(sum(cs[1:], cs[0]) - jd.identity(a)) <= jd.FRAME_TOL
+            assert all(jd.norm(jd.jordan_product(cs[i], cs[j])) <= jd.FRAME_TOL
+                       for i in range(r) for j in range(i))
+        with pytest.raises(ValueError):
+            jd.JordanFrame(a, tuple(cs))
 
     def test_frame_validated_once(self, monkeypatch):
         calls = []
