@@ -210,8 +210,8 @@ def _family_in_ball(family, radius=BALL_RADIUS_2D):
 
 # --- exact intersection predicates -------------------------------------------
 
-# values live at once in one block of pair work, and per array in one block
-# of edge work: memory stays flat in k
+# values live at once in one block of pair work or of edge work: memory stays
+# flat in k
 _BLOCK_VALUES = 2**22
 
 
@@ -309,7 +309,8 @@ def union_measure(shapes, resolution):
     vectors = (np.roll(verts, -1, axis=1) - verts).reshape(-1, 2)
     # bounds the rounding of every vertex, edge and slab coordinate
     err = 16.0 * _EPS * float(np.abs(verts).max())
-    block = max(1, _BLOCK_VALUES // (2 * len(rects)))  # (edges, 2, rects)
+    # _edge_coverage holds up to nine (edges, 2, rects) arrays at once
+    block = max(1, _BLOCK_VALUES // (9 * 2 * len(rects)))
     covered, frac_err, bands = np.concatenate([
         _edge_coverage(rects, starts[e0:e0 + block], vectors[e0:e0 + block],
                        e0, err)

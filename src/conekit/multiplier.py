@@ -30,8 +30,6 @@ BOUNDARY_TOL = 1e-12
 # boundary; 1/2 is the symmetrized convention
 BOUNDARY_VALUE = 0.5
 
-BALL_RADIUS = bs.BALL_RADIUS_3D
-
 
 # --- grids -------------------------------------------------------------------
 
@@ -136,17 +134,22 @@ def sample_symbol(symbol, freq_axes, shift=None):
     return out
 
 
-def fft_multiplier_apply(f, symbol, shift=None):
-    """Apply a Fourier multiplier on the grid: DFT, symbol, inverse DFT."""
+def _spectrum(f):
+    """DFT of a grid, refused when its support would alias under the
+    periodization the DFT implies."""
     if f.support_radius is not None and f.support_radius > f.extent / 2:
         raise ValueError(
             "grid support exceeds half the extent; pad the grid to control "
             "periodization"
         )
-    fhat = np.fft.fftn(f.values)
+    return np.fft.fftn(f.values)
+
+
+def fft_multiplier_apply(f, symbol, shift=None):
+    """Apply a Fourier multiplier on the grid: DFT, symbol, inverse DFT."""
+    fhat = _spectrum(f)
     m = sample_symbol(symbol, [f.freqs()] * f.dims, shift=shift)
-    out = np.fft.ifftn(fhat * m)
-    return f.with_values(out)
+    return f.with_values(np.fft.ifftn(fhat * m))
 
 
 def indicator_interval(extent, samples, a, b):
@@ -689,7 +692,7 @@ def ratio_experiment_cell(boxes, p, mc_samples, seed=0,
     )
 
 
-# --- random-sign (Khintchine-style) lower bound ----------------------------------
+# --- modulated cone images ------------------------------------------------------
 
 def _check_resolvable(boxes, grid):
     min_extent = min(float(np.min(b.half_extents)) for b in boxes.boxes_f)
@@ -699,110 +702,43 @@ def _check_resolvable(boxes, grid):
         )
 
 
-def _box_indicators(boxes, samples_per_axis, extent):
-    """Grid indicators of the F_j, refused when the grid cannot resolve
-    the boxes."""
-    _check_resolvable(boxes, GridFunction(np.zeros(samples_per_axis), extent))
-    return [indicator_box(f_box, extent, samples_per_axis)
-            for f_box in boxes.boxes_f]
-
-
-def _modulation_phase(grid, freq_vector):
-    """exp(2 pi i <x, v>) on the grid, built separably."""
-    x = grid.axis()
-    phases = [np.exp(2j * np.pi * v * x) for v in freq_vector]
-    out = phases[0]
-    for ph in phases[1:]:
-        out = np.multiply.outer(out, ph)
-    return out
-
-
-def modulated_box_images(boxes, r_mod, samples_per_axis=256, extent=24.0):
-    """Demodulated cone images g_j with ghat_j = 1_Omega(. + R n_j) fhat_j.
+def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
+    """Per-box closed-form distances for a sweep of modulation parameters:
+    row i holds, for every box F_j, the relative L2 distance between the
+    image g_j with ghat_j = 1_Omega(. + R_i n_j) fhat_j and H_j 1_{F_j}.
 
     The shifted symbol realizes the modulation exactly on the lattice, with
-    no aliasing no matter how large R is.
+    no aliasing no matter how large R is.  Boxes are done one at a time: the
+    indicator's transform and the oracle grid are built once per box, each
+    modulation step pays only for the symbol product and the inverse
+    transform, and memory holds one box's grids however many boxes there
+    are.  The translated cones grow with the modulation (Omega - R1 n is
+    contained in Omega - R2 n for R1 < R2), so the distances decrease
+    monotonically.
     """
-    if r_mod < 1.0:
+    r_list = list(r_list)
+    if any(r_mod < 1.0 for r_mod in r_list):
         raise ValueError("modulation parameter must be >= 1")
-    indicators = _box_indicators(boxes, samples_per_axis, extent)
-    images = [
-        fft_multiplier_apply(ind, Cone(), shift=r_mod * ray)
-        for ind, ray in zip(indicators, boxes.light_rays)
-    ]
-    return indicators, images
-
-
-def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
-    """Per-box closed-form distances for a sweep of modulation parameters.
-
-    Indicators and oracle grids are box properties, so they are built once;
-    each modulation step only pays for the shifted-symbol transform.  The
-    translated cones grow with the modulation (Omega - R1 n is contained in
-    Omega - R2 n for R1 < R2), so the distances decrease monotonically.
-    """
-    indicators = _box_indicators(boxes, samples_per_axis, extent)
     grid = GridFunction(np.zeros(samples_per_axis), extent)
-    oracles = [
-        box_image_grid(f_box, ntilde, grid)
-        for f_box, ntilde in zip(boxes.boxes_f, boxes.normals)
-    ]
-    norms = [np.linalg.norm(o.values) for o in oracles]
-    rows = []
-    for r_mod in r_list:
-        if r_mod < 1.0:
-            raise ValueError("modulation parameter must be >= 1")
-        dists = []
-        for ind, oracle, nrm, ray in zip(indicators, oracles, norms,
-                                         boxes.light_rays):
-            g = fft_multiplier_apply(ind, Cone(), shift=r_mod * ray)
-            dists.append(float(np.linalg.norm(g.values - oracle.values) / nrm))
-        rows.append(dists)
+    _check_resolvable(boxes, grid)
+    if not r_list:
+        return []
+    freqs = [grid.freqs()] * 3
+    rows = [[] for _ in r_list]
+    for f_box, ntilde, ray in zip(boxes.boxes_f, boxes.normals,
+                                  boxes.light_rays):
+        fhat = _spectrum(indicator_box(f_box, extent, samples_per_axis))
+        oracle = box_image_grid(f_box, ntilde, grid).values
+        nrm = np.linalg.norm(oracle)
+        g = np.empty_like(fhat)
+        for row, r_mod in zip(rows, r_list):
+            np.multiply(fhat, sample_symbol(Cone(), freqs, shift=r_mod * ray),
+                        out=g)
+            np.fft.ifftn(g, out=g)
+            g -= oracle
+            row.append(float(np.linalg.norm(g) / nrm))
+        del fhat, oracle, g      # before the next box's grids are built
     return rows
-
-
-def random_sign_norm_lower_bound(
-    boxes,
-    p,
-    trials,
-    r_mod,
-    samples_per_axis=256,
-    extent=24.0,
-    seed=0,
-):
-    """Empirical lower bound for the local operator norm of the cone
-    multiplier: max over random sign patterns of ||S f||_L1(B) / ||f||_Lp(B)
-    with f = sum_j eps_j exp(2 pi i R <x, n_j>) 1_{F_j}.
-
-    The cone is applied per box through the shifted symbol; the modulation
-    phases re-enter only pointwise at grid nodes when the pieces are summed.
-    """
-    indicators, images = modulated_box_images(
-        boxes, r_mod, samples_per_axis, extent
-    )
-    template = images[0]
-    x = template.axis()
-    mesh = np.meshgrid(x, x, x, indexing="ij", sparse=True)
-    ball = sum(m**2 for m in mesh) <= BALL_RADIUS**2
-    vol_el = template.spacing**3
-
-    phases = [
-        _modulation_phase(template, r_mod * ray) for ray in boxes.light_rays
-    ]
-    rng = np.random.Generator(np.random.Philox(seed))
-    best = 0.0
-    for _ in range(trials):
-        signs = rng.choice([-1.0, 1.0], size=len(images))
-        sf = np.zeros(template.values.shape, dtype=complex)
-        f = np.zeros(template.values.shape, dtype=complex)
-        for eps, g, ind, ph in zip(signs, images, indicators, phases):
-            sf += eps * ph * g.values
-            f += eps * ph * ind.values
-        norm_sf = vol_el * np.sum(np.abs(sf)[ball])
-        norm_f = (vol_el * np.sum(np.abs(f)[ball] ** p)) ** (1.0 / p)
-        if norm_f > 0:
-            best = max(best, norm_sf / norm_f)
-    return best
 
 
 # --- tensor extension -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -339,6 +340,18 @@ class TestUnionMeasure:
         m, err = bs.union_measure(bs.build_perron_rectangles(8), 2**-14)
         assert err <= 1e-9
         assert (m + err) - m == err      # eps_hat = m + err is exact
+
+    def test_edge_blocks_bound_memory(self):
+        # a block holds about _BLOCK_VALUES live values in all, so the peak
+        # stays near 32 MB however many edges there are
+        fam = bs.build_perron_rectangles(9)
+        tracemalloc.start()
+        try:
+            bs.union_measure(fam, bs.UNION_RESOLUTION)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * bs._BLOCK_VALUES * 8
 
     def test_eps_hat_exact_across_a_power_of_two(self):
         # measure just below 1, measure + bound above it

@@ -1,6 +1,8 @@
 """Tests for the multiplier engine: closed forms, the FFT path, and the
 square-function experiment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,25 +227,7 @@ class TestSquareFunction:
             assert r.m_lower == pytest.approx(r.ratio / np.sqrt(2.0))
 
 
-class TestRandomSign:
-    def test_single_trial_positive(self):
-        rect = bs.Rect2(center=[0.5, 0.0], direction=[0.0, 1.0],
-                        length=1.0, width=1.0)
-        single = bs.build_boxes(bs.RectangleFamily(k=0, rects=(rect,)))
-        val = mp.random_sign_norm_lower_bound(
-            single, 1.0, trials=1, r_mod=2.0,
-            samples_per_axis=128, extent=24.0, seed=1,
-        )
-        assert val > 0.0
-
-    def test_p2_bounded_by_cauchy_schwarz(self, boxes_k1):
-        val = mp.random_sign_norm_lower_bound(
-            boxes_k1, 2.0, trials=2, r_mod=4.0,
-            samples_per_axis=128, extent=24.0, seed=5,
-        )
-        ball_volume = 4.0 / 3.0 * np.pi * mp.BALL_RADIUS**3
-        assert val <= np.sqrt(ball_volume) * (1 + 1e-9)
-
+class TestModulation:
     def test_modulated_distance_decreases(self, boxes_k1):
         dists = [
             max(row) for row in mp.modulation_convergence(
@@ -252,17 +236,55 @@ class TestRandomSign:
         ]
         assert dists[0] > dists[1] > dists[2]
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rows_match_per_box_apply(self, k):
+        # the reference takes a full forward transform for every (R, box)
+        boxes = bs.build_boxes(bs.build_perron_rectangles(k))
+        r_list = [1.0, 3.0, 9.0]
+        grid = mp.GridFunction(np.zeros(64), 6.0)
+        expected = []
+        for r_mod in r_list:
+            row = []
+            for f_box, ntilde, ray in zip(boxes.boxes_f, boxes.normals,
+                                          boxes.light_rays):
+                g = mp.fft_multiplier_apply(mp.indicator_box(f_box, 6.0, 64),
+                                            mp.Cone(), shift=r_mod * ray)
+                oracle = mp.box_image_grid(f_box, ntilde, grid).values
+                row.append(float(np.linalg.norm(g.values - oracle)
+                                 / np.linalg.norm(oracle)))
+            expected.append(row)
+        assert mp.modulation_convergence(boxes, r_list, 64, 6.0) == expected
+
+    def test_memory_holds_one_box(self):
+        def peak(k):
+            boxes = bs.build_boxes(bs.build_perron_rectangles(k))
+            tracemalloc.start()
+            try:
+                mp.modulation_convergence(boxes, [1.0, 3.0, 9.0], 64, 6.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # k = 1 has two boxes, k = 2 four
+        assert peak(2) <= 1.1 * peak(1)
+
+    def test_empty_sweep(self, boxes_k1):
+        assert mp.modulation_convergence(boxes_k1, [], 64, 6.0) == []
+
     def test_unresolvable_boxes_rejected(self):
         fine = bs.build_boxes(bs.build_perron_rectangles(5))
         with pytest.raises(ValueError):
-            mp.random_sign_norm_lower_bound(
-                fine, 1.0, trials=1, r_mod=1.0,
-                samples_per_axis=64, extent=24.0,
-            )
+            mp.modulation_convergence(fine, [1.0], samples_per_axis=64,
+                                      extent=24.0)
 
-    def test_small_modulation_rejected(self, boxes_k1):
+    def test_small_modulation_rejected(self, boxes_k1, monkeypatch):
+        built = []
+        indicator_box = mp.indicator_box
+        monkeypatch.setattr(mp, "indicator_box",
+                            lambda *a: built.append(a) or indicator_box(*a))
         with pytest.raises(ValueError):
-            mp.modulated_box_images(boxes_k1, 0.5)
+            mp.modulation_convergence(boxes_k1, [1.0, 4.0, 0.5])
+        assert built == []
 
 
 class TestTensorExtension:
