@@ -54,7 +54,7 @@ class GridFunction:
             raise ValueError("grid must have equal samples per axis")
         if v.shape[0] & (v.shape[0] - 1):
             raise ValueError("samples per axis must be a power of two")
-        object.__setattr__(self, "values", v.astype(complex))
+        object.__setattr__(self, "values", np.asarray(v, dtype=complex))
 
     @property
     def dims(self):
@@ -129,8 +129,9 @@ def sample_symbol(symbol, freq_axes, shift=None):
         g = first - np.sqrt(rest)
     else:
         raise TypeError(f"unknown symbol {symbol!r}")
-    out = np.where(g > BOUNDARY_TOL, 1.0, 0.0)
-    out = np.where(np.abs(g) <= BOUNDARY_TOL, BOUNDARY_VALUE, out)
+    out = np.greater(g, BOUNDARY_TOL).astype(float)
+    np.abs(g, out=g)
+    out[g <= BOUNDARY_TOL] = BOUNDARY_VALUE
     return out
 
 
@@ -161,22 +162,29 @@ def indicator_interval(extent, samples, a, b):
     return g.with_values(cov.astype(complex), support_radius=max(abs(a), abs(b)))
 
 
-def _grid_slabs(x, dtype, fill):
-    """``fill(mesh)`` over the 3D grid x^3, evaluated in 32-row slabs along
-    the first axis to bound the (rows, m, m, 3) coordinate temporaries."""
-    m = x.shape[0]
-    vals = np.empty((m, m, m), dtype=dtype)
-    for i0 in range(0, m, 32):
-        mesh = np.stack(np.meshgrid(x[i0:i0 + 32], x, x, indexing="ij"),
+def _grid_slabs(axes, dtype, fill):
+    """``fill(mesh)`` over the 3D grid spanned by the three coordinate arrays
+    ``axes``, evaluated in 32-row slabs along the first axis to bound the
+    (rows, n1, n2, 3) coordinate temporaries."""
+    x0, x1, x2 = axes
+    vals = np.empty((len(x0), len(x1), len(x2)), dtype=dtype)
+    for i0 in range(0, len(x0), 32):
+        mesh = np.stack(np.meshgrid(x0[i0:i0 + 32], x1, x2, indexing="ij"),
                         axis=-1)
         vals[i0:i0 + 32] = fill(mesh)
     return vals
 
 
 def indicator_box(box, extent, samples):
-    """3D grid samples of a box indicator, antialiased per box axis."""
+    """3D grid samples of a box indicator, antialiased per box axis.  The
+    coverage vanishes half a cell outside the box, so it is evaluated only on
+    the index block that holds the box dilated by one cell."""
     g = GridFunction(np.zeros(samples), extent)
     h = g.spacing
+    x = g.axis()
+    reach = np.abs(box.axes).T @ (box.half_extents + h)
+    block = tuple(slice(*np.searchsorted(x, [c - r, c + r]))
+                  for c, r in zip(box.center, reach))
 
     def coverage(mesh):
         local = (mesh - box.center) @ box.axes.T
@@ -185,9 +193,10 @@ def indicator_box(box, extent, samples):
         )
         return np.prod(cov, axis=-1)
 
-    vals = _grid_slabs(g.axis(), float, coverage)
+    vals = np.zeros((samples,) * 3, dtype=complex)
+    vals[block] = _grid_slabs([x[b] for b in block], float, coverage)
     radius = float(np.max(np.abs(box.vertices()))) + h
-    return g.with_values(vals.astype(complex), support_radius=radius)
+    return g.with_values(vals, support_radius=radius)
 
 
 # --- closed forms --------------------------------------------------------------
@@ -273,13 +282,22 @@ def box_halfspace_image(box, n_tilde, x):
 
 
 def box_image_grid(box, n_tilde, grid):
-    """Closed-form image sampled on a 3D grid (chunked over the first axis)."""
-
-    def image(mesh):
-        flat = mesh.reshape(-1, 3)
-        return box_halfspace_image(box, n_tilde, flat).reshape(mesh.shape[:-1])
-
-    return grid.with_values(_grid_slabs(grid.axis(), complex, image))
+    """Closed-form image sampled on a 3D grid: ``box_halfspace_image`` runs
+    only at the points that pass the two cross-section inequalities with a
+    rounding margin, and the image is an exact zero everywhere else."""
+    idx = box_axis_interval(box, n_tilde)[0]
+    x = grid.axis()
+    margin = 1e-9 * (grid.extent + float(np.max(np.abs(box.center))))
+    near = True
+    for a, e in zip(np.delete(box.axes, idx, axis=0),
+                    np.delete(box.half_extents, idx)):
+        u0, u1, u2 = a[:, None] * (x - box.center[:, None])
+        local = u0[:, None, None] + u1[:, None] + u2
+        near = near & (np.abs(local, out=local) <= e + margin)
+    pts = np.stack([x[i] for i in np.nonzero(near)], axis=-1)
+    vals = np.zeros(near.shape, dtype=complex)
+    vals[near] = box_halfspace_image(box, n_tilde, pts)
+    return grid.with_values(vals)
 
 
 def hermite_probe_axis(t, sigma):
@@ -367,7 +385,7 @@ def gaussian_box_probe(box, n_tilde, extent, samples, widths=None,
         )
         return hermite_probe_axis(local[..., idx], widths[idx]) * cross
 
-    probe = template.with_values(_grid_slabs(x, complex, probe_values))
+    probe = template.with_values(_grid_slabs([x] * 3, complex, probe_values))
     image = fft_multiplier_apply(probe, HalfSpace(tuple(n_tilde)))
 
     sel = np.abs(x) <= window
@@ -708,13 +726,13 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     image g_j with ghat_j = 1_Omega(. + R_i n_j) fhat_j and H_j 1_{F_j}.
 
     The shifted symbol realizes the modulation exactly on the lattice, with
-    no aliasing no matter how large R is.  Boxes are done one at a time: the
-    indicator's transform and the oracle grid are built once per box, each
-    modulation step pays only for the symbol product and the inverse
-    transform, and memory holds one box's grids however many boxes there
-    are.  The translated cones grow with the modulation (Omega - R1 n is
-    contained in Omega - R2 n for R1 < R2), so the distances decrease
-    monotonically.
+    no aliasing no matter how large R is.  The distances are taken between
+    spectra; by Parseval they equal the relative distances between grids, so
+    each box costs the forward transforms of its indicator and of its oracle
+    grid, each modulation step only a symbol product and a norm, and memory
+    holds one box's grids however many boxes there are.  The translated
+    cones grow with the modulation (Omega - R1 n is contained in
+    Omega - R2 n for R1 < R2), so the distances decrease monotonically.
     """
     r_list = list(r_list)
     if any(r_mod < 1.0 for r_mod in r_list):
@@ -728,16 +746,16 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     for f_box, ntilde, ray in zip(boxes.boxes_f, boxes.normals,
                                   boxes.light_rays):
         fhat = _spectrum(indicator_box(f_box, extent, samples_per_axis))
-        oracle = box_image_grid(f_box, ntilde, grid).values
-        nrm = np.linalg.norm(oracle)
+        ohat = box_image_grid(f_box, ntilde, grid).values
+        np.fft.fftn(ohat, out=ohat)
+        nrm = np.linalg.norm(ohat)
         g = np.empty_like(fhat)
         for row, r_mod in zip(rows, r_list):
             np.multiply(fhat, sample_symbol(Cone(), freqs, shift=r_mod * ray),
                         out=g)
-            np.fft.ifftn(g, out=g)
-            g -= oracle
+            g -= ohat
             row.append(float(np.linalg.norm(g) / nrm))
-        del fhat, oracle, g      # before the next box's grids are built
+        del fhat, ohat, g      # before the next box's grids are built
     return rows
 
 

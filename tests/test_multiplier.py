@@ -21,6 +21,33 @@ def boxes_k3():
     return bs.build_boxes(bs.build_perron_rectangles(3))
 
 
+def _reference_symbol(symbol, freq_axes, shift):
+    """The boundary rule as two passes over a dense frequency mesh."""
+    mesh = np.meshgrid(*freq_axes, indexing="ij")
+    shift = np.zeros(len(mesh)) if shift is None else shift
+    if isinstance(symbol, mp.HalfLine1D):
+        g = symbol.sign * (mesh[0] + shift[0])
+    elif isinstance(symbol, mp.HalfSpace):
+        g = sum(-(m + s) * c for m, s, c in zip(mesh, shift, symbol.normal))
+    else:
+        rest = sum((m + s) ** 2 for m, s in zip(mesh[1:], shift[1:]))
+        g = mesh[0] + shift[0] - np.sqrt(rest)
+    out = np.where(g > mp.BOUNDARY_TOL, 1.0, 0.0)
+    return np.where(np.abs(g) <= mp.BOUNDARY_TOL, mp.BOUNDARY_VALUE, out)
+
+
+def _full_grid(grid, value):
+    """``value(points)`` at every grid point, one plane of the first axis at
+    a time: the full-grid evaluation the support-restricted builders skip."""
+    x = grid.axis()
+    m = x.shape[0]
+    planes = []
+    for x0 in x:
+        mesh = np.stack(np.meshgrid([x0], x, x, indexing="ij"), axis=-1)
+        planes.append(np.reshape(value(mesh.reshape(-1, 3)), (m, m)))
+    return np.stack(planes)
+
+
 class TestHalflineClosedForm:
     def test_reference_value(self):
         v = mp.halfline_projection_1d(-0.5, 0.5, 1.0)
@@ -99,6 +126,41 @@ class TestFFTPath:
         m = mp.sample_symbol(mp.HalfLine1D(1), [np.array([-1.0, 0.0, 1.0])])
         assert np.allclose(m, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("symbol, dims", [
+        (mp.HalfLine1D(-1), 1),
+        (mp.HalfSpace((-1.0, 0.6, 0.8)), 3),
+        (mp.Cone(), 3),
+    ])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_symbol_matches_two_pass_rule(self, symbol, dims, shifted):
+        # the fftfreq lattice puts points exactly on every boundary here
+        freqs = [mp.GridFunction(np.zeros(32), 2.0).freqs()] * dims
+        shift = np.array([0.5, -0.25, 0.75])[:dims] if shifted else None
+        got = mp.sample_symbol(symbol, freqs, shift=shift)
+        want = _reference_symbol(symbol, freqs, shift)
+        assert np.count_nonzero(want == mp.BOUNDARY_VALUE) > 0
+        assert np.array_equal(got, want)
+
+    def test_symbol_holds_one_float_temporary(self):
+        freqs = [mp.GridFunction(np.zeros(64), 6.0).freqs()] * 3
+        tracemalloc.start()
+        try:
+            out = mp.sample_symbol(mp.Cone(), freqs, shift=np.ones(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, one float grid and two boolean masks: 2.25 x output;
+        # three float temporaries (3.1 x) would not fit
+        assert peak <= 2.5 * out.nbytes
+
+    def test_complex_values_not_copied(self):
+        a = np.zeros(8, dtype=complex)
+        assert mp.GridFunction(a, 1.0).values is a
+        b = np.arange(8.0)
+        g = mp.GridFunction(b, 1.0)
+        assert g.values.dtype == complex
+        assert np.array_equal(g.values, b)
+
 
 class TestBoxImage:
     def test_center_value(self, boxes_k1):
@@ -141,6 +203,30 @@ class TestBoxImage:
         line = (anti(d1) - anti(d0)) / (2.0 * np.pi)
         cross = np.sqrt(2.0) / 2.0 * (1.0 / boxes_k1.n_boxes)
         assert got == pytest.approx(cross * line, rel=1e-9)
+
+    @pytest.mark.parametrize("k, samples", [(1, 32), (2, 64), (3, 128)])
+    @pytest.mark.parametrize("extent", [1.0, 4.0])
+    def test_builders_match_full_grid(self, k, samples, extent):
+        # extent 1.0 puts the far box faces at the grid edge x = L
+        boxes = bs.build_boxes(bs.build_perron_rectangles(k))
+        grid = mp.GridFunction(np.zeros(samples), extent)
+        h = grid.spacing
+        for j in (0, -1):
+            box, ntilde = boxes.boxes_f[j], boxes.normals[j]
+
+            def coverage(pts):
+                local = (pts - box.center) @ box.axes.T
+                cov = np.clip((box.half_extents - np.abs(local)) / h + 0.5,
+                              0.0, 1.0)
+                return np.prod(cov, axis=-1)
+
+            ind = mp.indicator_box(box, extent, samples).values
+            assert np.array_equal(ind, _full_grid(grid, coverage))
+            img = mp.box_image_grid(box, ntilde, grid).values
+            want = _full_grid(
+                grid, lambda pts: mp.box_halfspace_image(box, ntilde, pts))
+            assert np.array_equal(img, want)
+            assert np.count_nonzero(ind) > 0 and np.count_nonzero(img) > 0
 
     def test_gaussian_probe_oracle_equivalence(self, boxes_k1):
         err = mp.gaussian_box_probe(
@@ -253,7 +339,18 @@ class TestModulation:
                 row.append(float(np.linalg.norm(g.values - oracle)
                                  / np.linalg.norm(oracle)))
             expected.append(row)
-        assert mp.modulation_convergence(boxes, r_list, 64, 6.0) == expected
+        # the sweep compares spectra (Parseval), so rounding differs from
+        # this spatial reference (measured below 5.2e-15 relative)
+        got = mp.modulation_convergence(boxes, r_list, 64, 6.0)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_builds_through_public_builders(self, boxes_k1, monkeypatch):
+        built = []
+        for name in ("indicator_box", "box_image_grid"):
+            monkeypatch.setattr(mp, name, lambda *a, _f=getattr(mp, name),
+                                _n=name: built.append(_n) or _f(*a))
+        mp.modulation_convergence(boxes_k1, [1.0, 2.0], 32, 3.0)
+        assert sorted(built) == ["box_image_grid"] * 2 + ["indicator_box"] * 2
 
     def test_memory_holds_one_box(self):
         def peak(k):
