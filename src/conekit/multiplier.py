@@ -536,30 +536,54 @@ def translate_image_minimum(f_box, ntilde, shift=bs.SHIFT):
     return float(np.log1p((b - a) / far) / (2.0 * np.pi))
 
 
+def _cover_counts(boxes, pts):
+    """How many of ``boxes`` contain each point.  ``Box3.contains`` decides
+    only the points within a margin of each box's thinnest slab.  The slab
+    coordinate ``pts @ a - center @ a`` and the one ``contains`` computes are
+    each within 2 sqrt(3) eps S of the exact value, S = max |pts| +
+    max |center|, so the margin 16 eps S drops no point ``contains`` keeps."""
+    counts = np.zeros(len(pts), dtype=np.int64)
+    reach = np.max(np.abs(pts), initial=0.0)
+    for box in boxes:
+        thin = np.argmin(box.half_extents)
+        a, c = box.axes[thin], box.center
+        margin = 16.0 * np.finfo(float).eps * (reach + np.max(np.abs(c)))
+        cand = np.flatnonzero(
+            np.abs(pts @ a - c @ a) <= box.half_extents[thin] + margin)
+        counts[cand] += box.contains(pts[cand])
+    return counts
+
+
 def stratified_count_moment(boxes, power, n_samples, seed):
     """Stratified Monte-Carlo estimate of integral count(x)^(power+1) via
 
         sum_j |F_j| E_{x ~ Unif(F_j)}[count(x)^power],
 
-    returning (estimate, standard error).
+    returning (estimate, standard error).  Strata are drawn and counted in
+    consecutive groups of at most ``bs._BLOCK_VALUES / 16`` points (or one
+    stratum): 16 values a point hold the points, counts and copies in
+    ``contains``.
     """
     n = boxes.n_boxes
+    if n_samples < 2 * n:
+        raise ValueError("n_samples must be at least 2 per box")
     per_box = np.full(n, n_samples // n)
     per_box[: n_samples % n] += 1
     rng = np.random.Generator(np.random.Philox(seed))
-    total = 0.0
-    var_total = 0.0
-    for j, f_box in enumerate(boxes.boxes_f):
-        m = int(per_box[j])
-        local = rng.uniform(-1.0, 1.0, size=(m, 3)) * f_box.half_extents
-        pts = f_box.center + local @ f_box.axes
-        counts = np.zeros(m, dtype=np.int64)
-        for other in boxes.boxes_f:
-            counts += other.contains(pts)
-        g = counts.astype(float) ** power
-        vol = f_box.volume()
-        total += vol * g.mean()
-        var_total += vol**2 * g.var(ddof=1) / m
+    total = var_total = 0.0
+    strata = max(1, bs._BLOCK_VALUES // (16 * int(per_box[0])))
+    for first in range(0, n, strata):
+        group = boxes.boxes_f[first:first + strata]
+        sizes = per_box[first:first + strata]
+        pts = np.concatenate([
+            f.center + (rng.uniform(-1.0, 1.0, (m, 3)) * f.half_extents)
+            @ f.axes for f, m in zip(group, sizes)])
+        counts = _cover_counts(boxes.boxes_f, pts)
+        for f_box, c in zip(group, np.split(counts, np.cumsum(sizes)[:-1])):
+            g = c.astype(float) ** power
+            vol = f_box.volume()
+            total += vol * g.mean()
+            var_total += vol**2 * g.var(ddof=1) / len(g)
     return total, float(np.sqrt(var_total))
 
 

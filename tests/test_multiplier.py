@@ -2,6 +2,7 @@
 square-function experiment."""
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -311,6 +312,127 @@ class TestSquareFunction:
         assert p2[0].ratio == pytest.approx(p2[1].ratio, rel=1e-9)
         for r in reports:
             assert r.m_lower == pytest.approx(r.ratio / np.sqrt(2.0))
+
+
+@lru_cache(maxsize=None)
+def _family(k):
+    return bs.build_boxes(bs.build_perron_rectangles(k))
+
+
+def _pair_loop_moment(boxes, powers, n_samples, seed):
+    """The count moment as first written, one ``contains`` call per pair of
+    stratum and box; one (estimate, stderr) per power, from one draw."""
+    n = boxes.n_boxes
+    per_box = np.full(n, n_samples // n)
+    per_box[: n_samples % n] += 1
+    rng = np.random.Generator(np.random.Philox(seed))
+    sums = [[0.0, 0.0] for _ in powers]
+    for j, f_box in enumerate(boxes.boxes_f):
+        m = int(per_box[j])
+        local = rng.uniform(-1.0, 1.0, size=(m, 3)) * f_box.half_extents
+        pts = f_box.center + local @ f_box.axes
+        counts = np.zeros(m, dtype=np.int64)
+        for other in boxes.boxes_f:
+            counts += other.contains(pts)
+        vol = f_box.volume()
+        for acc, power in zip(sums, powers):
+            g = counts.astype(float) ** power
+            acc[0] += vol * g.mean()
+            acc[1] += vol**2 * g.var(ddof=1) / m
+    return [(total, float(np.sqrt(var))) for total, var in sums]
+
+
+def _face_points(boxes):
+    """Points on every face of every box (face centres, edge midpoints,
+    corners and two interior points), each also moved 1 and 2 ulps outward
+    and inward along the face normal."""
+    grid = np.array([-1.0, -0.3, 0.0, 0.7, 1.0])
+    pts = []
+    for box in boxes:
+        for i in range(3):
+            rest = [a for a in range(3) if a != i]
+            for sign in (-1.0, 1.0):
+                local = np.zeros((grid.size**2, 3))
+                local[:, i] = sign
+                local[:, rest[0]] = np.repeat(grid, grid.size)
+                local[:, rest[1]] = np.tile(grid, grid.size)
+                on = box.center + (local * box.half_extents) @ box.axes
+                out = on + sign * box.axes[i]
+                inward = on - sign * box.axes[i]
+                for toward in (out, inward):
+                    step = on
+                    for _ in range(2):
+                        step = np.nextafter(step, toward)
+                        pts.append(step)
+                pts.append(on)
+    return np.concatenate(pts)
+
+
+class TestCountMoment:
+    POWERS = (-0.5, -0.25, 0.0)
+
+    @pytest.mark.parametrize("k, n_samples", [
+        *((k, n) for k in range(1, 8) for n in ("2N", 20_000, 100_003)),
+        (8, 20_000),
+    ])
+    def test_bit_identical_to_pair_loop(self, k, n_samples):
+        boxes = _family(k)
+        if n_samples == "2N":
+            n_samples = 2 * boxes.n_boxes
+        expected = _pair_loop_moment(boxes, self.POWERS, n_samples, 2026 + k)
+        for power, ref in zip(self.POWERS, expected):
+            got = mp.stratified_count_moment(boxes, power, n_samples, 2026 + k)
+            assert got == ref
+
+    @pytest.mark.parametrize("strata", [1, 3, 5])
+    def test_groups_of_strata_do_not_change_bits(self, monkeypatch, strata):
+        # k = 4: 16 strata of 63 or 62 points, so the groups end unevenly
+        boxes = _family(4)
+        expected = _pair_loop_moment(boxes, (-0.5,), 1003, 9)[0]
+        monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * 63 * strata)
+        assert mp.stratified_count_moment(boxes, -0.5, 1003, 9) == expected
+
+    def test_face_points_counted_as_contains_does(self):
+        boxes = _family(6).boxes_f
+        pts = _face_points(boxes)
+        expected = np.zeros(len(pts), dtype=np.int64)
+        for box in boxes:
+            expected += box.contains(pts)
+        assert np.array_equal(mp._cover_counts(boxes, pts), expected)
+
+    def test_full_test_runs_on_thin_slab_candidates(self, monkeypatch):
+        boxes = _family(7)
+        seen = {"points": 0, "hits": 0}
+        contains = bs.Box3.contains
+
+        def counted(box, points, slack=0.0):
+            inside = contains(box, points, slack)
+            seen["points"] += len(inside)
+            seen["hits"] += int(inside.sum())
+            return inside
+
+        monkeypatch.setattr(bs.Box3, "contains", counted)
+        mp.stratified_count_moment(boxes, -0.5, 20_000, 1)
+        # about 22% of the box x sample pairs, nearly all of them hits
+        assert seen["points"] < 0.25 * boxes.n_boxes * 20_000
+        assert seen["hits"] > 0.99 * seen["points"]
+
+    def test_memory_bounded_by_groups(self):
+        boxes = _family(5)
+        tracemalloc.start()
+        try:
+            mp.stratified_count_moment(boxes, -0.5, 2_000_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one group of all 2 * 10^6 points would hold about 100 MB
+        assert peak <= 1.5 * bs._BLOCK_VALUES * 8
+
+    @pytest.mark.parametrize("n_samples", [5, 12, 15])
+    def test_too_few_samples_rejected(self, n_samples):
+        # k = 3 has 8 boxes; a stratum of one point has no sample variance
+        with pytest.raises(ValueError):
+            mp.stratified_count_moment(_family(3), -0.5, n_samples, 0)
 
 
 class TestModulation:
