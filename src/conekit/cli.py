@@ -247,6 +247,9 @@ SZEGO_SCHEMA = {
 
 def cmd_szego(args):
     config = load_config(args.config, SZEGO_SCHEMA)
+    if config["dimension"] != 3:
+        # the kernel quadrature integrates over the light cone of R^3 only
+        raise ValueError("config key 'dimension' must be 3")
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}

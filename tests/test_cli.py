@@ -182,6 +182,16 @@ class TestSzegoCommand:
         assert report["conformal_consistency"]["failures"] == 0
         assert report["kernel_relation"]["max_residual"] < 5e-2
 
+    @pytest.mark.parametrize("dimension", [4, 2])
+    def test_unsupported_dimension_is_usage_error(self, tmp_path, capsys,
+                                                  dimension):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7, "out_dir": str(tmp_path / "out"),
+                                   "dimension": dimension}))
+        assert run_main(["szego", "--config", str(cfg)]) == 2
+        assert "'dimension'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEntryPoint:
     def test_subprocess_usage_error_exit_code(self):

@@ -506,21 +506,74 @@ class TestModulation:
         assert built == []
 
 
+def _gaussian_profile(samples):
+    grid = mp.GridFunction(np.zeros(samples), 4.0)
+    x = grid.axis()
+    return grid.with_values(np.exp(-4.0 * x**2).astype(complex),
+                            support_radius=2.0)
+
+
+def _tensor_defect_4d(phi, k, samples_3d, extent_3d=4.0, normal_last=0.0):
+    """The separability defect as first written: the 4D grid 1_F ⊗ phi,
+    its full transform and inverse, against the 3D image ⊗ phi."""
+    boxes = bs.build_boxes(bs.build_perron_rectangles(k))
+    ntilde3 = boxes.normals[0]
+    ind3 = mp.indicator_box(boxes.boxes_f[0], extent_3d, samples_3d)
+    fhat = np.fft.fftn(np.multiply.outer(ind3.values, phi.values))
+    normal4 = np.concatenate([ntilde3, [normal_last]])
+    symbol = mp.sample_symbol(mp.HalfSpace(tuple(normal4)),
+                              [ind3.freqs()] * 3 + [phi.freqs()])
+    applied = np.fft.ifftn(fhat * symbol)
+    image3 = mp.fft_multiplier_apply(ind3, mp.HalfSpace(tuple(ntilde3)))
+    tensor = np.multiply.outer(image3.values, phi.values)
+    return float(np.linalg.norm(applied - tensor) / np.linalg.norm(tensor))
+
+
 class TestTensorExtension:
     @pytest.fixture()
     def phi(self):
-        grid = mp.GridFunction(np.zeros(32), 4.0)
-        x = grid.axis()
-        return grid.with_values(np.exp(-4.0 * x**2).astype(complex),
-                                support_radius=2.0)
+        return _gaussian_profile(32)
 
     def test_zero_profile(self, phi):
         zero = phi.with_values(np.zeros_like(phi.values))
         assert mp.tensor_extension_check(zero, 1, samples_3d=64) == 0.0
 
     def test_separability_is_exact(self, phi):
-        assert mp.tensor_extension_check(phi, 1, samples_3d=64) < 1e-6
+        assert mp.tensor_extension_check(phi, 1, samples_3d=64) == 0.0
 
     def test_negative_control_breaks_separability(self, phi):
         err = mp.tensor_extension_check(phi, 1, samples_3d=64, normal_last=0.5)
         assert err > 1e-3
+
+    @pytest.mark.parametrize("normal_last", [0.0, 0.5, -0.25, 1e-3])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("phi_samples", [16, 8])
+    def test_matches_4d_transform(self, phi_samples, k, normal_last):
+        # the check sums Parseval slices instead of transforming the 4D grid,
+        # so rounding differs from the reference (measured below 1.4e-14
+        # relative at 32^3)
+        phi = _gaussian_profile(phi_samples)
+        got = mp.tensor_extension_check(phi, k, samples_3d=32,
+                                        normal_last=normal_last)
+        expected = _tensor_defect_4d(phi, k, 32, normal_last=normal_last)
+        np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-15)
+
+    def test_memory_holds_no_4d_grid(self, phi):
+        # a handful of 3D grids; the 4D grid alone would be 32 of them
+        tracemalloc.start()
+        try:
+            mp.tensor_extension_check(phi, 1, samples_3d=64, normal_last=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 64**3 * 16
+
+    def test_indicator_support_guard(self, phi):
+        # the k = 1 box reaches 1.14 from the origin, beyond half of 2.0
+        with pytest.raises(ValueError, match="half the extent"):
+            mp.tensor_extension_check(phi, 1, samples_3d=64, extent_3d=2.0)
+
+    def test_profile_support_guard(self, phi):
+        wide = phi.with_values(phi.values, support_radius=2.5)
+        with pytest.raises(ValueError, match="half the extent"):
+            mp.tensor_extension_check(wide, 1, samples_3d=64)
