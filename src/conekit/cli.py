@@ -451,8 +451,9 @@ def _engine_checks(fast):
                    dilation))
 
     def square_function():
-        boxes = bs.build_boxes(bs.build_perron_rectangles(3))
-        res = mp.square_function_v2(boxes, 1.0, mc, seed=77)
+        record = mp.build_geometry_record(
+            bs.build_boxes(bs.build_perron_rectangles(3)))
+        res = mp.ratio_experiment_cell(record, 1.0, mc, seed=77)
         lhs_expected = 0.05 / (2.0 * np.pi)
         return bool(
             res.lhs >= lhs_expected

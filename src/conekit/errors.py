@@ -14,7 +14,8 @@ class NearSingularityError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Quadrature budget exhausted before reaching the tolerance.
+    """Quadrature budget exhausted, or a rounding bound above the requested
+    tolerance.
 
     Carries the partial result and its error estimate.
     """

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import besicovitch as bs
-from .errors import SingularPointError
+from .errors import BudgetExceededError, SingularPointError
 
 BOUNDARY_TOL = 1e-12
 # symbol value assigned on frequency-lattice points that fall on the symbol
@@ -407,32 +407,7 @@ def gaussian_box_probe(box, n_tilde, extent, samples, widths=None,
     return float(np.linalg.norm(got - exact) / np.linalg.norm(exact))
 
 
-# --- quadrature ----------------------------------------------------------------
-
-def adaptive_simpson(func, a, b, tol, max_depth=40):
-    """Adaptive Simpson quadrature with Richardson error control."""
-
-    def simpson(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = (a + b) / 2.0
-        lm, rm = (a + m) / 2.0, (m + b) / 2.0
-        flm, frm = func(lm), func(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1) + recurse(
-            m, b, fm, frm, fb, right, tol / 2.0, depth + 1
-        )
-
-    fa, fb = func(a), func(b)
-    m = (a + b) / 2.0
-    fm = func(m)
-    whole = simpson(fa, fm, fb, b - a)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
+# --- dilation covariance -------------------------------------------------------
 
 def cone_dilation_symbol_defect(lam, samples=128, extent=8.0):
     """Sup defect of the lattice identity cone(xi) = cone(lam * xi).
@@ -486,27 +461,18 @@ def cone_dilation_probe(lam, samples=128, extent=8.0, order=3,
 
 # --- the square-function experiment ---------------------------------------------
 
-@dataclass(frozen=True)
-class SquareFunctionResult:
-    k: int
-    n_boxes: int
-    p: float
-    lhs: float
-    kappa: float
-    rhs_exact: float
-    rhs_stderr: float
-    rhs_holder: float
-    union_eps: float
-    mc_flagged: bool
-    control: bool
-
-
 def translate_image_integral(f_box, ntilde, shift=bs.SHIFT, tol=1e-8):
-    """Certified integral of |H 1_F| over the translated box F + shift*ntilde.
+    """Integral of |H 1_F| over the translated box F + shift*ntilde.
 
     The translate sits along the half-line axis, so the integral is the
-    cross-section area times a 1D integral of the log tail, done by adaptive
-    Simpson with the requested error control.
+    cross-section area times the 1D integral of |log|(t-a)/(t-b)|| / 2 pi
+    over [lo, hi].  The translate misses [a, b], so the log keeps one sign
+    there and the line integral is |F(hi) - F(lo)| with the antiderivative
+    F(t) = (t-a) log|t-a| - (t-b) log|t-b|.  Each x log|x| term is within
+    3 eps |x| (|log|x|| + 1) of its exact value and each of the three sums
+    adds eps times its terms, so 8 eps sum |x| (|log|x|| + 1) bounds the
+    rounding of F(hi) - F(lo), with 4 eps |F(hi) - F(lo)| more for the
+    scalings.  A rounding bound above ``tol`` raises BudgetExceededError.
     """
     idx, sign, a, b = box_axis_interval(f_box, ntilde)
     ntilde = np.asarray(ntilde, dtype=float)
@@ -517,12 +483,21 @@ def translate_image_integral(f_box, ntilde, shift=bs.SHIFT, tol=1e-8):
     cross_area = 4.0 * float(
         np.prod([f_box.half_extents[i] for i in range(3) if i != idx])
     )
-
-    def integrand(t):
-        return abs(np.log(abs((t - a) / (t - b)))) / (2.0 * np.pi)
-
-    line = adaptive_simpson(integrand, lo, hi, tol)
-    return cross_area * line
+    x = np.array([hi - a, hi - b, lo - a, lo - b])
+    logs = np.log(np.abs(x))
+    terms = x * logs
+    line = abs((terms[0] - terms[1]) - (terms[2] - terms[3]))
+    scale = cross_area / (2.0 * np.pi)
+    eps = np.finfo(float).eps
+    bound = scale * eps * (8.0 * np.sum(np.abs(x) * (np.abs(logs) + 1.0))
+                           + 4.0 * line)
+    value = float(scale * line)
+    if bound > tol:
+        raise BudgetExceededError(
+            "rounding bound of the closed form exceeds the tolerance",
+            partial=value, error_estimate=float(bound),
+        )
+    return value
 
 
 def translate_image_minimum(f_box, ntilde, shift=bs.SHIFT):
@@ -587,63 +562,29 @@ def stratified_count_moment(boxes, power, n_samples, seed):
     return total, float(np.sqrt(var_total))
 
 
-def square_function_v2(
-    boxes,
-    p,
-    mc_samples,
-    seed=0,
-    control=False,
-    quad_tol=1e-8,
-):
-    """Both sides of the square-function inequality for f_j = 1_{F_j}.
+@dataclass(frozen=True)
+class GeometryRecord:
+    """The p-independent half of the square-function experiment at one level
+    k: the boxes, the certified union measure eps_hat (measure plus its
+    rounding bound), the left side lhs summed over the disjoint translates and
+    kappa, the least value of |H_j 1_{F_j}| on any translate."""
 
-    The left side is the certified lower bound over the disjoint translates;
-    the exact right side is the stratified Monte-Carlo estimate of
-    (integral count^(p/2))^(1/p); the Holder side chains through the measured
-    union bound eps_hat of the enclosing boxes.
-    """
-    if control:
-        if p != 2.0:
-            raise ValueError("control mode is the p = 2 run")
-    elif not 1.0 <= p < 2.0:
-        raise ValueError("p must be in [1, 2); p = 2 only as control")
-    if mc_samples < 10_000:
-        raise ValueError("mc_samples must be at least 10^4")
+    boxes: bs.BoxFamily
+    eps_hat: float
+    lhs: float
+    kappa: float
 
-    lhs = sum(
-        translate_image_integral(f_box, ntilde, tol=quad_tol)
-        for f_box, ntilde in zip(boxes.boxes_f, boxes.normals)
-    )
-    kappa = min(
-        translate_image_minimum(f_box, ntilde)
-        for f_box, ntilde in zip(boxes.boxes_f, boxes.normals)
-    )
 
-    moment, moment_err = stratified_count_moment(
-        boxes, p / 2.0 - 1.0, mc_samples, seed
-    )
-    rhs_exact = moment ** (1.0 / p)
-    rhs_stderr = (
-        (1.0 / p) * moment ** (1.0 / p - 1.0) * moment_err if moment > 0 else 0.0
-    )
-
+def build_geometry_record(boxes):
+    """The GeometryRecord of ``boxes``: one union measure and one left-side
+    integral per box, shared by every p run on them."""
     union, union_err = bs.union_measure(boxes, bs.UNION_RESOLUTION)
-    eps_hat = union + union_err
-    total_volume = sum(b.volume() for b in boxes.boxes_f)
-    rhs_holder = np.sqrt(total_volume) * eps_hat ** (1.0 / p - 0.5)
-
-    return SquareFunctionResult(
-        k=boxes.k,
-        n_boxes=boxes.n_boxes,
-        p=p,
-        lhs=float(lhs),
-        kappa=float(kappa),
-        rhs_exact=float(rhs_exact),
-        rhs_stderr=float(rhs_stderr),
-        rhs_holder=float(rhs_holder),
-        union_eps=float(eps_hat),
-        mc_flagged=bool(rhs_stderr > 0.1 * rhs_exact),
-        control=control,
+    pairs = list(zip(boxes.boxes_f, boxes.normals))
+    return GeometryRecord(
+        boxes=boxes,
+        eps_hat=float(union + union_err),
+        lhs=float(sum(translate_image_integral(f, n) for f, n in pairs)),
+        kappa=float(min(translate_image_minimum(f, n) for f, n in pairs)),
     )
 
 
@@ -689,48 +630,59 @@ def ratio_experiment(
     ratio stays bounded.
     """
     for k in k_list:
-        boxes = bs.build_boxes(bs.build_perron_rectangles(k))
+        record = build_geometry_record(
+            bs.build_boxes(bs.build_perron_rectangles(k)))
         for p in p_list:
-            yield ratio_experiment_cell(boxes, p, mc_samples, seed=seed,
+            yield ratio_experiment_cell(record, p, mc_samples, seed=seed,
                                         c_p=c_p)
 
 
-def ratio_experiment_cell(boxes, p, mc_samples, seed=0,
+def ratio_experiment_cell(record, p, mc_samples, seed=0,
                           c_p=DEFAULT_KHINTCHINE_CP):
-    """One (k, p) cell of the ratio experiment.
+    """One (k, p) cell of the ratio experiment on a GeometryRecord.
 
-    The cell's RNG stream is derived from (seed, k, p), so results do not
-    depend on how cells are grouped into runs.
+    The exact right side is the stratified Monte-Carlo estimate of
+    (integral count^(p/2))^(1/p); the Holder side chains through the
+    record's eps_hat.  p = 2 is the control run.  The cell's RNG stream is
+    derived from (seed, k, p), so results do not depend on how cells are
+    grouped into runs.
     """
+    if not (1.0 <= p < 2.0 or p == 2.0):
+        raise ValueError("p must be in [1, 2); p = 2 only as control")
+    if mc_samples < 10_000:
+        raise ValueError("mc_samples must be at least 10^4")
+    boxes = record.boxes
     child_seed = int(
         np.random.SeedSequence(
             seed, spawn_key=(boxes.k, int(round(p * 1e6)))
         ).generate_state(1)[0]
     )
-    control = p == 2.0
     start = time.perf_counter()
-    res = square_function_v2(
-        boxes,
-        p,
-        mc_samples,
-        seed=child_seed,
-        control=control,
+    moment, moment_err = stratified_count_moment(
+        boxes, p / 2.0 - 1.0, mc_samples, child_seed
     )
+    rhs_exact = float(moment ** (1.0 / p))
+    rhs_stderr = float(
+        (1.0 / p) * moment ** (1.0 / p - 1.0) * moment_err if moment > 0 else 0.0
+    )
+    total_volume = sum(b.volume() for b in boxes.boxes_f)
+    rhs_holder = float(
+        np.sqrt(total_volume) * record.eps_hat ** (1.0 / p - 0.5))
     wall_ms = 1e3 * (time.perf_counter() - start)
     return ExperimentReport(
         k=boxes.k,
-        n=res.n_boxes,
-        eps_hat=res.union_eps,
+        n=boxes.n_boxes,
+        eps_hat=record.eps_hat,
         p=p,
-        lhs=res.lhs,
-        rhs_exact=res.rhs_exact,
-        rhs_stderr=res.rhs_stderr,
-        rhs_holder=res.rhs_holder,
-        ratio=res.lhs / res.rhs_exact,
-        ratio_holder=res.lhs / res.rhs_holder,
-        m_lower=res.lhs / res.rhs_exact / c_p,
+        lhs=record.lhs,
+        rhs_exact=rhs_exact,
+        rhs_stderr=rhs_stderr,
+        rhs_holder=rhs_holder,
+        ratio=record.lhs / rhs_exact,
+        ratio_holder=record.lhs / rhs_holder,
+        m_lower=record.lhs / rhs_exact / c_p,
         wall_ms=wall_ms,
-        control=control,
+        control=p == 2.0,
     )
 
 

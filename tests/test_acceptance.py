@@ -84,9 +84,10 @@ def test_criterion_3_blowup_demonstration(box_families):
     lhs_floor = 0.05 / (2.0 * np.pi)
     reports = {}
     for k in range(3, 9):
+        record = mp.build_geometry_record(box_families[k])
         for p in (1.0, 2.0):
             reports[(k, p)] = mp.ratio_experiment_cell(
-                box_families[k], p, mc_samples, seed=2026,
+                record, p, mc_samples, seed=2026,
             )
     lhs_ok = all(reports[(k, 1.0)].lhs >= lhs_floor for k in range(3, 9))
     eps_decreasing = all(

@@ -6,10 +6,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conekit import besicovitch as bs
 from conekit import multiplier as mp
-from conekit.errors import SingularPointError
+from conekit.errors import BudgetExceededError, SingularPointError
 
 
 @pytest.fixture(scope="module")
@@ -189,21 +190,30 @@ class TestBoxImage:
         with pytest.raises(ValueError):
             mp.box_halfspace_image(fb, np.array([0.0, 0.3, 1.0]), fb.center)
 
-    def test_translate_integral_matches_antiderivative(self, boxes_k1):
-        # integral of log(1 + w/d) has the closed form
-        # d log((d+w)/d) + w log(d+w)
+    def test_translate_integral_matches_antiderivative(self):
+        # independent oracle: adaptive Gauss-Kronrod on the line integrand,
+        # for every box at k = 1..8
+        for k in range(1, 9):
+            boxes = bs.build_boxes(bs.build_perron_rectangles(k))
+            for fb, nt in zip(boxes.boxes_f, boxes.normals):
+                idx, _, a, b = mp.box_axis_interval(fb, nt)
+                shift = bs.SHIFT * float(nt @ fb.axes[idx])
+                line, _ = quad(
+                    lambda t: abs(np.log(abs((t - a) / (t - b)))),
+                    a + shift, b + shift, epsabs=0, epsrel=1e-13,
+                )
+                cross = 4.0 * np.prod(np.delete(fb.half_extents, idx))
+                got = mp.translate_image_integral(fb, nt)
+                assert got == pytest.approx(cross * line / (2.0 * np.pi),
+                                            rel=1e-12)
+
+    def test_translate_integral_tolerance_below_rounding_bound(self, boxes_k1):
         fb, nt = boxes_k1.boxes_f[0], boxes_k1.normals[0]
-        got = mp.translate_image_integral(fb, nt)
-        w = np.sqrt(2.0) / 2.0
-        d1 = 5.0 * np.sqrt(2.0)
-        d0 = d1 - w
-
-        def anti(d):
-            return d * np.log((d + w) / d) + w * np.log(d + w)
-
-        line = (anti(d1) - anti(d0)) / (2.0 * np.pi)
-        cross = np.sqrt(2.0) / 2.0 * (1.0 / boxes_k1.n_boxes)
-        assert got == pytest.approx(cross * line, rel=1e-9)
+        value = mp.translate_image_integral(fb, nt)
+        with pytest.raises(BudgetExceededError) as err:
+            mp.translate_image_integral(fb, nt, tol=1e-20)
+        assert err.value.partial == value
+        assert 1e-20 < err.value.error_estimate <= 1e-11 * value
 
     @pytest.mark.parametrize("k, samples", [(1, 32), (2, 64), (3, 128)])
     @pytest.mark.parametrize("extent", [1.0, 4.0])
@@ -262,22 +272,22 @@ class TestSquareFunction:
         rect = bs.Rect2(center=[0.5, 0.0], direction=[0.0, 1.0],
                         length=1.0, width=1.0)
         family = bs.RectangleFamily(k=0, rects=(rect,))
-        single = bs.build_boxes(family)
-        res = mp.square_function_v2(single, 1.5, 10_000, seed=3)
-        vol = single.boxes_f[0].volume()
-        assert res.rhs_exact == pytest.approx(vol ** (1 / 1.5), rel=1e-12)
+        record = mp.build_geometry_record(bs.build_boxes(family))
+        res = mp.ratio_experiment_cell(record, 1.5, 10_000, seed=3)
+        box = record.boxes.boxes_f[0]
+        assert res.rhs_exact == pytest.approx(box.volume() ** (1 / 1.5),
+                                              rel=1e-12)
         assert res.rhs_stderr == 0.0
-        assert res.lhs == pytest.approx(
-            mp.translate_image_integral(single.boxes_f[0], single.normals[0]),
-            rel=1e-12,
-        )
+        assert res.lhs == mp.translate_image_integral(
+            box, record.boxes.normals[0])
 
     def test_holder_bound_arithmetic(self):
         # p = 1, eps = 0.1: sqrt(1/2) * 0.1^(1/2) ~ 0.2236
         assert np.sqrt(0.5) * 0.1**0.5 == pytest.approx(0.22360679, abs=1e-6)
 
     def test_rhs_exact_below_holder(self, boxes_k3):
-        res = mp.square_function_v2(boxes_k3, 1.0, 20_000, seed=7)
+        record = mp.build_geometry_record(boxes_k3)
+        res = mp.ratio_experiment_cell(record, 1.0, 20_000, seed=7)
         assert res.rhs_exact <= res.rhs_holder + res.rhs_stderr
 
     def test_stratified_estimator_against_raster_oracle(self, boxes_k3):
@@ -296,12 +306,38 @@ class TestSquareFunction:
         assert moment == pytest.approx(oracle, rel=0.02)
 
     def test_invalid_p_rejected(self, boxes_k3):
+        record = mp.build_geometry_record(boxes_k3)
+        for p in (0.5, 2.5):
+            with pytest.raises(ValueError):
+                mp.ratio_experiment_cell(record, p, 10_000)
         with pytest.raises(ValueError):
-            mp.square_function_v2(boxes_k3, 2.0, 10_000)
-        with pytest.raises(ValueError):
-            mp.square_function_v2(boxes_k3, 2.5, 10_000, control=True)
-        with pytest.raises(ValueError):
-            mp.square_function_v2(boxes_k3, 1.0, 100)
+            mp.ratio_experiment_cell(record, 1.0, 100)
+
+    def test_one_geometry_record_per_k(self, monkeypatch):
+        calls = {"union": 0, "integral": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bs, "union_measure",
+                            counting("union", bs.union_measure))
+        monkeypatch.setattr(mp, "translate_image_integral",
+                            counting("integral", mp.translate_image_integral))
+        reports = list(mp.ratio_experiment([3, 4], [1.0, 1.5, 2.0], 15_000,
+                                           seed=11))
+        assert calls == {"union": 2, "integral": 8 + 16}
+        for r in reports:
+            child_seed = int(np.random.SeedSequence(
+                11, spawn_key=(r.k, int(round(r.p * 1e6)))
+            ).generate_state(1)[0])
+            moment, err = mp.stratified_count_moment(
+                _family(r.k), r.p / 2.0 - 1.0, 15_000, child_seed)
+            assert r.rhs_exact == float(moment ** (1.0 / r.p))
+            assert r.rhs_stderr == float(
+                (1.0 / r.p) * moment ** (1.0 / r.p - 1.0) * err)
 
     def test_ratio_experiment_growth_and_control(self):
         reports = list(mp.ratio_experiment([3, 4], [1.0, 2.0], 15_000, seed=11))
