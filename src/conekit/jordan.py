@@ -14,6 +14,10 @@ Elements are stored as flat coordinate vectors (symmetric matrices use the
 row-major upper triangle).  The inner product is the trace form tr(xy) for
 matrices and the Euclidean dot product for spin factors.
 
+Spin coordinates may be a batch of shape (..., n): the arithmetic, the
+determinant, the inverse and the cone tests then return arrays, and a single
+element gets Python scalars from the same code; the rest refuse a batch.
+
 Besides the algebra arithmetic, the module provides cone membership through
 principal minors, Peirce decompositions with respect to an idempotent, and
 the filling-radius search: the smallest R such that xi + R*(e - c1) enters
@@ -73,8 +77,9 @@ def sym_matrix(r):
 class Element:
     """A point of a Jordan algebra, real or complexified.
 
-    ``coords`` has length ``algebra.dim``; a complex dtype marks an element
-    of the complexified algebra (used by the Cayley-transform machinery).
+    ``coords`` has length ``algebra.dim`` on its last axis (only spin
+    elements take leading batch axes); a complex dtype marks an element of
+    the complexified algebra (used by the Cayley-transform machinery).
     """
 
     algebra: Algebra
@@ -82,10 +87,10 @@ class Element:
 
     def __post_init__(self):
         coords = np.asarray(self.coords)
-        if coords.shape != (self.algebra.dim,):
-            raise ValueError(
-                f"coords of length {coords.shape} do not match dim {self.algebra.dim}"
-            )
+        if coords.shape[-1:] != (self.algebra.dim,) or (
+                coords.ndim > 1 and self.algebra.kind != "spin"):
+            raise ValueError(f"coords of shape {coords.shape} do not fit "
+                             f"{self.algebra} (only spin elements batch)")
         if not np.iscomplexobj(coords):
             coords = coords.astype(float)
         object.__setattr__(self, "coords", coords)
@@ -114,6 +119,17 @@ class Element:
 def _require_same_algebra(x, y):
     if x.algebra != y.algebra:
         raise ValueError("elements belong to different algebras")
+
+
+def _one(*xs):
+    """Refuse a batch in a function that takes a single element."""
+    if any(x.coords.ndim > 1 for x in xs):
+        raise ValueError("this function takes one element, not a batch")
+
+
+def _out(val, kind):
+    """Python ``kind`` for a single element, the array for a batch."""
+    return kind(val) if np.ndim(val) == 0 else val
 
 
 # --- symmetric matrix <-> coordinate vector layout -------------------------
@@ -175,11 +191,11 @@ def jordan_product(x, y):
     _require_same_algebra(x, y)
     a = x.algebra
     if a.kind == "spin":
-        x1, xp = x.coords[0], x.coords[1:]
-        y1, yp = y.coords[0], y.coords[1:]
-        first = x1 * y1 + xp @ yp
+        x1, xp = x.coords[..., :1], x.coords[..., 1:]
+        y1, yp = y.coords[..., :1], y.coords[..., 1:]
+        first = x1 * y1 + np.sum(xp * yp, axis=-1, keepdims=True)
         rest = x1 * yp + y1 * xp
-        return Element(a, np.concatenate(([first], rest)))
+        return Element(a, np.concatenate((first, rest), axis=-1))
     xm, ym = as_matrix(x), as_matrix(y)
     return from_matrix((xm @ ym + ym @ xm) / 2)
 
@@ -192,14 +208,13 @@ def inner(x, y):
     """Trace form tr(xy) for Sym(r); Euclidean dot for spin factors."""
     _require_same_algebra(x, y)
     if x.algebra.kind == "spin":
-        return x.coords @ y.coords
+        return np.sum(x.coords * y.coords, axis=-1)
     return np.trace(as_matrix(x) @ as_matrix(y))
 
 
 def norm(x):
-    return float(np.sqrt(abs(inner(x, conj(x))))) if x.is_complex else float(
-        np.sqrt(inner(x, x))
-    )
+    sq = inner(x, conj(x)) if x.is_complex else inner(x, x)
+    return _out(np.sqrt(np.abs(sq)), float)
 
 
 def conj(x):
@@ -209,25 +224,26 @@ def conj(x):
 def determinant(x):
     """Jordan determinant: x1^2 - <x', x'> (bilinear) or det of the matrix."""
     if x.algebra.kind == "spin":
-        x1, xp = x.coords[0], x.coords[1:]
-        val = x1 * x1 - xp @ xp
+        x1, xp = x.coords[..., 0], x.coords[..., 1:]
+        val = x1 * x1 - np.sum(xp * xp, axis=-1)
     else:
         val = np.linalg.det(as_matrix(x))
-    return complex(val) if x.is_complex else float(val)
+    return _out(val, complex if x.is_complex else float)
 
 
 def jordan_inverse(x):
     """Jordan inverse; for the spin factor (x1, -x')/det(x)."""
     if x.algebra.kind == "spin":
-        d = determinant(x)
-        if d == 0:
+        d = np.expand_dims(determinant(x), -1)
+        if np.any(d == 0):
             raise DivisionSingularityError("spin element has zero determinant")
-        coords = np.concatenate(([x.coords[0]], -x.coords[1:])) / d
-        return Element(x.algebra, coords)
+        coords = np.concatenate((x.coords[..., :1], -x.coords[..., 1:]), -1)
+        return Element(x.algebra, coords / d)
     return from_matrix(np.linalg.inv(as_matrix(x)))
 
 
 def trace(x):
+    _one(x)
     if x.algebra.kind == "spin":
         return 2 * x.coords[0]
     return np.trace(as_matrix(x))
@@ -236,6 +252,7 @@ def trace(x):
 # --- idempotents, frames, Peirce decomposition ------------------------------
 
 def is_idempotent(c, tol=FRAME_TOL):
+    _one(c)
     return norm(jordan_product(c, c) - c) <= tol * max(1.0, norm(c))
 
 
@@ -259,6 +276,7 @@ def peirce_components(x, c):
     (eigenvalue 1/2) and I - 3L + 2L^2 (eigenvalue 0), which are exact
     polynomial identities for L = L(c) with c idempotent.
     """
+    _one(x, c)
     lx = jordan_product(c, x)
     llx = jordan_product(c, lx)
     x1 = 2 * llx - lx
@@ -304,9 +322,7 @@ class JordanFrame:
     def validate(self, tol=FRAME_TOL):
         cs = self.idempotents
         for i, c in enumerate(cs):
-            if not is_idempotent(c, tol):
-                return False
-            if not primitive_idempotent_check(c):
+            if not (is_idempotent(c, tol) and primitive_idempotent_check(c)):
                 return False
             for j in range(i):
                 if norm(jordan_product(c, cs[j])) > tol:
@@ -387,7 +403,8 @@ def in_cone(x):
     if x.is_complex:
         raise ValueError("cone membership is defined for real elements")
     if x.algebra.kind == "spin":
-        return bool(x.coords[0] > np.linalg.norm(x.coords[1:]))
+        radius = np.linalg.norm(x.coords[..., 1:], axis=-1)
+        return _out(x.coords[..., 0] > radius, bool)
     try:
         np.linalg.cholesky(as_matrix(x))
         return True
@@ -398,7 +415,8 @@ def in_cone(x):
 def cone_margin(x):
     """Distance-like margin of cone membership (min eigenvalue style)."""
     if x.algebra.kind == "spin":
-        return float(x.coords[0] - np.linalg.norm(x.coords[1:]))
+        radius = np.linalg.norm(x.coords[..., 1:], axis=-1)
+        return _out(x.coords[..., 0] - radius, float)
     return float(np.linalg.eigvalsh(as_matrix(x))[0])
 
 
@@ -427,6 +445,7 @@ def filling_radius(xi, c1, r_max=None):
     """
     if not primitive_idempotent_check(c1):
         raise ValueError("filling_radius expects a primitive idempotent")
+    _one(xi)
     if r_max is None:
         r_max = 1e6 * (1.0 + norm(xi))
     if r_max <= 0:
@@ -453,6 +472,7 @@ def filling_radius(xi, c1, r_max=None):
 
 def peirce_coefficient(x, c):
     """Coefficient lambda with x_1-component = lambda * c (normalized pairing)."""
+    _one(x, c)
     return inner(x, c) / inner(c, c)
 
 

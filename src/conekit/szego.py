@@ -8,7 +8,7 @@ Cayley transform w -> i(e + w)(e - w)^(-1) acts on spin-factor coordinates,
 where the same domain is cut out by the Lorentz determinant.  The two charts
 differ by the twist (z_1, z') -> (z_1, i z'), which maps one quadratic form
 onto the other; all public functions take Lie-ball coordinates and twist
-internally.
+internally.  The maps, tests and samplers take an (m, n) batch in one pass.
 
 The kernel integral over the light cone factorizes in the coordinates
 (t, rho, phi) with xi_1 = rho + t, xi' = rho (cos phi, sin phi): on rotated
@@ -28,34 +28,16 @@ from . import jordan as jd
 from .errors import BudgetExceededError, NearSingularityError
 
 DOM_PHI_MARGIN = 1e-12
+_BLOCK_ROWS = 4096   # rows per sampler block and consistency-check chunk
 
 
 # --- domain points ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LieBallPoint:
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        if z.shape[0] < 3:
-            raise ValueError("the Lie ball needs dimension >= 3")
-        object.__setattr__(self, "z", z)
-
-    @property
-    def contained(self):
-        return lie_ball_contains(self.z)
-
 
 @dataclass(frozen=True)
 class TubePoint:
     """Point of the tube R^n + i Omega, stored as a complex spin element."""
 
     z: jd.Element
-
-    @property
-    def x(self):
-        return jd.Element(self.z.algebra, self.z.coords.real)
 
     @property
     def y(self):
@@ -80,26 +62,27 @@ class KernelSample:
 
 # --- membership predicates ------------------------------------------------------
 
-def lie_ball_contains(z):
-    """Both strict inequalities |q(z)|^2 < 1 and 2|z|^2 - 1 < |q(z)|^2,
-    with q(z) = sum z_j^2."""
+def lie_ball_contains(z, margin=0.0):
+    """Both strict inequalities |q(z)|^2 < 1 - margin and
+    2|z|^2 - 1 < |q(z)|^2 - margin, with q(z) = sum z_j^2, row by row."""
     z = np.asarray(z, dtype=complex)
-    q = np.sum(z * z)
-    qq = abs(q) ** 2
-    return bool(qq < 1.0 and 2.0 * np.sum(np.abs(z) ** 2) - 1.0 < qq)
+    qq = np.abs(np.sum(z * z, axis=-1)) ** 2
+    inside = (qq < 1.0 - margin) & (
+        2.0 * np.sum(np.abs(z) ** 2, axis=-1) - 1.0 < qq - margin)
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 def lie_to_spin(z):
     """Twist Lie-ball coordinates into spin-factor coordinates."""
     z = np.asarray(z, dtype=complex)
-    coords = np.concatenate(([z[0]], 1j * z[1:]))
-    return jd.Element(jd.spin_factor(z.shape[0]), coords)
+    coords = np.concatenate((z[..., :1], 1j * z[..., 1:]), axis=-1)
+    return jd.Element(jd.spin_factor(z.shape[-1]), coords)
 
 
 def spin_to_lie(w):
     """Inverse twist: spin-factor coordinates to Lie-ball coordinates."""
     coords = w.coords
-    return np.concatenate(([coords[0]], -1j * coords[1:]))
+    return np.concatenate((coords[..., :1], -1j * coords[..., 1:]), axis=-1)
 
 
 # --- the Cayley transform ---------------------------------------------------------
@@ -122,9 +105,9 @@ def cayley_inverse(z):
 
 def _guarded_quotient(num, denom, x, message):
     """num * denom^(-1), refused with NearSingularityError(message) when
-    |det(denom)| <= DOM_PHI_MARGIN (1 + |x|^rank) for the argument x."""
-    det = jd.determinant(denom)
-    if abs(det) <= DOM_PHI_MARGIN * (1.0 + jd.norm(x) ** x.algebra.rank):
+    |det(denom)| <= DOM_PHI_MARGIN (1 + |x|^rank) on any row of x."""
+    det = np.abs(jd.determinant(denom))
+    if np.any(det <= DOM_PHI_MARGIN * (1.0 + jd.norm(x) ** x.algebra.rank)):
         raise NearSingularityError(message)
     return jd.jordan_product(num, jd.jordan_inverse(denom))
 
@@ -139,53 +122,69 @@ def tube_to_lie_ball(z_elem):
     return spin_to_lie(cayley_inverse(z_elem))
 
 
+def _accepted_rows(count, draw):
+    """The first ``count`` accepted rows, in draw order.  ``draw(m)`` returns
+    m candidate rows and their acceptance mask; m follows the acceptance
+    seen so far and is capped at _BLOCK_ROWS."""
+    blocks, have, drawn = [], 0, 0
+    while not blocks or have < count:
+        need = count - have
+        m = min(_BLOCK_ROWS, need * (drawn + 1) // (have + 1) * 11 // 10 + 16)
+        rows, keep = draw(m)
+        blocks.append(rows[keep])
+        have, drawn = have + len(blocks[-1]), drawn + m
+    return np.concatenate(blocks)[:count]
+
+
 def sample_lie_ball(n, count, rng, margin=0.0):
-    """Rejection-sample Lie-ball points from the complex unit ball."""
-    out = []
-    while len(out) < count:
-        z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        z *= rng.uniform() ** (1.0 / (2 * n)) / np.linalg.norm(z)
-        q = np.sum(z * z)
-        qq = abs(q) ** 2
-        if qq < 1.0 - margin and 2 * np.sum(np.abs(z) ** 2) - 1 < qq - margin:
-            out.append(z)
-    return out
+    """``count`` Lie-ball points, rejection-sampled from the complex unit
+    ball with both inequalities held at ``margin``, as a (count, n) array."""
+    if not 0.0 <= margin < 1.0:
+        raise ValueError("Lie-ball margin must lie in [0, 1)")
+
+    def draw(m):
+        z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        radius = rng.uniform(size=m) ** (1.0 / (2 * n))
+        z *= (radius / np.linalg.norm(z, axis=-1))[:, None]
+        return z, lie_ball_contains(z, margin)
+
+    return _accepted_rows(count, draw)
 
 
 def sample_tube(n, count, rng, x_scale=5.0, margin=1e-6):
-    """Tube samples x + iy with y in the cone at a positive margin."""
-    out = []
-    for _ in range(count):
-        yprime = rng.normal(size=n - 1)
-        y1 = np.linalg.norm(yprime) + margin + abs(rng.normal()) + 0.05
-        x = rng.uniform(-x_scale, x_scale, size=n)
-        coords = x + 1j * np.concatenate(([y1], yprime))
-        out.append(jd.Element(jd.spin_factor(n), coords))
-    return out
+    """Tube samples x + iy with y in the cone at a positive margin, as a
+    batched spin element of shape (count, n)."""
+    yprime = rng.normal(size=(count, n - 1))
+    y1 = (np.linalg.norm(yprime, axis=-1) + margin
+          + np.abs(rng.normal(size=count)) + 0.05)
+    x = rng.uniform(-x_scale, x_scale, size=(count, n))
+    coords = x + 1j * np.concatenate((y1[:, None], yprime), axis=-1)
+    return jd.Element(jd.spin_factor(n), coords)
 
 
 def conformal_consistency_check(n, samples, seed):
     """Round-trip membership test of the conformal equivalence.
 
     Lie-ball samples must map into the tube (imaginary part in the cone) and
-    tube samples must pull back into the Lie ball.  Returns a dict with the
-    failure count (contract: zero) and the worst cone margin observed.
+    tube samples must pull back into the Lie ball, in chunks of _BLOCK_ROWS
+    points.  Returns a dict with the failure count (contract: zero) and the
+    worst cone margin observed.
     """
     rng = np.random.default_rng(seed)
+    chunks = [min(_BLOCK_ROWS, samples - start)
+              for start in range(0, samples, _BLOCK_ROWS)]
     failures = 0
     worst_margin = np.inf
-    for z in sample_lie_ball(n, samples, rng):
-        tube = lie_ball_to_tube(z)
-        margin = tube.margin()
-        worst_margin = min(worst_margin, margin)
-        if not tube.in_tube:
-            failures += 1
-    for z_elem in sample_tube(n, samples, rng):
-        if not lie_ball_contains(tube_to_lie_ball(z_elem)):
-            failures += 1
+    for size in chunks:
+        tube = lie_ball_to_tube(sample_lie_ball(n, size, rng))
+        worst_margin = min(worst_margin, np.min(tube.margin()))
+        failures += size - np.count_nonzero(tube.in_tube)
+    for size in chunks:
+        back = tube_to_lie_ball(sample_tube(n, size, rng))
+        failures += size - np.count_nonzero(lie_ball_contains(back))
     return {
         "samples": 2 * samples,
-        "failures": failures,
+        "failures": int(failures),
         "worst_tube_margin": float(worst_margin),
     }
 
@@ -194,10 +193,8 @@ def conformal_consistency_check(n, samples, seed):
 
 def jacobian_density(x):
     """det(e + x^2)^(-n/r): the unnormalized boundary-measure density."""
-    algebra = x.algebra
-    e = jd.identity(algebra)
-    val = jd.determinant(e + jd.square(x))
-    return float(val ** (-algebra.dim / algebra.rank))
+    val = jd.determinant(jd.identity(x.algebra) + jd.square(x))
+    return val ** (-x.algebra.dim / x.algebra.rank)
 
 
 def compact_jacobian_bounds(boundary_samples, margin=1e-3):
@@ -207,35 +204,32 @@ def compact_jacobian_bounds(boundary_samples, margin=1e-3):
     det(e + x^2)^(n/r) at x = Phi(w); samples closer than ``margin`` to the
     singular set det(e - w) = 0 are rejected.
     """
-    values = []
-    for z in boundary_samples:
-        w = lie_to_spin(np.asarray(z, dtype=complex))
-        e = jd.identity(w.algebra)
-        det = jd.determinant(e - w)
-        if abs(det) < margin:
-            raise ValueError("sample violates the Dom Phi margin")
-        image = cayley(w)
-        x = jd.Element(w.algebra, image.coords.real)
-        residual_imag = float(np.max(np.abs(image.coords.imag)))
-        if residual_imag > 1e-8 * (1.0 + np.max(np.abs(image.coords.real))):
-            raise ValueError("boundary sample did not map to the real boundary")
-        values.append(1.0 / jacobian_density(x))
-    return float(min(values)), float(max(values))
+    w = lie_to_spin(boundary_samples)
+    if np.any(np.abs(jd.determinant(jd.identity(w.algebra) - w)) < margin):
+        raise ValueError("sample violates the Dom Phi margin")
+    image = cayley(w).coords
+    if np.any(np.max(np.abs(image.imag), axis=-1)
+              > 1e-8 * (1.0 + np.max(np.abs(image.real), axis=-1))):
+        raise ValueError("boundary sample did not map to the real boundary")
+    values = 1.0 / jacobian_density(jd.Element(w.algebra, image.real))
+    return float(np.min(values)), float(np.max(values))
 
 
 def sample_shilov_boundary(n, count, rng, margin=1e-3):
     """Points exp(i theta) x with x on the real unit sphere, avoiding the
-    singular set of the Cayley transform by the given margin."""
-    out = []
-    while len(out) < count:
-        x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        z = np.exp(1j * theta) * x
+    singular set of the Cayley transform by the given margin, as a
+    (count, n) array.  |det(e - w)| <= 4 there, so margin lies in [0, 4)."""
+    if not 0.0 <= margin < 4.0:
+        raise ValueError("Shilov-boundary margin must lie in [0, 4)")
+
+    def draw(m):
+        x = rng.normal(size=(m, n))
+        x /= np.linalg.norm(x, axis=-1)[:, None]
+        z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))[:, None] * x
         w = lie_to_spin(z)
-        if abs(jd.determinant(jd.identity(w.algebra) - w)) >= margin:
-            out.append(z)
-    return out
+        return z, np.abs(jd.determinant(jd.identity(w.algebra) - w)) >= margin
+
+    return _accepted_rows(count, draw)
 
 
 # --- tube-domain Cauchy-Szego kernel ---------------------------------------------------
@@ -321,8 +315,7 @@ def kernel_power_law_products(samples, tol=1e-6):
     for z_elem, u in samples:
         sample = szego_kernel_quadrature(TubePoint(z_elem), u, tol=tol)
         w = z_elem.coords - np.asarray(u)
-        arg = jd.Element(z_elem.algebra, w / 1j)
-        det = jd.determinant(arg)
+        det = jd.determinant(jd.Element(z_elem.algebra, w / 1j))
         exponent = z_elem.algebra.dim / z_elem.algebra.rank
         products.append(abs(sample.value) * abs(det) ** exponent)
     return np.array(products)
@@ -341,22 +334,12 @@ def cayley_jacobian_modulus(z, step=FD_STEP):
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[0]
-
-    def as_real(vec):
-        return np.concatenate([vec.real, vec.imag])
-
-    def phi_real(re_im):
-        zz = re_im[:n] + 1j * re_im[n:]
-        return as_real(cayley(lie_to_spin(zz)).coords)
-
-    base = as_real(z)
-    jac = np.empty((2 * n, 2 * n))
-    for col in range(2 * n):
-        bump = np.zeros(2 * n)
-        bump[col] = step
-        jac[:, col] = (phi_real(base + bump) - phi_real(base - bump)) / (
-            2.0 * step
-        )
+    base = np.concatenate([z.real, z.imag])
+    bumps = step * np.eye(2 * n)
+    points = np.concatenate([base + bumps, base - bumps])   # 4n rows
+    image = cayley(lie_to_spin(points[:, :n] + 1j * points[:, n:])).coords
+    image = np.concatenate([image.real, image.imag], axis=-1)
+    jac = (image[: 2 * n] - image[2 * n:]).T / (2.0 * step)
     det = np.linalg.det(jac)
     return float(np.sqrt(abs(det)))
 
@@ -364,8 +347,7 @@ def cayley_jacobian_modulus(z, step=FD_STEP):
 def closed_form_ball_kernel_modulus(z, zprime):
     """|det(w - w')|^(-n/r) in spin coordinates: the transported modulus of
     the bounded-domain kernel for the light-cone case (constants dropped)."""
-    w = lie_to_spin(np.asarray(z, dtype=complex))
-    wp = lie_to_spin(np.asarray(zprime, dtype=complex))
+    w, wp = lie_to_spin(z), lie_to_spin(zprime)
     det = jd.determinant(w - wp)
     exponent = w.algebra.dim / w.algebra.rank
     return float(abs(det) ** (-exponent))
@@ -375,13 +357,13 @@ def kernel_relation_predicted_modulus(z, zprime, tol=1e-6):
     """|S_T(Phi z, Phi z')| |J(z)|^(1/2) |J(z')|^(1/2), up to the fitted
     constant."""
     tube_z = lie_ball_to_tube(z)
-    image_p = cayley(lie_to_spin(np.asarray(zprime, dtype=complex)))
+    image_p = cayley(lie_to_spin(zprime))
     u = image_p.coords.real
     if np.max(np.abs(image_p.coords.imag)) > 1e-8 * (1 + np.max(np.abs(u))):
         raise ValueError("z' must come from the Shilov boundary")
     kernel = szego_kernel_quadrature(tube_z, u, tol=tol)
     jz = cayley_jacobian_modulus(z)
-    jp = cayley_jacobian_modulus(np.asarray(zprime, dtype=complex))
+    jp = cayley_jacobian_modulus(zprime)
     return abs(kernel.value) * np.sqrt(jz) * np.sqrt(jp)
 
 

@@ -240,11 +240,9 @@ def test_criterion_6_cayley_tube_suite():
     rng = np.random.default_rng(616)
     ok = True
 
-    worst_rt = 0.0
-    for z in sz.sample_lie_ball(3, 500, rng):
-        w = sz.lie_to_spin(z)
-        back = sz.cayley_inverse(sz.cayley(w))
-        worst_rt = max(worst_rt, float(np.max(np.abs(back.coords - w.coords))))
+    w = sz.lie_to_spin(sz.sample_lie_ball(3, 500, rng))
+    back = sz.cayley_inverse(sz.cayley(w))
+    worst_rt = float(np.max(np.abs(back.coords - w.coords)))
     a_sym = jd.sym_matrix(3)
     for _ in range(500):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

@@ -516,3 +516,79 @@ class TestRotatedFrames:
         xi = jd.from_matrix(np.array([[1.0, 3.0], [3.0, 0.0]]))
         res = jd.filling_radius(xi, c1, r_max=2.0)   # true radius is 9
         assert res.status == "exceeded"
+
+
+def spin_rows(algebra, fn, *arrays):
+    """``fn`` applied to one element per row, stacked: the scalar reference
+    for a batched call."""
+    out = []
+    for rows in zip(*arrays):
+        val = fn(*(jd.Element(algebra, r) for r in rows))
+        out.append(val.coords if isinstance(val, jd.Element) else val)
+    return np.array(out)
+
+
+class TestSpinBatch:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_batch_equals_per_row_calls(self, n):
+        rng = np.random.default_rng(300 + n)
+        a = jd.spin_factor(n)
+        xs = rng.normal(size=(200, n))
+        ys = rng.normal(size=(200, n))
+        zs = rng.normal(size=(200, n)) + 1j * rng.normal(size=(200, n))
+        xb, yb, zb = jd.Element(a, xs), jd.Element(a, ys), jd.Element(a, zs)
+        for fn, batch, arrays in (
+            (jd.determinant, jd.determinant(xb), (xs,)),
+            (jd.determinant, jd.determinant(zb), (zs,)),
+            (jd.jordan_inverse, jd.jordan_inverse(xb).coords, (xs,)),
+            (jd.jordan_inverse, jd.jordan_inverse(zb).coords, (zs,)),
+            (jd.jordan_product, jd.jordan_product(xb, yb).coords, (xs, ys)),
+            (jd.jordan_product, jd.jordan_product(zb, xb).coords, (zs, xs)),
+            (jd.in_cone, jd.in_cone(xb), (xs,)),
+            (jd.cone_margin, jd.cone_margin(xb), (xs,)),
+        ):
+            assert np.array_equal(batch, spin_rows(a, fn, *arrays)), fn
+        assert jd.in_cone(xb).any() and not jd.in_cone(xb).all()
+
+    def test_single_element_gets_python_scalars(self):
+        x = spin3(2.0, 1.0, 0.5)
+        z = jd.Element(x.algebra, x.coords + 1j)
+        assert type(jd.determinant(x)) is float
+        assert type(jd.determinant(z)) is complex
+        assert type(jd.norm(z)) is float
+        assert type(jd.cone_margin(x)) is float
+        assert type(jd.in_cone(x)) is bool
+        one_row = jd.Element(x.algebra, x.coords[None, :])
+        assert jd.determinant(one_row).shape == (1,)
+        assert jd.in_cone(one_row).shape == (1,)
+
+    def test_singular_row_raises(self):
+        from conekit.errors import DivisionSingularityError
+
+        batch = jd.Element(jd.spin_factor(3),
+                           np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
+        with pytest.raises(DivisionSingularityError):
+            jd.jordan_inverse(batch)
+
+    def test_scalar_only_functions_refuse_a_batch(self):
+        a = jd.spin_factor(3)
+        batch = jd.Element(a, np.array([[2.0, 1.0, 0.0], [3.0, 0.0, 1.0]]))
+        frame = jd.standard_frame(a)
+        c1 = frame.idempotents[0]
+        for call in (
+            lambda: jd.trace(batch),
+            lambda: jd.principal_minors(batch, frame),
+            lambda: jd.cone_contains(batch, frame),
+            lambda: jd.peirce_coefficient(batch, c1),
+            lambda: jd.peirce_components(batch, c1),
+            lambda: jd.is_idempotent(batch),
+            lambda: jd.primitive_idempotent_check(batch),
+            lambda: jd.filling_radius(batch, c1),
+            lambda: jd.det_identity_residual(batch, 1.0, c1),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_sym_element_refuses_a_batch(self):
+        with pytest.raises(ValueError):
+            jd.Element(jd.sym_matrix(2), np.zeros((4, 3)))

@@ -36,9 +36,9 @@ class TestCayley:
 
     def test_round_trip_on_tube_samples(self):
         rng = np.random.default_rng(103)
-        for z_elem in sz.sample_tube(4, 200, rng):
-            back = sz.cayley(sz.cayley_inverse(z_elem))
-            assert np.max(np.abs(back.coords - z_elem.coords)) < 1e-10
+        z_elem = sz.sample_tube(4, 200, rng)
+        back = sz.cayley(sz.cayley_inverse(z_elem))
+        assert np.max(np.abs(back.coords - z_elem.coords)) < 1e-10
 
     def test_matrix_algebra_round_trip(self):
         rng = np.random.default_rng(107)
@@ -68,8 +68,8 @@ class TestLieBall:
         assert sz.lie_ball_contains(np.array([0.9j, 0.0, 0.0]))
 
     def test_needs_dimension_three(self):
-        with pytest.raises(ValueError):
-            sz.LieBallPoint(np.zeros(2))
+        with pytest.raises(ValueError, match="dimension >= 3"):
+            sz.lie_to_spin(np.zeros(2))
 
 
 class TestConformalConsistency:
@@ -267,3 +267,99 @@ class TestErrorPaths:
         estimate = err.value.error_estimate
         assert isinstance(estimate, float) and np.isfinite(estimate)
         assert estimate > 1e-18
+
+
+class _NoDraws:
+    """An rng stand-in that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the margin was checked")
+
+
+class TestBatchedCayley:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_batch_equals_per_row_calls(self, n):
+        rng = np.random.default_rng(400 + n)
+        z = sz.sample_lie_ball(n, 150, rng)
+        w = sz.lie_to_spin(z)
+        image = sz.cayley(w)
+        tube = sz.sample_tube(n, 150, rng)
+        extra = 0.3 * (rng.normal(size=(150, n))
+                       + 1j * rng.normal(size=(150, n)))
+        for batch, rows in (
+            (image.coords, [sz.cayley(sz.lie_to_spin(r)).coords for r in z]),
+            (sz.cayley_inverse(tube).coords,
+             [sz.cayley_inverse(jd.Element(tube.algebra, r)).coords
+              for r in tube.coords]),
+            (sz.lie_ball_contains(z), [sz.lie_ball_contains(r) for r in z]),
+            (sz.lie_ball_contains(extra),
+             [sz.lie_ball_contains(r) for r in extra]),
+        ):
+            assert np.array_equal(batch, np.array(rows))
+        assert sz.lie_ball_contains(extra).any()
+        assert not sz.lie_ball_contains(extra).all()
+
+    def test_one_near_singular_row_raises(self):
+        rng = np.random.default_rng(419)
+        w = sz.lie_to_spin(sz.sample_lie_ball(3, 20, rng))
+        coords = w.coords.copy()
+        coords[7] = [1.0, 0.0, 0.0]              # w = e: det(e - w) = 0
+        with pytest.raises(NearSingularityError, match="Dom Phi"):
+            sz.cayley(jd.Element(w.algebra, coords))
+        tube = sz.sample_tube(3, 20, rng)
+        coords = tube.coords.copy()
+        coords[3] = [-1j, 0.0, 0.0]              # z = -i e: det(z + i e) = 0
+        with pytest.raises(NearSingularityError):
+            sz.cayley_inverse(jd.Element(tube.algebra, coords))
+
+    def test_jacobian_modulus_makes_one_cayley_call(self, monkeypatch):
+        calls = []
+        cayley = sz.cayley
+
+        def counted(w):
+            calls.append(w.coords.shape)
+            return cayley(w)
+
+        monkeypatch.setattr(sz, "cayley", counted)
+        sz.cayley_jacobian_modulus(np.array([0.1, 0.2j, -0.1]))
+        assert calls == [(12, 3)]
+
+
+class TestSamplers:
+    @pytest.mark.parametrize("n, margin", [(3, 0.0), (4, 0.05), (5, 0.2)])
+    def test_lie_ball_count_and_margin(self, n, margin):
+        rng = np.random.default_rng(500 + n)
+        z = sz.sample_lie_ball(n, 777, rng, margin=margin)
+        assert z.shape == (777, n)
+        qq = np.abs(np.sum(z * z, axis=-1)) ** 2
+        assert np.all(qq < 1.0 - margin)
+        assert np.all(2.0 * np.sum(np.abs(z) ** 2, axis=-1) - 1.0 < qq - margin)
+
+    def test_shilov_boundary_count_and_margin(self):
+        rng = np.random.default_rng(511)
+        z = sz.sample_shilov_boundary(4, 300, rng, margin=1.5)
+        assert z.shape == (300, 4)
+        w = sz.lie_to_spin(z)
+        assert np.all(np.abs(jd.determinant(jd.identity(w.algebra) - w)) >= 1.5)
+
+    @pytest.mark.parametrize("margin", [-0.1, 1.0, 2.5])
+    def test_lie_ball_margin_out_of_range(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            sz.sample_lie_ball(3, 5, _NoDraws(), margin=margin)
+
+    @pytest.mark.parametrize("margin", [-0.1, 4.0, 9.0])
+    def test_shilov_margin_out_of_range(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            sz.sample_shilov_boundary(3, 5, _NoDraws(), margin=margin)
+
+    def test_consistency_memory_is_capped(self):
+        import tracemalloc
+
+        peaks = []
+        for samples in (10_000, 40_000):
+            tracemalloc.start()
+            report = sz.conformal_consistency_check(5, samples, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert report["failures"] == 0
+        assert peaks[1] <= 1.5 * peaks[0], peaks
