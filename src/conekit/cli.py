@@ -312,57 +312,53 @@ def _jordan_checks(fast):
 
     def spin_agreement():
         frame = jd.standard_frame(jd.spin_factor(3))
-        for _ in range(n_samples):
-            x = jd.Element(jd.spin_factor(3), rng.normal(size=3))
-            direct = x.coords[0] > np.hypot(x.coords[1], x.coords[2])
-            if jd.cone_contains(x, frame) != direct:
-                return False
-        return True
+        x = jd.Element(jd.spin_factor(3), rng.normal(size=(n_samples, 3)))
+        direct = x.coords[:, 0] > np.hypot(x.coords[:, 1], x.coords[:, 2])
+        return bool(np.array_equal(jd.cone_contains(x, frame), direct))
 
     checks.append(("spin cone matches light-cone test", spin_agreement))
 
     def peirce_invariants():
         c = jd.from_matrix(np.diag([1.0, 0.0, 0.0]))
-        for _ in range(n_prop):
-            x = jd.Element(jd.sym_matrix(3), rng.normal(size=6))
-            split = jd.peirce_decompose(x, c)
-            if jd.norm(split.reassembled() - x) > 1e-9:
-                return False
-            if jd.norm(jd.jordan_product(c, split.xhalf)
-                       - 0.5 * split.xhalf) > 1e-9:
-                return False
-        return True
+        x = jd.Element(jd.sym_matrix(3), rng.normal(size=(n_prop, 6)))
+        split = jd.peirce_decompose(x, c)
+        return bool(
+            np.all(jd.norm(split.reassembled() - x) <= 1e-9)
+            and np.all(jd.norm(jd.jordan_product(c, split.xhalf)
+                               - 0.5 * split.xhalf) <= 1e-9)
+        )
 
     checks.append(("peirce split reassembles and is eigen", peirce_invariants))
 
     def filling_forward():
         c1 = jd.from_matrix(np.diag([1.0, 0.0, 0.0]))
-        for _ in range(n_prop):
-            xi = jd.Element(jd.sym_matrix(3), rng.normal(size=6))
-            if jd.inner(xi, c1) <= 0:
-                xi = -1.0 * xi
-            if jd.inner(xi, c1) == 0:
-                continue
-            if not jd.filling_radius(xi, c1).found:
-                return False
-        return True
+        n_vec = jd.identity(c1.algebra) - c1
+        coords = rng.normal(size=(n_prop, 6))
+        pairing = jd.inner(jd.Element(c1.algebra, coords), c1)
+        xi = jd.Element(c1.algebra,
+                        (coords * np.sign(pairing)[:, None])[pairing != 0])
+        res = jd.filling_radius(xi, c1)
+        if not np.all(res.found):
+            return False
+        step = res.radius + 1e-7 * (1.0 + res.radius)
+        return bool(np.all(jd.in_cone(
+            xi + jd.Element(c1.algebra, np.multiply.outer(step, n_vec.coords))
+        )))
 
     checks.append(("filling radius exists when <xi,c1> > 0", filling_forward))
 
     def filling_converse():
         c1 = jd.Element(jd.spin_factor(3), np.array([0.5, 0.5, 0.0]))
         n_vec = jd.identity(c1.algebra) - c1
-        for _ in range(n_prop):
-            xi = jd.Element(jd.spin_factor(3), rng.normal(size=3))
-            if jd.inner(xi, c1) > 0:
-                xi = -1.0 * xi
-            res = jd.filling_radius(xi, c1)
-            if res.status == "found" and jd.inner(xi, c1) <= 0:
-                return False
-            for r in (1.0, 1e2, 1e4, 1e6):
-                if jd.inner(xi, c1) <= 0 and jd.in_cone(xi + r * n_vec):
-                    return False
-        return True
+        coords = rng.normal(size=(n_prop, 3))
+        pairing = jd.inner(jd.Element(c1.algebra, coords), c1)
+        xi = jd.Element(c1.algebra,
+                        coords * np.where(pairing > 0, -1.0, 1.0)[:, None])
+        closed = jd.inner(xi, c1) <= 0
+        if np.any(jd.filling_radius(xi, c1).found & closed):
+            return False
+        return not any(np.any(jd.in_cone(xi + r * n_vec) & closed)
+                       for r in (1.0, 1e2, 1e4, 1e6))
 
     checks.append(("no filling when <xi,c1> <= 0", filling_converse))
 
@@ -376,32 +372,26 @@ def _jordan_checks(fast):
         ]
         per_case = max(1, n_prop // len(cases))
         for algebra, c1 in cases:
-            for _ in range(per_case):
-                xi = jd.Element(algebra, rng.normal(size=algebra.dim))
-                if abs(jd.peirce_coefficient(xi, c1)) < 1e-3:
-                    continue
-                r_shift = rng.uniform(0.5, 5.0)
-                lhs = jd.determinant(
-                    xi + r_shift * (jd.identity(algebra) - c1)
-                )
-                if jd.det_identity_residual(xi, r_shift, c1) > 1e-8 * (
-                    1 + abs(lhs)
-                ):
-                    return False
+            xi = jd.Element(algebra, rng.normal(size=(per_case, algebra.dim)))
+            r_shift = rng.uniform(0.5, 5.0, size=per_case)
+            keep = np.abs(jd.peirce_coefficient(xi, c1)) >= 1e-3
+            xi, r_shift = jd.Element(algebra, xi.coords[keep]), r_shift[keep]
+            step = np.multiply.outer(r_shift, (jd.identity(algebra) - c1).coords)
+            lhs = jd.determinant(xi + jd.Element(algebra, step))
+            if np.any(jd.det_identity_residual(xi, r_shift, c1)
+                      > 1e-8 * (1 + np.abs(lhs))):
+                return False
         return True
 
     checks.append(("determinant reduction identity", det_identity))
 
     def slice_agreement():
         frame = jd.standard_frame(jd.sym_matrix(4))
-        for _ in range(n_prop):
-            s = rng.normal(size=(2, 2))
-            m = np.zeros((4, 4))
-            m[:2, :2] = (s + s.T) / 2
-            ambient, rank2 = jd.slice_test(jd.from_matrix(m), frame)
-            if ambient != rank2:
-                return False
-        return True
+        s = rng.normal(size=(n_prop, 2, 2))
+        m = np.zeros((n_prop, 4, 4))
+        m[:, :2, :2] = (s + np.swapaxes(s, 1, 2)) / 2
+        ambient, rank2 = jd.slice_test(jd.from_matrix(m), frame)
+        return bool(np.array_equal(ambient, rank2))
 
     checks.append(("rank-2 slice agreement", slice_agreement))
     return checks

@@ -14,14 +14,16 @@ Elements are stored as flat coordinate vectors (symmetric matrices use the
 row-major upper triangle).  The inner product is the trace form tr(xy) for
 matrices and the Euclidean dot product for spin factors.
 
-Spin coordinates may be a batch of shape (..., n): the arithmetic, the
-determinant, the inverse and the cone tests then return arrays, and a single
-element gets Python scalars from the same code; the rest refuse a batch.
+Coordinates may be a batch of shape (..., dim), for both kinds: every
+function then returns arrays, and a single element gets Python scalars from
+the same code.  Idempotents and frames stay single elements, checked once per
+call; ``trace``, ``is_idempotent`` and ``primitive_idempotent_check`` refuse a
+batch.
 
 Besides the algebra arithmetic, the module provides cone membership through
 principal minors, Peirce decompositions with respect to an idempotent, and
-the filling-radius search: the smallest R such that xi + R*(e - c1) enters
-the cone, which exists exactly when <xi, c1> > 0.
+the filling radius in closed form: the smallest R such that xi + R*(e - c1)
+lies in the closed cone, which exists exactly when <xi, c1> > 0.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ def sym_matrix(r):
 class Element:
     """A point of a Jordan algebra, real or complexified.
 
-    ``coords`` has length ``algebra.dim`` on its last axis (only spin
-    elements take leading batch axes); a complex dtype marks an element of
-    the complexified algebra (used by the Cayley-transform machinery).
+    ``coords`` has length ``algebra.dim`` on its last axis, after any
+    leading batch axes; a complex dtype marks an element of the complexified
+    algebra (used by the Cayley-transform machinery).
     """
 
     algebra: Algebra
@@ -87,10 +89,9 @@ class Element:
 
     def __post_init__(self):
         coords = np.asarray(self.coords)
-        if coords.shape[-1:] != (self.algebra.dim,) or (
-                coords.ndim > 1 and self.algebra.kind != "spin"):
+        if coords.shape[-1:] != (self.algebra.dim,):
             raise ValueError(f"coords of shape {coords.shape} do not fit "
-                             f"{self.algebra} (only spin elements batch)")
+                             f"{self.algebra}")
         if not np.iscomplexobj(coords):
             coords = coords.astype(float)
         object.__setattr__(self, "coords", coords)
@@ -144,26 +145,27 @@ def _triu(r):
 
 
 def mat_to_vec(m):
-    """Flatten a symmetric matrix to the canonical upper-triangle vector."""
+    """Flatten symmetric matrices (..., r, r) to upper-triangle vectors."""
     m = np.asarray(m)
-    return m[_triu(m.shape[0])]
+    iu = _triu(m.shape[-1])
+    return m[..., iu[0], iu[1]]
 
 
 def vec_to_mat(v, r):
-    """Rebuild the full symmetric matrix from its upper-triangle vector."""
-    m = np.zeros((r, r), dtype=np.asarray(v).dtype)
+    """Rebuild full symmetric matrices from upper-triangle vectors."""
+    v = np.asarray(v)
+    m = np.zeros(v.shape[:-1] + (r, r), dtype=v.dtype)
     iu = _triu(r)
-    m[iu] = v
-    m[(iu[1], iu[0])] = v
+    m[..., iu[0], iu[1]] = v
+    m[..., iu[1], iu[0]] = v
     return m
 
 
 def from_matrix(m):
-    """Element of Sym(r) from a full symmetric matrix (symmetrized)."""
+    """Element of Sym(r) from full symmetric matrices (symmetrized)."""
     m = np.asarray(m)
-    r = m.shape[0]
-    ms = (m + m.T) / 2
-    return Element(sym_matrix(r), mat_to_vec(ms))
+    ms = (m + np.swapaxes(m, -1, -2)) / 2
+    return Element(sym_matrix(m.shape[-1]), mat_to_vec(ms))
 
 
 def as_matrix(x):
@@ -208,8 +210,10 @@ def inner(x, y):
     """Trace form tr(xy) for Sym(r); Euclidean dot for spin factors."""
     _require_same_algebra(x, y)
     if x.algebra.kind == "spin":
-        return np.sum(x.coords * y.coords, axis=-1)
-    return np.trace(as_matrix(x) @ as_matrix(y))
+        val = np.sum(x.coords * y.coords, axis=-1)
+    else:
+        val = np.trace(as_matrix(x) @ as_matrix(y), axis1=-2, axis2=-1)
+    return _out(val, complex if x.is_complex or y.is_complex else float)
 
 
 def norm(x):
@@ -276,7 +280,7 @@ def peirce_components(x, c):
     (eigenvalue 1/2) and I - 3L + 2L^2 (eigenvalue 0), which are exact
     polynomial identities for L = L(c) with c idempotent.
     """
-    _one(x, c)
+    _one(c)
     lx = jordan_product(c, x)
     llx = jordan_product(c, lx)
     x1 = 2 * llx - lx
@@ -370,7 +374,7 @@ def frame_vectors(frame):
 # --- cone membership --------------------------------------------------------
 
 def principal_minors(x, frame):
-    """Principal minors along a Jordan frame.
+    """Principal minors along a Jordan frame, on the last axis.
 
     The l-th entry is the determinant of the projection of x onto the
     subalgebra generated by the first l frame idempotents.  For the spin
@@ -380,112 +384,115 @@ def principal_minors(x, frame):
     if frame.algebra != x.algebra:
         raise ValueError("frame belongs to a different algebra")
     if x.algebra.kind == "spin":
-        return np.array(
-            [peirce_coefficient(x, frame.idempotents[0]), determinant(x)]
-        )
-    q = frame_vectors(frame)
-    m = as_matrix(x)
-    r = x.algebra.size
-    return np.array(
-        [np.linalg.det(q[:, : l + 1].T @ m @ q[:, : l + 1]) for l in range(r)]
-    )
+        minors = (peirce_coefficient(x, frame.idempotents[0]), determinant(x))
+    else:
+        q = frame_vectors(frame)
+        m = as_matrix(x)
+        minors = [np.linalg.det(q[:, : l + 1].T @ m @ q[:, : l + 1])
+                  for l in range(x.algebra.size)]
+    return np.stack(minors, axis=-1)
 
 
 def cone_contains(x, frame=None):
     """Membership in the open symmetric cone: all principal minors > 0."""
     if frame is None:
         return in_cone(x)
-    return bool(np.all(principal_minors(x, frame) > 0.0))
+    return _out(np.all(principal_minors(x, frame) > 0.0, axis=-1), bool)
 
 
 def in_cone(x):
     """Direct cone test: x1 > |x'| for spin, positive definiteness for Sym."""
+    return _out(cone_margin(x) > 0.0, bool)
+
+
+def cone_margin(x):
+    """Smallest eigenvalue: x1 - |x'| for spin, lambda_min for Sym."""
     if x.is_complex:
         raise ValueError("cone membership is defined for real elements")
     if x.algebra.kind == "spin":
         radius = np.linalg.norm(x.coords[..., 1:], axis=-1)
-        return _out(x.coords[..., 0] > radius, bool)
-    try:
-        np.linalg.cholesky(as_matrix(x))
-        return True
-    except np.linalg.LinAlgError:
-        return False
+        val = x.coords[..., 0] - radius
+    else:
+        val = np.linalg.eigvalsh(as_matrix(x))[..., 0]
+    return _out(val, float)
 
 
-def cone_margin(x):
-    """Distance-like margin of cone membership (min eigenvalue style)."""
-    if x.algebra.kind == "spin":
-        radius = np.linalg.norm(x.coords[..., 1:], axis=-1)
-        return _out(x.coords[..., 0] - radius, float)
-    return float(np.linalg.eigvalsh(as_matrix(x))[0])
+# --- Peirce-0 rank reduction and the filling radius --------------------------
+
+def peirce_coefficient(x, c):
+    """Coefficient lambda with x_1-component = lambda * c (normalized pairing)."""
+    _one(c)
+    return _out(inner(x, c) / inner(c, c), float)
 
 
-# --- filling radius (pushing a point into the cone along e - c1) -----------
+def _v0_compression(x, c1):
+    """x in the Peirce-0 subalgebra of a primitive idempotent c1: the
+    coefficient along e - c1 (spin), or u^T x u for an orthonormal basis u
+    of ker(c1) (Sym)."""
+    a = c1.algebra
+    if a.kind == "spin":
+        eprime = identity(a) - c1
+        return inner(x, eprime) / inner(eprime, eprime)
+    w, v = np.linalg.eigh(as_matrix(c1))
+    u = v[:, w < 0.5]
+    return u.T @ as_matrix(x) @ u
+
+
+def _v0_determinant(x0, c1):
+    """Determinant inside the Peirce-0 subalgebra of a primitive idempotent."""
+    comp = _v0_compression(x0, c1)
+    return comp if c1.algebra.kind == "spin" else np.linalg.det(comp)
+
+
+def _schur_parts(xi, c1, lam):
+    """xi_0 and (xi_half^2)_0 / lam: with them, xi + R*(e - c1) has
+    determinant lam * det'(xi_0 + R*e' - (xi_half^2)_0 / lam)."""
+    _, xihalf, xi0 = peirce_components(xi, c1)
+    _, _, half_sq0 = peirce_components(square(xihalf), c1)
+    scale = np.expand_dims(1.0 / np.asarray(lam), -1)
+    return xi0, Element(xi.algebra, half_sq0.coords * scale)
+
 
 @dataclass(frozen=True)
 class FillingResult:
-    status: str            # "found" | "not_fillable" | "exceeded"
-    radius: float | None = None
+    status: str            # "found" | "not_fillable" | "exceeded" (array per row)
+    radius: float | None = None      # NaN on the rows of a batch not found
 
     @property
     def found(self):
         return self.status == "found"
 
 
-R_TOL = 1e-8
-
-
 def filling_radius(xi, c1, r_max=None):
-    """Smallest R with xi + R*(e - c1) in the cone, if one exists.
+    """Smallest R with xi + R*(e - c1) in the closed cone, if one exists.
 
     Returns ``not_fillable`` when <xi, c1> <= 0 (the first minor can never
-    become positive), otherwise brackets exponentially and bisects to
-    absolute tolerance 1e-8.  ``exceeded`` is returned when no radius below
-    r_max works.
+    become positive).  Otherwise, with lam the Peirce coefficient and
+    A = xi_0 - (xi_half^2)_0 / lam, xi + R*(e - c1) is in the open cone
+    exactly when A + R*e' is (rank reduction, Faraut & Koranyi 1994, ch. IV),
+    so R = max(0, -lambda_min(A)); ``exceeded`` when that is above r_max.
     """
     if not primitive_idempotent_check(c1):
         raise ValueError("filling_radius expects a primitive idempotent")
-    _one(xi)
     if r_max is None:
         r_max = 1e6 * (1.0 + norm(xi))
-    if r_max <= 0:
+    if np.any(np.asarray(r_max) <= 0):
         raise ValueError("r_max must be positive")
-    if inner(xi, c1) <= 0.0:
-        return FillingResult("not_fillable")
-    n = identity(xi.algebra) - c1
-    if in_cone(xi):
-        return FillingResult("found", 0.0)
-    hi = 1.0
-    while not in_cone(xi + hi * n):
-        hi *= 2.0
-        if hi > r_max:
-            return FillingResult("exceeded")
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    while hi - lo > R_TOL:
-        mid = (lo + hi) / 2.0
-        if in_cone(xi + mid * n):
-            hi = mid
-        else:
-            lo = mid
-    return FillingResult("found", hi)
-
-
-def peirce_coefficient(x, c):
-    """Coefficient lambda with x_1-component = lambda * c (normalized pairing)."""
-    _one(x, c)
-    return inner(x, c) / inner(c, c)
-
-
-def _v0_determinant(x0, c1):
-    """Determinant inside the Peirce-0 subalgebra of a primitive idempotent."""
-    a = c1.algebra
-    if a.kind == "spin":
-        eprime = identity(a) - c1
-        return inner(x0, eprime) / inner(eprime, eprime)
-    cm = as_matrix(c1)
-    w, v = np.linalg.eigh(cm)
-    u = v[:, w < 0.5]                      # orthonormal basis of ker(c1)
-    return np.linalg.det(u.T @ as_matrix(x0) @ u)
+    pairing = inner(xi, c1)
+    fillable = pairing > 0.0
+    lam = np.where(fillable, pairing, 1.0) / inner(c1, c1)
+    xi0, shift = _schur_parts(xi, c1, lam)
+    low = _v0_compression(xi0 - shift, c1)
+    if c1.algebra.kind == "sym":
+        low = np.linalg.eigvalsh(low)[..., 0]
+    radius = np.maximum(0.0, -low)
+    status = np.where(fillable, np.where(radius <= r_max, "found", "exceeded"),
+                      "not_fillable")
+    if status.ndim == 0:
+        status = str(status)
+        return FillingResult(status,
+                             float(radius) if status == "found" else None)
+    return FillingResult(status, np.where(status == "found", radius, np.nan))
 
 
 def det_identity_residual(xi, r_shift, c1):
@@ -494,21 +501,20 @@ def det_identity_residual(xi, r_shift, c1):
     Compares det(xi + R*(e - c1)) with
     lam * det'(xi' + R*e' - (xi_half^2)'/lam), where lam is the Peirce
     coefficient of xi along c1, primes denote Peirce-0 projections and
-    xi_half^2 is the Jordan square of the half-component.
+    xi_half^2 is the Jordan square of the half-component.  ``r_shift`` is a
+    scalar or one R per row.
     """
     if not primitive_idempotent_check(c1):
         raise ValueError("det_identity_residual expects a primitive idempotent")
     lam = peirce_coefficient(xi, c1)
-    if lam == 0.0:
+    if np.any(lam == 0.0):
         raise DivisionSingularityError("Peirce coefficient of xi along c1 is zero")
-    _, xihalf, xi0 = peirce_components(xi, c1)
-    half_sq = square(xihalf)
-    _, _, half_sq0 = peirce_components(half_sq, c1)
-    eprime = identity(xi.algebra) - c1
-    lhs = determinant(xi + r_shift * eprime)
-    arg = xi0 + r_shift * eprime - (1.0 / lam) * half_sq0
-    rhs = lam * _v0_determinant(arg, c1)
-    return abs(lhs - rhs)
+    xi0, shift = _schur_parts(xi, c1, lam)
+    a = xi.algebra
+    step = Element(a, np.multiply.outer(r_shift, (identity(a) - c1).coords))
+    lhs = determinant(xi + step)
+    rhs = lam * _v0_determinant(xi0 + step - shift, c1)
+    return _out(np.abs(lhs - rhs), float)
 
 
 # --- rank-2 slice of a higher-rank cone -------------------------------------
@@ -529,5 +535,5 @@ def slice_test(xi_tilde, frame):
     ambient = cone_contains(xi_tilde + eprime, frame)
     q = frame_vectors(frame)[:, :2]
     m2 = q.T @ as_matrix(xi_tilde) @ q
-    rank2 = bool(m2[0, 0] > 0.0 and np.linalg.det(m2) > 0.0)
-    return ambient, rank2
+    rank2 = (m2[..., 0, 0] > 0.0) & (np.linalg.det(m2) > 0.0)
+    return ambient, _out(rank2, bool)

@@ -129,6 +129,12 @@ def sample_symbol(symbol, freq_axes, shift=None):
         g = first - np.sqrt(rest)
     else:
         raise TypeError(f"unknown symbol {symbol!r}")
+    return _boundary_rule(g)
+
+
+def _boundary_rule(g):
+    """1 where g > 0, 0 where g < 0 and BOUNDARY_VALUE within BOUNDARY_TOL
+    of 0; overwrites g, which the callers build fresh."""
     out = np.greater(g, BOUNDARY_TOL).astype(float)
     np.abs(g, out=g)
     out[g <= BOUNDARY_TOL] = BOUNDARY_VALUE
@@ -766,11 +772,13 @@ def tensor_extension_check(
     power = np.abs(_spectrum(phi)) ** 2
     weight = np.abs(_spectrum(indicator_box(boxes.boxes_f[0], extent_3d,
                                             samples_3d))) ** 2
-    freqs = [grid.freqs()] * 3
-    m3 = sample_symbol(HalfSpace(tuple(boxes.normals[0])), freqs)
-    half4 = HalfSpace((*boxes.normals[0], normal_last))
+    # the linear form of the 3D half-space, summed in the order sample_symbol
+    # uses, so each 4D slice adds the last term to it bit for bit
+    mesh = np.meshgrid(*[grid.freqs()] * 3, indexing="ij", sparse=True)
+    g3 = sum(-(m + 0.0) * c for m, c in zip(mesh, boxes.normals[0]))
+    m3 = _boundary_rule(g3.copy())
     defect = sum(
-        p * np.vdot(weight, (sample_symbol(half4, freqs + [[xi]])[..., 0]
+        p * np.vdot(weight, (_boundary_rule(g3 + -(xi + 0.0) * normal_last)
                              - m3) ** 2)
         for p, xi in zip(power, phi.freqs())
     )

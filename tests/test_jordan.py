@@ -1,6 +1,8 @@
 """Tests for the Jordan algebra layer: products, determinants, minors,
 Peirce splits, filling radii and the rank-2 slice identity."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -518,7 +520,7 @@ class TestRotatedFrames:
         assert res.status == "exceeded"
 
 
-def spin_rows(algebra, fn, *arrays):
+def per_row(algebra, fn, *arrays):
     """``fn`` applied to one element per row, stacked: the scalar reference
     for a batched call."""
     out = []
@@ -547,7 +549,7 @@ class TestSpinBatch:
             (jd.in_cone, jd.in_cone(xb), (xs,)),
             (jd.cone_margin, jd.cone_margin(xb), (xs,)),
         ):
-            assert np.array_equal(batch, spin_rows(a, fn, *arrays)), fn
+            assert np.array_equal(batch, per_row(a, fn, *arrays)), fn
         assert jd.in_cone(xb).any() and not jd.in_cone(xb).all()
 
     def test_single_element_gets_python_scalars(self):
@@ -571,24 +573,241 @@ class TestSpinBatch:
             jd.jordan_inverse(batch)
 
     def test_scalar_only_functions_refuse_a_batch(self):
-        a = jd.spin_factor(3)
-        batch = jd.Element(a, np.array([[2.0, 1.0, 0.0], [3.0, 0.0, 1.0]]))
-        frame = jd.standard_frame(a)
-        c1 = frame.idempotents[0]
-        for call in (
-            lambda: jd.trace(batch),
-            lambda: jd.principal_minors(batch, frame),
-            lambda: jd.cone_contains(batch, frame),
-            lambda: jd.peirce_coefficient(batch, c1),
-            lambda: jd.peirce_components(batch, c1),
-            lambda: jd.is_idempotent(batch),
-            lambda: jd.primitive_idempotent_check(batch),
-            lambda: jd.filling_radius(batch, c1),
-            lambda: jd.det_identity_residual(batch, 1.0, c1),
-        ):
-            with pytest.raises(ValueError):
-                call()
+        for a in (jd.spin_factor(3), jd.sym_matrix(3)):
+            batch = jd.Element(a, np.arange(2.0 * a.dim).reshape(2, a.dim))
+            c1 = jd.standard_frame(a).idempotents[0]
+            for call in (
+                lambda: jd.trace(batch),
+                lambda: jd.is_idempotent(batch),
+                lambda: jd.primitive_idempotent_check(batch),
+                # the idempotent stays one element where a batch is accepted
+                lambda: jd.peirce_components(c1, batch),
+                lambda: jd.peirce_coefficient(c1, batch),
+            ):
+                with pytest.raises(ValueError):
+                    call()
 
     def test_sym_element_refuses_a_batch(self):
+        # a Sym(r) batch builds; only the scalar-only functions refuse it
+        batch = jd.Element(jd.sym_matrix(2), np.zeros((4, 3)))
+        assert batch.coords.shape == (4, 3)
+        for fn in (jd.trace, jd.is_idempotent, jd.primitive_idempotent_check):
+            with pytest.raises(ValueError):
+                fn(batch)
         with pytest.raises(ValueError):
-            jd.Element(jd.sym_matrix(2), np.zeros((4, 3)))
+            jd.Element(jd.sym_matrix(2), np.zeros((4, 4)))
+
+
+def sym_rows(r, rng, count=60):
+    """Random Sym(r) coordinates, every other row shifted into the cone."""
+    a = jd.sym_matrix(r)
+    xs = rng.normal(size=(count, a.dim))
+    xs[::2] += 2.5 * jd.identity(a).coords
+    return a, xs
+
+
+class TestSymBatch:
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_batch_equals_per_row_calls(self, r):
+        rng = np.random.default_rng(400 + r)
+        a, xs = sym_rows(r, rng)
+        ys = rng.normal(size=xs.shape)
+        shifts = rng.uniform(0.5, 5.0, size=len(xs))
+        xb, yb = jd.Element(a, xs), jd.Element(a, ys)
+        c1 = jd.from_matrix(np.full((r, r), 1.0 / r))
+        frame = jd.standard_frame(a)
+        for fn, batch, arrays in (
+            (jd.as_matrix, jd.as_matrix(xb), (xs,)),
+            (jd.determinant, jd.determinant(xb), (xs,)),
+            (jd.jordan_inverse, jd.jordan_inverse(xb).coords, (xs,)),
+            (jd.jordan_product, jd.jordan_product(xb, yb).coords, (xs, ys)),
+            (jd.inner, jd.inner(xb, yb), (xs, ys)),
+            (jd.norm, jd.norm(xb), (xs,)),
+            (jd.in_cone, jd.in_cone(xb), (xs,)),
+            (jd.cone_margin, jd.cone_margin(xb), (xs,)),
+            (lambda x: jd.peirce_coefficient(x, c1),
+             jd.peirce_coefficient(xb, c1), (xs,)),
+            (lambda x: jd.principal_minors(x, frame),
+             jd.principal_minors(xb, frame), (xs,)),
+            (lambda x: jd.cone_contains(x, frame),
+             jd.cone_contains(xb, frame), (xs,)),
+            (lambda x: jd.det_identity_residual(x, 2.0, c1),
+             jd.det_identity_residual(xb, 2.0, c1), (xs,)),
+        ):
+            assert np.array_equal(batch, per_row(a, fn, *arrays)), fn
+        assert jd.in_cone(xb).any() and not jd.in_cone(xb).all()
+        per_shift = [jd.det_identity_residual(jd.Element(a, x), s, c1)
+                     for x, s in zip(xs, shifts)]
+        assert np.array_equal(jd.det_identity_residual(xb, shifts, c1),
+                              per_shift)
+        for part in range(3):
+            assert np.array_equal(
+                jd.peirce_components(xb, c1)[part].coords,
+                per_row(a, lambda x: jd.peirce_components(x, c1)[part], xs))
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matrix_layout_batches(self, r):
+        rng = np.random.default_rng(410 + r)
+        m = rng.normal(size=(7, 5, r, r))
+        elem = jd.from_matrix(m)
+        assert elem.coords.shape == (7, 5, r * (r + 1) // 2)
+        assert np.array_equal(elem.coords[3, 2], jd.from_matrix(m[3, 2]).coords)
+        full = jd.vec_to_mat(elem.coords, r)
+        assert np.array_equal(full[3, 2], jd.vec_to_mat(elem.coords[3, 2], r))
+        assert np.array_equal(jd.mat_to_vec(full), elem.coords)
+        assert np.array_equal(full, np.swapaxes(full, -1, -2))
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_filling_radius_and_slice_per_row(self, r):
+        rng = np.random.default_rng(420 + r)
+        a, xs = sym_rows(r, rng)
+        c1 = jd.from_matrix(np.diag([1.0] + [0.0] * (r - 1)))
+        res = jd.filling_radius(jd.Element(a, xs), c1)
+        singles = [jd.filling_radius(jd.Element(a, x), c1) for x in xs]
+        assert list(res.status) == [one.status for one in singles]
+        assert np.array_equal(
+            res.radius, [np.nan if one.radius is None else one.radius
+                         for one in singles], equal_nan=True)
+        assert set(res.status) == {"found", "not_fillable"}
+        frame = jd.standard_frame(a)
+        m = np.zeros((len(xs), r, r))
+        m[:, :2, :2] = jd.vec_to_mat(xs[:, :3], 2)
+        ambient, rank2 = jd.slice_test(jd.from_matrix(m), frame)
+        rows = [jd.slice_test(jd.from_matrix(one), frame) for one in m]
+        assert np.array_equal(ambient, [row[0] for row in rows])
+        assert np.array_equal(rank2, [row[1] for row in rows])
+        assert ambient.any() and not ambient.all()
+
+    def test_single_element_gets_python_scalars(self):
+        x = jd.from_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.5],
+                                     [0.0, 0.5, -1.0]]))
+        c1 = jd.from_matrix(np.diag([1.0, 0.0, 0.0]))
+        frame = jd.standard_frame(x.algebra)
+        res = jd.filling_radius(x, c1)
+        for val, kind in (
+            (jd.determinant(x), float), (jd.inner(x, x), float),
+            (jd.cone_margin(x), float), (jd.in_cone(x), bool),
+            (jd.cone_contains(x, frame), bool),
+            (jd.peirce_coefficient(x, c1), float),
+            (jd.det_identity_residual(x, 1.0, c1), float),
+            (res.status, str), (res.radius, float),
+            *((side, bool) for side in jd.slice_test(x, frame)),
+        ):
+            assert type(val) is kind
+
+    def test_batch_statuses(self):
+        c1 = jd.from_matrix(np.diag([1.0, 0.0]))
+        xs = np.array([[1.0, 3.0, 0.0],      # radius 9
+                       [1.0, 0.0, 1.0],      # inside: radius 0
+                       [-1.0, 0.0, 1.0]])    # <xi, c1> < 0
+        res = jd.filling_radius(jd.Element(c1.algebra, xs), c1, r_max=2.0)
+        assert list(res.status) == ["exceeded", "found", "not_fillable"]
+        assert np.array_equal(res.found, [False, True, False])
+        assert np.array_equal(res.radius, [np.nan, 0.0, np.nan],
+                              equal_nan=True)
+        res = jd.filling_radius(jd.Element(c1.algebra, xs), c1)
+        assert res.radius[0] == pytest.approx(9.0, rel=1e-14)
+
+
+class TestComplexConeMargin:
+    """Cone membership is defined for real elements only, in both tests."""
+
+    @pytest.mark.parametrize("coords, algebra", [
+        (np.array([2.0, 1j, 0.0]), jd.spin_factor(3)),
+        (np.array([[2.0, 1j, 0.0], [3.0, 0.0, 1.0 + 0j]]), jd.spin_factor(3)),
+        (np.array([1.0, 5j, 1.0]), jd.sym_matrix(2)),
+    ])
+    def test_complex_elements_refused(self, coords, algebra):
+        z = jd.Element(algebra, coords)
+        for fn in (jd.cone_margin, jd.in_cone):
+            with pytest.raises(ValueError, match="real elements"):
+                fn(z)
+
+
+def exact_in_cone(algebra, coords):
+    """Cone membership in exact rational arithmetic: x1 > |x'| for spin,
+    positive leading minors (fraction-free Bareiss elimination) for Sym."""
+    fr = [Fraction(v) for v in coords]
+    if algebra.kind == "spin":
+        return fr[0] > 0 and fr[0] ** 2 > sum(v * v for v in fr[1:])
+    r = algebra.size
+    scale = max(v.denominator for v in fr)
+    m = [[0] * r for _ in range(r)]
+    for v, i, j in zip(fr, *np.triu_indices(r)):
+        m[i][j] = m[j][i] = int(v * scale)
+    prev = 1
+    for k in range(r):                  # m[k][k] is the k-th leading minor
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, r):
+            for j in range(k + 1, r):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return True
+
+
+def bisection_radius(xi, c1, tol=1e-8):
+    """Reference filling radius: exponential bracket, then bisection to
+    ``tol``, deciding membership exactly.  In floating point that decision
+    is wrong within about eps * |M| / |P_0 v|^2 of the boundary (v the null
+    vector), which for a small Peirce coefficient exceeds ``tol``."""
+    if jd.inner(xi, c1) <= 0.0:
+        return "not_fillable", None
+    x = [Fraction(v) for v in xi.coords]
+    n = [Fraction(v) for v in (jd.identity(xi.algebra) - c1).coords]
+
+    def inside(r):
+        return exact_in_cone(xi.algebra,
+                             [u + Fraction(r) * w for u, w in zip(x, n)])
+
+    if inside(0.0):
+        return "found", 0.0
+    hi = 1.0
+    while not inside(hi):
+        hi *= 2.0
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if inside(mid):
+            hi = mid
+        else:
+            lo = mid
+    return "found", hi
+
+
+class TestClosedFormRadius:
+    # idempotents with dyadic coordinates, so that they are exact
+    CASES = [
+        (jd.sym_matrix(3), np.diag([1.0, 0.0, 0.0])),
+        (jd.sym_matrix(4), np.full((4, 4), 0.25)),
+        (jd.spin_factor(3), np.array([0.5, 0.5, 0.0])),
+        (jd.spin_factor(5), np.array([1.0, 0.5, -0.5, 0.5, 0.5]) / 2),
+    ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_matches_bisection_oracle(self, case):
+        a, c = self.CASES[case]
+        c1 = jd.from_matrix(c) if a.kind == "sym" else jd.Element(a, c)
+        xs = np.random.default_rng(500 + case).normal(size=(300, a.dim))
+        res = jd.filling_radius(jd.Element(a, xs), c1)
+        for x, status, radius in zip(xs, res.status, res.radius):
+            want, ref = bisection_radius(jd.Element(a, x), c1)
+            assert status == want
+            if want == "found":
+                assert abs(radius - ref) <= 1e-8 + 1e-10 * ref
+
+    def test_validate_suite_makes_one_call_per_check(self, monkeypatch):
+        from conekit import cli
+
+        calls = {"filling_radius": 0, "primitive_idempotent_check": 0}
+        for name in calls:
+            original = getattr(jd, name)
+
+            def counting(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(jd, name, counting)
+        assert all(check() for _, check in cli._jordan_checks(True))
+        assert calls["filling_radius"] <= 2
+        assert calls["primitive_idempotent_check"] <= 16
