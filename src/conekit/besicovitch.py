@@ -10,9 +10,8 @@ heights are staggered across clusters, so different height bands absorb the
 overlap of different dyadic scales and the measure of the union keeps
 shrinking as k grows, while the translated copies R_j + 5 u_j stay pairwise
 disjoint (their center lines would only meet far below the translated band).
-Disjointness is still verified exactly with separating-axis tests; if a
-placement ever failed them, the crossing heights would be flattened toward
-the common-anchor arrangement, which separates trivially.
+Disjointness (by exact separating-axis tests) and the ball bound are
+verified once per build.
 
 ``build_boxes`` lifts a family to the 3D boxes: E_j = [0,1] x R_j and the
 rotated box F_j spanned by (1,-u_j), (1,u_j), (0,u_j-perp) with side 1/sqrt2
@@ -144,7 +143,7 @@ class BoxFamily:
 MERGE_RATIO = 0.9           # per-level shrink ratio of the bisection scheme
 
 
-def _perron_anchors(k, dtheta, flatten=1.0):
+def _perron_anchors(k, dtheta):
     """Base offsets of the bisection scheme.
 
     At level i the right half of every cluster slides left so that the two
@@ -157,7 +156,7 @@ def _perron_anchors(k, dtheta, flatten=1.0):
     for level in range(k):
         size = 2**level
         gap = size * dtheta
-        height = flatten * MERGE_RATIO ** (level + 1)
+        height = MERGE_RATIO ** (level + 1)
         for start in range(0, n, 2 * size):
             anchors[start + size : start + 2 * size] -= gap * height
     return anchors
@@ -167,9 +166,8 @@ def build_perron_rectangles(k):
     """Deterministic bisection-scheme family of N = 2^k rectangles.
 
     The translated copies R_j + 5 u_j are verified pairwise disjoint with
-    exact separating-axis tests; if a raw placement failed, the crossing
-    heights would be flattened (eventually reaching the common-anchor
-    arrangement, which separates by 5*sin(dtheta) > width).
+    exact separating-axis tests, and every vertex within BALL_RADIUS_2D;
+    ConstructionFailedError if either check fails.
     """
     if not 1 <= k <= 12:
         raise ValueError("construction level k must be in 1..12")
@@ -178,26 +176,21 @@ def build_perron_rectangles(k):
     dtheta = SECTOR / n
     thetas = (np.arange(n) - (n - 1) / 2.0) * dtheta
     directions = np.column_stack([np.sin(thetas), np.cos(thetas)])
-    flatten = 1.0
-    for _ in range(40):
-        anchors = _perron_anchors(k, dtheta, flatten)
-        anchors -= anchors.mean()
-        rects = tuple(
-            Rect2(
-                center=np.array([anchors[j], 0.0]) + 0.5 * directions[j],
-                direction=directions[j],
-                length=1.0,
-                width=width,
-            )
-            for j in range(n)
+    anchors = _perron_anchors(k, dtheta)
+    anchors -= anchors.mean()
+    family = RectangleFamily(k=k, rects=tuple(
+        Rect2(
+            center=np.array([anchors[j], 0.0]) + 0.5 * directions[j],
+            direction=directions[j],
+            length=1.0,
+            width=width,
         )
-        family = RectangleFamily(k=k, rects=rects)
-        if translates_disjoint(family) and _family_in_ball(family):
-            return family
-        flatten *= 0.7
-    raise ConstructionFailedError(
-        f"no disjoint placement found for k={k}"
-    )
+        for j in range(n)
+    ))
+    if not (translates_disjoint(family) and _family_in_ball(family)):
+        raise ConstructionFailedError(
+            f"the bisection placement for k={k} failed its verification")
+    return family
 
 
 def _family_in_ball(family, radius=BALL_RADIUS_2D):

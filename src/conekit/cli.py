@@ -18,12 +18,6 @@ the wall-clock timings live in the run manifest, not in the data files.
 
 from __future__ import annotations
 
-import os
-
-if "CONEKIT_THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["CONEKIT_THREADS"])
-
 import argparse
 import hashlib
 import json

@@ -12,10 +12,12 @@ internally.  The maps, tests and samplers take an (m, n) batch in one pass.
 
 The kernel integral over the light cone factorizes in the coordinates
 (t, rho, phi) with xi_1 = rho + t, xi' = rho (cos phi, sin phi): on rotated
-rays the t and rho factors are exp(-s) and s exp(-s), integrated exactly by a
-fixed order-8 Gauss-Laguerre rule, and only the angle is refined, by the
+rays the t and rho factors are exp(-s) and s exp(-s), whose integrals
+Gamma(1) = Gamma(2) = 1 are exact, and only the angle is refined, by the
 periodic trapezoid rule.  This checks the closed form
 c Delta((z - conj w)/i)^(-n/r) of Faraut & Koranyi (1994) independently.
+The Cayley Jacobian is the closed form |J_Phi(w)| = 2^n |det(e - w)|^(-n)
+(ibid., ch. X).
 """
 
 from __future__ import annotations
@@ -198,11 +200,10 @@ def jacobian_density(x):
 
 
 def compact_jacobian_bounds(boundary_samples, margin=1e-3):
-    """Min and max of the Cayley Jacobian modulus proxy over Shilov samples.
+    """Min and max of det(e + x^2)^(n/r) at x = Phi(w) over Shilov samples.
 
-    The density transport gives |J_Phi(w)| proportional to
-    det(e + x^2)^(n/r) at x = Phi(w); samples closer than ``margin`` to the
-    singular set det(e - w) = 0 are rejected.
+    On the Shilov boundary this is 2^n cayley_jacobian_modulus; samples
+    closer than ``margin`` to the singular set det(e - w) = 0 are rejected.
     """
     w = lie_to_spin(boundary_samples)
     if np.any(np.abs(jd.determinant(jd.identity(w.algebra) - w)) < margin):
@@ -234,8 +235,6 @@ def sample_shilov_boundary(n, count, rng, margin=1e-3):
 
 # --- tube-domain Cauchy-Szego kernel ---------------------------------------------------
 
-# order 8 integrates the exp(-s) and s exp(-s) ray integrands exactly
-_S_NODES, _S_WEIGHTS = np.polynomial.laguerre.laggauss(8)
 _EPS = np.finfo(float).eps
 
 
@@ -284,25 +283,19 @@ def szego_kernel_quadrature(z, u, tol=1e-6):
 
 
 def _kernel_fixed_order(w, n_phi):
-    """One tensor quadrature pass with ``n_phi`` equispaced angles.
+    """One periodic trapezoid pass with ``n_phi`` equispaced angles.
 
     The t and rho half-line integrals carry the damping exp(-2 pi Im(.))
-    with strictly positive rates, so Gauss-Laguerre is applied along the
-    rotated rays t = i s / (2 pi w1) and rho = i s / (2 pi g(phi)).  There
-    the integrands are exp(-s) and s exp(-s), which the fixed order-8 rule
-    integrates exactly, so those factors are its moments Gamma(1) and
-    Gamma(2) in quadrature form; only the periodic, analytic angular factor
-    is resolved, by the trapezoid rule (Trefethen & Weideman, 2014).
+    with strictly positive rates.  Along the rotated rays t = i s / (2 pi w1)
+    and rho = i s / (2 pi g(phi)) their integrands are exp(-s) and
+    s exp(-s), with integrals Gamma(1) = Gamma(2) = 1, so they contribute
+    i / (2 pi w1) and (i / (2 pi g))^2 exactly; only the periodic, analytic
+    angular factor is resolved numerically (Trefethen & Weideman, 2014).
     """
-    w1 = w[0]
-    t_integral = (1j / (2.0 * np.pi * w1)) * np.sum(_S_WEIGHTS)
-
     phi = (2.0 * np.pi / n_phi) * np.arange(n_phi)
-    g = w1 + w[1] * np.cos(phi) + w[2] * np.sin(phi)
-
-    gamma2 = float(_S_WEIGHTS @ _S_NODES)     # = Gamma(2) = 1, quadrature form
-    radial = (1j / (2.0 * np.pi * g)) ** 2 * gamma2
-    return t_integral * (2.0 * np.pi / n_phi) * np.sum(radial)
+    g = w[0] + w[1] * np.cos(phi) + w[2] * np.sin(phi)
+    radial = (1j / (2.0 * np.pi * g)) ** 2
+    return (1j / (2.0 * np.pi * w[0])) * (2.0 * np.pi / n_phi) * np.sum(radial)
 
 
 def kernel_power_law_products(samples, tol=1e-6):
@@ -323,62 +316,42 @@ def kernel_power_law_products(samples, tol=1e-6):
 
 # --- kernel relation between the ball and the tube ------------------------------------
 
-FD_STEP = 1e-5
+def cayley_jacobian_modulus(z):
+    """|J_Phi| = 2^n |det(e - w)|^(-n) at Lie-ball coordinates ``z``, with w
+    the spin-factor twist of z, row by row over a (..., n) batch.
 
-
-def cayley_jacobian_modulus(z, step=FD_STEP):
-    """|J_Phi| at a Lie-ball coordinate point by central finite differences.
-
-    The transform is holomorphic, so the determinant of the underlying real
-    2n x 2n differential equals |J_Phi|^2.
+    This is |det(e - w)|^(-2n/r) at rank r = 2 (Faraut & Koranyi 1994,
+    ch. X); the twist is unitary, so it leaves the modulus unchanged.
     """
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    base = np.concatenate([z.real, z.imag])
-    bumps = step * np.eye(2 * n)
-    points = np.concatenate([base + bumps, base - bumps])   # 4n rows
-    image = cayley(lie_to_spin(points[:, :n] + 1j * points[:, n:])).coords
-    image = np.concatenate([image.real, image.imag], axis=-1)
-    jac = (image[: 2 * n] - image[2 * n:]).T / (2.0 * step)
-    det = np.linalg.det(jac)
-    return float(np.sqrt(abs(det)))
-
-
-def closed_form_ball_kernel_modulus(z, zprime):
-    """|det(w - w')|^(-n/r) in spin coordinates: the transported modulus of
-    the bounded-domain kernel for the light-cone case (constants dropped)."""
-    w, wp = lie_to_spin(z), lie_to_spin(zprime)
-    det = jd.determinant(w - wp)
-    exponent = w.algebra.dim / w.algebra.rank
-    return float(abs(det) ** (-exponent))
-
-
-def kernel_relation_predicted_modulus(z, zprime, tol=1e-6):
-    """|S_T(Phi z, Phi z')| |J(z)|^(1/2) |J(z')|^(1/2), up to the fitted
-    constant."""
-    tube_z = lie_ball_to_tube(z)
-    image_p = cayley(lie_to_spin(zprime))
-    u = image_p.coords.real
-    if np.max(np.abs(image_p.coords.imag)) > 1e-8 * (1 + np.max(np.abs(u))):
-        raise ValueError("z' must come from the Shilov boundary")
-    kernel = szego_kernel_quadrature(tube_z, u, tol=tol)
-    jz = cayley_jacobian_modulus(z)
-    jp = cayley_jacobian_modulus(zprime)
-    return abs(kernel.value) * np.sqrt(jz) * np.sqrt(jp)
+    w = lie_to_spin(z)
+    n = w.algebra.dim
+    det = np.abs(jd.determinant(jd.identity(w.algebra) - w))
+    # the ufunc, not **: a numpy scalar's ** rounds apart from the array
+    # loop, and a batch must equal its per-row calls bit for bit
+    return 2.0 ** n * np.power(det, -n)
 
 
 def fit_kernel_relation_constant(z, zprime, tol=1e-6):
-    """|c0| making the transported tube kernel match the closed-form ball
-    kernel modulus at one (interior, boundary) pair."""
-    return closed_form_ball_kernel_modulus(z, zprime) / (
-        kernel_relation_predicted_modulus(z, zprime, tol=tol)
-    )
+    """|c0| = |det(w - w')|^(-n/r) / (|S_T(Phi z, Phi z')| |J|^(1/2) |J'|^(1/2))
+    at one (interior, Shilov boundary) pair: the constant that makes the
+    transported tube kernel match the closed-form ball kernel modulus."""
+    pair = np.array([z, zprime], dtype=complex)
+    w = lie_to_spin(pair)
+    image = cayley(w).coords
+    u = image[1].real
+    if np.max(np.abs(image[1].imag)) > 1e-8 * (1 + np.max(np.abs(u))):
+        raise ValueError("z' must come from the Shilov boundary")
+    kernel = szego_kernel_quadrature(jd.Element(w.algebra, image[0]), u,
+                                     tol=tol)
+    jz, jp = cayley_jacobian_modulus(pair)
+    diff = jd.Element(w.algebra, w.coords[0] - w.coords[1])
+    ball = np.abs(jd.determinant(diff)) ** (-w.algebra.dim / w.algebra.rank)
+    return float(ball / (abs(kernel.value) * np.sqrt(jz) * np.sqrt(jp)))
 
 
 def szego_kernel_relation_residual(z, zprime, c0_modulus, tol=1e-6):
-    """Relative defect of |S_D| = |c0| |S_T(Phi., Phi.)| |J|^(1/2) |J'|^(1/2)
-    on a held-out pair, with |c0| fitted elsewhere."""
-    target = closed_form_ball_kernel_modulus(z, zprime)
-    predicted = c0_modulus * kernel_relation_predicted_modulus(z, zprime,
-                                                               tol=tol)
-    return float(abs(predicted - target) / target)
+    """Relative defect |c0 / c0(z, z') - 1| of
+    |S_D| = |c0| |S_T(Phi., Phi.)| |J|^(1/2) |J'|^(1/2) on a held-out pair,
+    with |c0| fitted elsewhere."""
+    return abs(c0_modulus / fit_kernel_relation_constant(z, zprime, tol=tol)
+               - 1.0)

@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conekit import besicovitch as bs
+from conekit.errors import ConstructionFailedError
 
 
 class TestRectangleFamilies:
@@ -52,6 +53,11 @@ class TestRectangleFamilies:
         for ra, rb in zip(a.rects, b.rects):
             assert np.array_equal(ra.center, rb.center)
             assert np.array_equal(ra.direction, rb.direction)
+
+    def test_failed_verification_raises(self, monkeypatch):
+        monkeypatch.setattr(bs, "translates_disjoint", lambda family: False)
+        with pytest.raises(ConstructionFailedError, match="k=3"):
+            bs.build_perron_rectangles(3)
 
     def test_invalid_level_rejected(self):
         with pytest.raises(ValueError):

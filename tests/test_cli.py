@@ -150,8 +150,9 @@ class TestRatioCommand:
 
 
 class TestValidateCommand:
-    def test_jordan_suite_passes(self, capsys):
-        assert run_main(["validate", "--suite", "jordan", "--fast"]) == 0
+    @pytest.mark.parametrize("suite", ["jordan", "szego"])
+    def test_suite_passes(self, suite, capsys):
+        assert run_main(["validate", "--suite", suite, "--fast"]) == 0
         out = capsys.readouterr().out
         assert "not ok" not in out and "ok 1 -" in out
 

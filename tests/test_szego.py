@@ -13,6 +13,21 @@ def spin_elem(*coords):
     return jd.Element(jd.spin_factor(len(coords)), np.array(coords, dtype=complex))
 
 
+def fd_jacobian_modulus(z, step=1e-5):
+    """|J_Phi| at one Lie-ball point by central differences of the Cayley
+    map (4n maps).  The transform is holomorphic, so the determinant of the
+    real 2n x 2n differential equals |J_Phi|^2."""
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[0]
+    base = np.concatenate([z.real, z.imag])
+    bumps = step * np.eye(2 * n)
+    points = np.concatenate([base + bumps, base - bumps])
+    image = sz.cayley(sz.lie_to_spin(points[:, :n] + 1j * points[:, n:])).coords
+    image = np.concatenate([image.real, image.imag], axis=-1)
+    jac = (image[: 2 * n] - image[2 * n:]).T / (2.0 * step)
+    return float(np.sqrt(abs(np.linalg.det(jac))))
+
+
 class TestCayley:
     def test_zero_maps_to_ie(self):
         img = sz.cayley(jd.zero(jd.spin_factor(3)))
@@ -154,6 +169,16 @@ class TestCompactJacobianBounds:
         with pytest.raises(ValueError):
             sz.compact_jacobian_bounds([z], margin=1e-3)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_bounds_are_scaled_jacobian_extremes(self, n):
+        # on the Shilov boundary det(e + x^2)^(n/2) = 2^n |J_Phi| at x = Phi(w)
+        rng = np.random.default_rng(160 + n)
+        zs = sz.sample_shilov_boundary(n, 200, rng, margin=0.2)
+        lo, hi = sz.compact_jacobian_bounds(zs, margin=0.1)
+        jac = sz.cayley_jacobian_modulus(zs)
+        assert lo == pytest.approx(2.0**n * jac.min(), rel=1e-11, abs=0.0)
+        assert hi == pytest.approx(2.0**n * jac.max(), rel=1e-11, abs=0.0)
+
     def test_stability_under_doubling(self):
         rng = np.random.default_rng(139)
         zs = sz.sample_shilov_boundary(3, 80, rng, margin=0.3)
@@ -230,18 +255,19 @@ class TestKernelRelation:
         for z, zp in zip(interior[1:11], boundary[1:11]):
             assert sz.szego_kernel_relation_residual(z, zp, c0) < 5e-2
 
+    def test_fitted_constant_is_four_pi_squared(self, fitted):
+        # c0 = 1 / c3 with S_T(ie, 0) = c3 = 1 / (4 pi^2)
+        _, _, c0 = fitted
+        assert abs(c0 - 4.0 * np.pi**2) <= 1e-12
+
     def test_fd_jacobian_matches_determinant_power(self):
-        # |J_Phi| should scale like |det(e - w)|^(-2n/r) for the twisted
-        # coordinates; check the ratio is constant on interior samples
-        rng = np.random.default_rng(157)
-        ratios = []
-        for z in sz.sample_lie_ball(3, 8, rng, margin=0.1):
-            jac = sz.cayley_jacobian_modulus(z)
-            w = sz.lie_to_spin(z)
-            det = abs(jd.determinant(jd.identity(w.algebra) - w))
-            ratios.append(jac * det**3)
-        ratios = np.array(ratios)
-        assert ratios.std() / ratios.mean() < 1e-5
+        # the finite-difference oracle against |J_Phi| = 2^n |det(e - w)|^(-n)
+        for n in (3, 4, 5, 7):
+            rng = np.random.default_rng(157 + n)
+            zs = sz.sample_lie_ball(n, 50, rng, margin=0.1)
+            exact = sz.cayley_jacobian_modulus(zs)
+            fd = np.array([fd_jacobian_modulus(z) for z in zs])
+            assert np.max(np.abs(fd / exact - 1.0)) <= 1e-9, n
 
     def test_near_singular_boundary_rejected(self, fitted):
         interior, _, c0 = fitted
@@ -312,17 +338,19 @@ class TestBatchedCayley:
         with pytest.raises(NearSingularityError):
             sz.cayley_inverse(jd.Element(tube.algebra, coords))
 
-    def test_jacobian_modulus_makes_one_cayley_call(self, monkeypatch):
-        calls = []
-        cayley = sz.cayley
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_jacobian_modulus_batch_without_cayley(self, n, monkeypatch):
+        rng = np.random.default_rng(420 + n)
+        z = sz.sample_lie_ball(n, 100, rng)
 
-        def counted(w):
-            calls.append(w.coords.shape)
-            return cayley(w)
+        def refuse(w):
+            raise AssertionError("cayley_jacobian_modulus called cayley")
 
-        monkeypatch.setattr(sz, "cayley", counted)
-        sz.cayley_jacobian_modulus(np.array([0.1, 0.2j, -0.1]))
-        assert calls == [(12, 3)]
+        monkeypatch.setattr(sz, "cayley", refuse)
+        batch = sz.cayley_jacobian_modulus(z)
+        assert batch.shape == (100,)
+        assert np.array_equal(batch,
+                              [sz.cayley_jacobian_modulus(r) for r in z])
 
 
 class TestSamplers:
