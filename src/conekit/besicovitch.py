@@ -162,6 +162,12 @@ def _perron_anchors(k, dtheta):
     return anchors
 
 
+def check_level(k):
+    """ValueError unless k is a construction level, an integer in 1..12."""
+    if not 1 <= k <= 12:
+        raise ValueError("construction level k must be in 1..12")
+
+
 def build_perron_rectangles(k):
     """Deterministic bisection-scheme family of N = 2^k rectangles.
 
@@ -169,8 +175,7 @@ def build_perron_rectangles(k):
     exact separating-axis tests, and every vertex within BALL_RADIUS_2D;
     ConstructionFailedError if either check fails.
     """
-    if not 1 <= k <= 12:
-        raise ValueError("construction level k must be in 1..12")
+    check_level(k)
     n = 2**k
     width = 1.0 / n
     dtheta = SECTOR / n
@@ -401,23 +406,6 @@ def _project_box(box):
     return Rect2(center=box.center[1:], direction=u, length=length, width=width)
 
 
-def mc_union_measure(shapes, n_samples, seed):
-    """Monte-Carlo cross-check of the union measure over the bounding box."""
-    rects = _as_rect_list(shapes)
-    verts = np.concatenate([r.vertices() for r in rects])
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
-    rng = np.random.Generator(np.random.Philox(seed))
-    pts = rng.uniform(lo, hi, size=(n_samples, 2))
-    covered = np.zeros(n_samples, dtype=bool)
-    for center, axes, half in zip(*_frames(rects)):
-        covered |= np.all(np.abs((pts - center) @ axes.T) <= half, axis=1)
-    area_box = float(np.prod(hi - lo))
-    p = covered.mean()
-    est = area_box * p
-    stderr = area_box * np.sqrt(max(p * (1 - p), 0.0) / n_samples)
-    return float(est), float(stderr)
-
-
 # --- 3D boxes ----------------------------------------------------------------
 
 def build_boxes(family):
@@ -550,61 +538,6 @@ def family_from_json(text):
         for r in doc["rects"]
     )
     return RectangleFamily(k=doc["k"], rects=rects, shift=doc["shift"])
-
-
-def boxes_to_json(boxes):
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "box_family",
-        "k": boxes.k,
-        "n_boxes": boxes.n_boxes,
-        "shift": SHIFT,
-        "boxes": [
-            {
-                "e": _box_doc(e_box),
-                "f": _box_doc(f_box),
-                "f_shifted": _box_doc(ft_box),
-                "light_ray": ray.tolist(),
-                "normal": ntilde.tolist(),
-            }
-            for e_box, f_box, ft_box, ray, ntilde in zip(
-                boxes.boxes_e, boxes.boxes_f, boxes.boxes_f_shifted,
-                boxes.light_rays, boxes.normals,
-            )
-        ],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def _box_doc(box):
-    return {
-        "center": box.center.tolist(),
-        "axes": box.axes.tolist(),
-        "half_extents": box.half_extents.tolist(),
-    }
-
-
-def _box_from_doc(doc):
-    return Box3(
-        center=np.array(doc["center"]),
-        axes=np.array(doc["axes"]),
-        half_extents=np.array(doc["half_extents"]),
-    )
-
-
-def boxes_from_json(text):
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError("unsupported schema version")
-    entries = doc["boxes"]
-    return BoxFamily(
-        k=doc["k"],
-        boxes_e=tuple(_box_from_doc(b["e"]) for b in entries),
-        boxes_f=tuple(_box_from_doc(b["f"]) for b in entries),
-        boxes_f_shifted=tuple(_box_from_doc(b["f_shifted"]) for b in entries),
-        light_rays=np.array([b["light_ray"] for b in entries]),
-        normals=np.array([b["normal"] for b in entries]),
-    )
 
 
 def family_to_svg(family, margin=0.5):

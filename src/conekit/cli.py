@@ -115,6 +115,7 @@ def load_config(path, schema):
 # --- besicovitch -----------------------------------------------------------------
 
 def cmd_besicovitch(args):
+    bs.check_level(args.k)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -164,6 +165,8 @@ def cmd_ratio(args):
         if not (1.0 <= p < 2.0 or p == 2.0):
             raise ValueError("p_list entries must lie in [1, 2) or be the "
                              "p = 2 control")
+    for k in config["k_list"]:
+        bs.check_level(k)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -408,14 +411,14 @@ def _engine_checks(fast):
     def parseval():
         g = mp.GridFunction(np.zeros(2**12), 16.0)
         f = g.with_values(rng.normal(size=2**12) + 1j * rng.normal(size=2**12))
-        out = mp.fft_multiplier_apply(f, mp.HalfLine1D(1))
+        out = mp.fft_multiplier_apply(f, mp.HalfSpace((-1.0,)))
         return bool(out.norm_l2() <= f.norm_l2() * (1 + 1e-12))
 
     checks.append(("projection contracts the L2 norm", parseval))
 
     def halfline_oracle():
         g = mp.indicator_interval(32.0, 2**15, -0.5, 0.5)
-        h = mp.fft_multiplier_apply(g, mp.HalfLine1D(1))
+        h = mp.fft_multiplier_apply(g, mp.HalfSpace((-1.0,)))
         x = g.axis()
         mask = (np.abs(x) >= 0.6) & (np.abs(x) <= 3.0)
         oracle = mp.halfline_projection_periodic(-0.5, 0.5, x[mask], 64.0)

@@ -87,15 +87,9 @@ class GridFunction:
 # --- multiplier symbols --------------------------------------------------------
 
 @dataclass(frozen=True)
-class HalfLine1D:
-    """Keeps frequencies with sign * xi > 0."""
-
-    sign: int = 1
-
-
-@dataclass(frozen=True)
 class HalfSpace:
-    """Keeps frequencies with <xi, normal> < 0."""
+    """Keeps frequencies with <xi, normal> < 0; in 1D, normal (-1,) keeps
+    the positive half-line."""
 
     normal: tuple
 
@@ -111,15 +105,11 @@ def sample_symbol(symbol, freq_axes, shift=None):
     ``freq_axes`` is the per-axis frequency array; ``shift`` evaluates the
     predicate at xi + shift (used for the modulated cone experiment).
     """
-    if isinstance(symbol, HalfLine1D):
-        xi = freq_axes[0] + (0.0 if shift is None else shift)
-        g = symbol.sign * xi
-    elif isinstance(symbol, HalfSpace):
-        normal = np.asarray(symbol.normal, dtype=float)
-        mesh = np.meshgrid(*freq_axes, indexing="ij", sparse=True)
-        if shift is None:
-            shift = np.zeros(len(mesh))
-        g = sum(-(m + s) * c for m, s, c in zip(mesh, shift, normal))
+    if isinstance(symbol, HalfSpace):
+        # -<xi + shift, normal> as sum_i (-normal_i) (xi_i - (-shift_i))
+        shift = np.zeros(len(freq_axes)) if shift is None else shift
+        g = _linear_form(-np.asarray(symbol.normal, dtype=float),
+                         -np.asarray(shift, dtype=float), freq_axes)
     elif isinstance(symbol, Cone):
         mesh = np.meshgrid(*freq_axes, indexing="ij", sparse=True)
         if shift is None:
@@ -130,6 +120,13 @@ def sample_symbol(symbol, freq_axes, shift=None):
     else:
         raise TypeError(f"unknown symbol {symbol!r}")
     return _boundary_rule(g)
+
+
+def _linear_form(coeffs, offsets, axes):
+    """sum_i coeffs[i] * (x_i - offsets[i]) over the grid spanned by the 1D
+    arrays ``axes``, summed in axis order on one sparse mesh."""
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return sum((m - o) * c for m, o, c in zip(mesh, offsets, coeffs))
 
 
 def _boundary_rule(g):
@@ -168,19 +165,6 @@ def indicator_interval(extent, samples, a, b):
     return g.with_values(cov.astype(complex), support_radius=max(abs(a), abs(b)))
 
 
-def _grid_slabs(axes, dtype, fill):
-    """``fill(mesh)`` over the 3D grid spanned by the three coordinate arrays
-    ``axes``, evaluated in 32-row slabs along the first axis to bound the
-    (rows, n1, n2, 3) coordinate temporaries."""
-    x0, x1, x2 = axes
-    vals = np.empty((len(x0), len(x1), len(x2)), dtype=dtype)
-    for i0 in range(0, len(x0), 32):
-        mesh = np.stack(np.meshgrid(x0[i0:i0 + 32], x1, x2, indexing="ij"),
-                        axis=-1)
-        vals[i0:i0 + 32] = fill(mesh)
-    return vals
-
-
 def indicator_box(box, extent, samples):
     """3D grid samples of a box indicator, antialiased per box axis.  The
     coverage vanishes half a cell outside the box, so it is evaluated only on
@@ -191,16 +175,12 @@ def indicator_box(box, extent, samples):
     reach = np.abs(box.axes).T @ (box.half_extents + h)
     block = tuple(slice(*np.searchsorted(x, [c - r, c + r]))
                   for c, r in zip(box.center, reach))
-
-    def coverage(mesh):
-        local = (mesh - box.center) @ box.axes.T
-        cov = np.clip(
-            (box.half_extents - np.abs(local)) / h + 0.5, 0.0, 1.0
-        )
-        return np.prod(cov, axis=-1)
-
+    cov = 1.0
+    for a, e in zip(box.axes, box.half_extents):
+        local = _linear_form(a, box.center, [x[b] for b in block])
+        cov = cov * np.clip((e - np.abs(local)) / h + 0.5, 0.0, 1.0)
     vals = np.zeros((samples,) * 3, dtype=complex)
-    vals[block] = _grid_slabs([x[b] for b in block], float, coverage)
+    vals[block] = cov
     radius = float(np.max(np.abs(box.vertices()))) + h
     return g.with_values(vals, support_radius=radius)
 
@@ -297,120 +277,12 @@ def box_image_grid(box, n_tilde, grid):
     near = True
     for a, e in zip(np.delete(box.axes, idx, axis=0),
                     np.delete(box.half_extents, idx)):
-        u0, u1, u2 = a[:, None] * (x - box.center[:, None])
-        local = u0[:, None, None] + u1[:, None] + u2
+        local = _linear_form(a, box.center, [x] * 3)
         near = near & (np.abs(local, out=local) <= e + margin)
     pts = np.stack([x[i] for i in np.nonzero(near)], axis=-1)
     vals = np.zeros(near.shape, dtype=complex)
     vals[near] = box_halfspace_image(box, n_tilde, pts)
     return grid.with_values(vals)
-
-
-def hermite_probe_axis(t, sigma):
-    """(t^2 - sigma^2) exp(-t^2 / 2 sigma^2): a Gaussian whose spectrum
-    vanishes to second order at frequency zero."""
-    t = np.asarray(t, dtype=float)
-    return (t**2 - sigma**2) * np.exp(-(t**2) / (2.0 * sigma**2))
-
-
-def hermite_halfline_image(t, sigma, sign=1):
-    """Half-line projection of ``hermite_probe_axis``.
-
-    Differentiating the Gaussian projection twice gives
-    (sigma^2 / 4) w''(z) at z = sign t / (sigma sqrt 2), with
-    w'' = (4 z^2 - 2) w - 4 i z / sqrt(pi).  The double zero of the
-    spectrum at the symbol cut makes this image decay like t^-3, so its
-    periodization is dominated by the first few lattice copies.
-    """
-    from scipy.special import wofz
-
-    z = sign * np.asarray(t) / (sigma * np.sqrt(2.0))
-    w = wofz(z)
-    wpp = (4.0 * z**2 - 2.0) * w - 4.0j * z / np.sqrt(np.pi)
-    return (sigma**2 / 4.0) * wpp
-
-
-def _live_image_shifts(box, widths, idx, extent, reach, threshold=1e-12):
-    """Box-frame offsets of the periodization images whose transverse
-    Gaussian weight survives anywhere within ``reach`` of the origin.
-
-    The DFT output is the 2*extent-periodization of the continuum image.
-    Transverse offsets grow linearly along every lattice direction, so only
-    finitely many copies contribute and the image sum converges absolutely
-    on the comparison window (the slow 1/t axis tails are tamed by their
-    transverse factors).
-    """
-    period = 2.0 * extent
-    shifts = []
-    cross_idx = [j for j in range(3) if j != idx]
-    for m1 in range(-4, 5):
-        for m2 in range(-4, 5):
-            for m3 in range(-4, 5):
-                v = period * np.array([m1, m2, m3], dtype=float)
-                off = box.axes @ v
-                weight = 1.0
-                for j in cross_idx:
-                    gap = max(abs(off[j]) - reach, 0.0)
-                    weight *= np.exp(-(gap**2) / (2.0 * widths[j] ** 2))
-                if weight > threshold:
-                    shifts.append(off)
-    return shifts
-
-
-def gaussian_box_probe(box, n_tilde, extent, samples, widths=None,
-                       window=None):
-    """Relative L2 defect between the FFT path and the closed form for a
-    box-frame separable probe pushed through the half-space symbol.
-
-    The probe shares the box's tilted axes, so it exercises exactly the
-    geometry used by the indicator images, but being smooth it is free of
-    the Gibbs skirts that make pointwise indicator comparisons meaningless
-    at feasible grid sizes.  Along the half-line axis the probe is the
-    Hermite-windowed Gaussian, whose image decays cubically; the few
-    periodization copies that still matter are summed into the closed form.
-    The comparison runs on the central window |x|_inf <= window.
-    """
-    template = GridFunction(np.zeros(samples), extent)
-    h = template.spacing
-    if widths is None:
-        widths = np.maximum(box.half_extents, 2.0 * h)
-    if window is None:
-        window = extent / 2.0
-    idx, sign, _, _ = box_axis_interval(box, n_tilde)
-    reach = np.sqrt(3.0) * window + float(np.linalg.norm(box.center))
-    shifts = _live_image_shifts(box, widths, idx, extent, reach)
-    x = template.axis()
-    center = box.center
-    cross_idx = [j for j in range(3) if j != idx]
-
-    def probe_values(mesh):
-        local = (mesh - center) @ box.axes.T
-        cross = np.exp(
-            -sum(local[..., j] ** 2 / (2.0 * widths[j] ** 2)
-                 for j in cross_idx)
-        )
-        return hermite_probe_axis(local[..., idx], widths[idx]) * cross
-
-    probe = template.with_values(_grid_slabs([x] * 3, complex, probe_values))
-    image = fft_multiplier_apply(probe, HalfSpace(tuple(n_tilde)))
-
-    sel = np.abs(x) <= window
-    xw = x[sel]
-    mesh = np.stack(np.meshgrid(xw, xw, xw, indexing="ij"), axis=-1)
-    local = (mesh - center) @ box.axes.T
-    exact = np.zeros(mesh.shape[:-1], dtype=complex)
-    for off in shifts:
-        shifted = local + off
-        cross = np.exp(
-            -sum(shifted[..., j] ** 2 / (2.0 * widths[j] ** 2)
-                 for j in cross_idx)
-        )
-        exact += (
-            hermite_halfline_image(shifted[..., idx], widths[idx], sign)
-            * cross
-        )
-    got = image.values[np.ix_(sel, sel, sel)]
-    return float(np.linalg.norm(got - exact) / np.linalg.norm(exact))
 
 
 # --- dilation covariance -------------------------------------------------------
@@ -426,43 +298,6 @@ def cone_dilation_symbol_defect(lam, samples=128, extent=8.0):
     base = sample_symbol(Cone(), freqs)
     scaled = sample_symbol(Cone(), [lam * f for f in freqs])
     return float(np.max(np.abs(base - scaled)))
-
-
-def cone_dilation_probe(lam, samples=128, extent=8.0, order=3,
-                        spectral_width=0.8, window=4.0):
-    """Spatial dilation covariance of the cone multiplier.
-
-    Applies the cone to a frequency-built probe (spectrum vanishing on the
-    cone surface to the given order, so its image decays fast) and to its
-    lam-compression, and compares values on the wrap-free central window
-    |lam x|_inf <= window.  Periodization wraps of the uncompressed image
-    bound what any finite grid can achieve here; the window keeps them
-    subdominant.
-    """
-    freqs = GridFunction(np.zeros(samples), extent).freqs()
-    mesh = np.meshgrid(freqs, freqs, freqs, indexing="ij", sparse=True)
-
-    def spectrum(scale):
-        x1, x2, x3 = (m * scale for m in mesh)
-        delta = x1**2 - x2**2 - x3**2
-        radius = np.sqrt(x1**2 + x2**2 + x3**2)
-        # shell keeps probe mass at |xi| ~ 1 for every scaling tested
-        return delta**order * np.exp(
-            -np.pi * (radius - 1.0) ** 2 / spectral_width**2
-        )
-
-    symbol = sample_symbol(Cone(), [freqs] * 3)
-    compressed = np.fft.ifftn(symbol * spectrum(1.0 / lam) / lam**3)
-    base = np.fft.ifftn(symbol * spectrum(1.0))
-    x = np.fft.fftfreq(samples, d=1.0 / (2.0 * extent))
-    n = np.where(np.abs(lam * x) <= window)[0]
-    j = (lam * n) % samples
-    sub = np.ix_(n, n, n)
-    tgt = np.ix_(j, j, j)
-    return float(
-        np.linalg.norm(compressed[sub] - base[tgt])
-        / np.linalg.norm(base[tgt])
-    )
 
 
 # --- the square-function experiment ---------------------------------------------
@@ -772,14 +607,10 @@ def tensor_extension_check(
     power = np.abs(_spectrum(phi)) ** 2
     weight = np.abs(_spectrum(indicator_box(boxes.boxes_f[0], extent_3d,
                                             samples_3d))) ** 2
-    # the linear form of the 3D half-space, summed in the order sample_symbol
-    # uses, so each 4D slice adds the last term to it bit for bit
-    mesh = np.meshgrid(*[grid.freqs()] * 3, indexing="ij", sparse=True)
-    g3 = sum(-(m + 0.0) * c for m, c in zip(mesh, boxes.normals[0]))
+    g3 = _linear_form(-boxes.normals[0], np.zeros(3), [grid.freqs()] * 3)
     m3 = _boundary_rule(g3.copy())
     defect = sum(
-        p * np.vdot(weight, (_boundary_rule(g3 + -(xi + 0.0) * normal_last)
-                             - m3) ** 2)
+        p * np.vdot(weight, (_boundary_rule(g3 + xi * -normal_last) - m3) ** 2)
         for p, xi in zip(power, phi.freqs())
     )
     whole = np.sum(power) * np.vdot(weight, m3**2)

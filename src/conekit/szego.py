@@ -202,17 +202,19 @@ def jacobian_density(x):
 def compact_jacobian_bounds(boundary_samples, margin=1e-3):
     """Min and max of det(e + x^2)^(n/r) at x = Phi(w) over Shilov samples.
 
-    On the Shilov boundary this is 2^n cayley_jacobian_modulus; samples
-    closer than ``margin`` to the singular set det(e - w) = 0 are rejected.
+    On the Shilov boundary (|sum z_j^2| = sum |z_j|^2 = 1) this is
+    2^n cayley_jacobian_modulus; samples closer than ``margin`` to the
+    singular set det(e - w) = 0, or off the boundary by more than 1e-8, are
+    rejected.
     """
-    w = lie_to_spin(boundary_samples)
+    z = np.asarray(boundary_samples, dtype=complex)
+    w = lie_to_spin(z)
     if np.any(np.abs(jd.determinant(jd.identity(w.algebra) - w)) < margin):
         raise ValueError("sample violates the Dom Phi margin")
-    image = cayley(w).coords
-    if np.any(np.max(np.abs(image.imag), axis=-1)
-              > 1e-8 * (1.0 + np.max(np.abs(image.real), axis=-1))):
-        raise ValueError("boundary sample did not map to the real boundary")
-    values = 1.0 / jacobian_density(jd.Element(w.algebra, image.real))
+    if (np.any(np.abs(np.abs(np.sum(z * z, axis=-1)) - 1.0) > 1e-8)
+            or np.any(np.abs(np.sum(np.abs(z) ** 2, axis=-1) - 1.0) > 1e-8)):
+        raise ValueError("sample is not on the Shilov boundary")
+    values = 2.0 ** w.algebra.dim * cayley_jacobian_modulus(z)
     return float(np.min(values)), float(np.max(values))
 
 

@@ -17,6 +17,7 @@ from conekit import cli
 from conekit import jordan as jd
 from conekit import multiplier as mp
 from conekit import szego as sz
+from oracles import gaussian_box_probe
 
 
 def announce(number, passed, detail):
@@ -120,7 +121,7 @@ def test_criterion_4_oracle_equivalence(box_families):
     errs = {}
     for exp in (16, 17):
         g = mp.indicator_interval(32.0, 2**exp, -0.5, 0.5)
-        h = mp.fft_multiplier_apply(g, mp.HalfLine1D(1))
+        h = mp.fft_multiplier_apply(g, mp.HalfSpace((-1.0,)))
         x = g.axis()
         mask = (np.abs(x) >= 0.6) & (np.abs(x) <= 3.0)
         oracle = mp.halfline_projection_periodic(-0.5, 0.5, x[mask], 64.0)
@@ -134,7 +135,7 @@ def test_criterion_4_oracle_equivalence(box_families):
         boxes = box_families[k]
         for j in (0, boxes.n_boxes - 1):
             probe_errs.append(
-                mp.gaussian_box_probe(
+                gaussian_box_probe(
                     boxes.boxes_f[j], boxes.normals[j], 12.0, 256, window=6.0
                 )
             )

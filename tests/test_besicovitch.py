@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 
 from conekit import besicovitch as bs
 from conekit.errors import ConstructionFailedError
+from oracles import mc_union_measure
 
 
 class TestRectangleFamilies:
@@ -276,7 +277,7 @@ class TestUnionMeasure:
         for k in (3, 6):
             fam = bs.build_perron_rectangles(k)
             m, err = bs.union_measure(fam, 2**-13)
-            est, stderr = bs.mc_union_measure(fam, 200_000, seed=k)
+            est, stderr = mc_union_measure(fam, 200_000, seed=k)
             assert abs(m - est) <= err + 3 * stderr
 
     def test_two_overlapping_squares_oracle(self):
@@ -323,7 +324,7 @@ class TestUnionMeasure:
                 for a in angles
             ]
             m, err = bs.union_measure(rects, 1.0)
-            est, stderr = bs.mc_union_measure(rects, 200_000, seed=seed)
+            est, stderr = mc_union_measure(rects, 200_000, seed=seed)
             assert abs(m - est) <= err + 4 * stderr
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -444,19 +445,6 @@ class TestSerialization:
 
 
 class TestBoxSerialization:
-    def test_box_family_json_round_trip(self):
-        boxes = bs.build_boxes(bs.build_perron_rectangles(2))
-        text = bs.boxes_to_json(boxes)
-        back = bs.boxes_from_json(text)
-        assert back.k == boxes.k and back.n_boxes == boxes.n_boxes
-        for a, b in zip(boxes.boxes_f, back.boxes_f):
-            assert np.array_equal(a.center, b.center)
-            assert np.array_equal(a.axes, b.axes)
-            assert np.array_equal(a.half_extents, b.half_extents)
-        assert np.array_equal(boxes.normals, back.normals)
-        report = bs.box_geometry_check(back)
-        assert report["all_passed"]
-
     def test_union_measure_accepts_box_family(self):
         family = bs.build_perron_rectangles(3)
         boxes = bs.build_boxes(family)

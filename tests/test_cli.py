@@ -79,6 +79,14 @@ class TestBesicovitchCommand:
             "family.json", "family.svg", "stats.csv"
         }
 
+    @pytest.mark.parametrize("k", ["0", "13"])
+    def test_bad_level_is_usage_error_before_output(self, tmp_path, capsys,
+                                                    k):
+        out = tmp_path / "fam"
+        assert run_main(["besicovitch", "--k", k, "--out", str(out)]) == 2
+        assert "1..12" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_main(["besicovitch", "--k", "2", "--out", str(a)])
@@ -128,17 +136,37 @@ class TestRatioCommand:
         }))
         assert run_main(["ratio", "--config", str(cfg)]) == 2
 
-    def test_failing_cell_leaves_finished_rows(self, tmp_path):
+    def test_failing_cell_leaves_finished_rows(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         out = tmp_path / "run"
         cfg.write_text(json.dumps({
-            "k_list": [3, 13], "p_list": [1.0, 2.0], "mc_samples": 10_000,
+            "k_list": [3, 4], "p_list": [1.0, 2.0], "mc_samples": 10_000,
             "seed": 5, "out_dir": str(out),
         }))
+        build = mp.build_geometry_record
+
+        def failing_at_k4(boxes):
+            if boxes.k == 4:
+                raise ValueError("cell failed")
+            return build(boxes)
+
+        monkeypatch.setattr(mp, "build_geometry_record", failing_at_k4)
         assert run_main(["ratio", "--config", str(cfg)]) == 2
         lines = (out / "report.csv").read_text().splitlines()
         rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
         assert [(r["k"], r["p"]) for r in rows] == [("3", "1"), ("3", "2")]
+
+    def test_bad_level_is_usage_error_before_any_cell(self, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "run"
+        cfg.write_text(json.dumps({
+            "k_list": [3, 13], "p_list": [1.0], "mc_samples": 10_000,
+            "seed": 5, "out_dir": str(out),
+        }))
+        assert run_main(["ratio", "--config", str(cfg)]) == 2
+        assert "1..12" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_seed_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from conekit import besicovitch as bs
 from conekit import multiplier as mp
 from conekit.errors import BudgetExceededError, SingularPointError
+from oracles import cone_dilation_probe, gaussian_box_probe
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +28,7 @@ def _reference_symbol(symbol, freq_axes, shift):
     """The boundary rule as two passes over a dense frequency mesh."""
     mesh = np.meshgrid(*freq_axes, indexing="ij")
     shift = np.zeros(len(mesh)) if shift is None else shift
-    if isinstance(symbol, mp.HalfLine1D):
-        g = symbol.sign * (mesh[0] + shift[0])
-    elif isinstance(symbol, mp.HalfSpace):
+    if isinstance(symbol, mp.HalfSpace):
         g = sum(-(m + s) * c for m, s, c in zip(mesh, shift, symbol.normal))
     else:
         rest = sum((m + s) ** 2 for m, s in zip(mesh[1:], shift[1:]))
@@ -93,28 +92,28 @@ class TestFFTPath:
         g = mp.GridFunction(np.zeros(2**14), 32.0)
         x = g.axis()
         f = g.with_values((np.exp(-(x**2)) * np.exp(4j * np.pi * x)))
-        once = mp.fft_multiplier_apply(f, mp.HalfLine1D(1))
-        twice = mp.fft_multiplier_apply(once, mp.HalfLine1D(1))
+        once = mp.fft_multiplier_apply(f, mp.HalfSpace((-1.0,)))
+        twice = mp.fft_multiplier_apply(once, mp.HalfSpace((-1.0,)))
         assert np.max(np.abs(twice.values - once.values)) < 1e-12
 
     def test_parseval_contraction(self):
         rng = np.random.default_rng(71)
         g = mp.GridFunction(np.zeros(2**12), 16.0)
         f = g.with_values(rng.normal(size=2**12) + 1j * rng.normal(size=2**12))
-        for symbol in (mp.HalfLine1D(1), mp.HalfSpace((0.3,))):
+        for symbol in (mp.HalfSpace((-1.0,)), mp.HalfSpace((0.3,))):
             out = mp.fft_multiplier_apply(f, symbol)
             assert out.norm_l2() <= f.norm_l2() * (1 + 1e-12)
 
     def test_support_violation_rejected(self):
         g = mp.indicator_interval(1.0, 2**10, -0.9, 0.9)
         with pytest.raises(ValueError):
-            mp.fft_multiplier_apply(g, mp.HalfLine1D(1))
+            mp.fft_multiplier_apply(g, mp.HalfSpace((-1.0,)))
 
     def test_halfline_oracle_error_and_decay(self):
         errs = {}
         for exp in (15, 16):
             g = mp.indicator_interval(32.0, 2**exp, -0.5, 0.5)
-            h = mp.fft_multiplier_apply(g, mp.HalfLine1D(1))
+            h = mp.fft_multiplier_apply(g, mp.HalfSpace((-1.0,)))
             x = g.axis()
             mask = (np.abs(x) >= 0.6) & (np.abs(x) <= 3.0)
             oracle = mp.halfline_projection_periodic(-0.5, 0.5, x[mask], 64.0)
@@ -125,11 +124,12 @@ class TestFFTPath:
         assert errs[16] <= 0.55 * errs[15]
 
     def test_boundary_rule_is_half(self):
-        m = mp.sample_symbol(mp.HalfLine1D(1), [np.array([-1.0, 0.0, 1.0])])
+        m = mp.sample_symbol(mp.HalfSpace((-1.0,)),
+                             [np.array([-1.0, 0.0, 1.0])])
         assert np.allclose(m, [0.0, 0.5, 1.0])
 
     @pytest.mark.parametrize("symbol, dims", [
-        (mp.HalfLine1D(-1), 1),
+        (mp.HalfSpace((1.0,)), 1),
         (mp.HalfSpace((-1.0, 0.6, 0.8)), 3),
         (mp.Cone(), 3),
     ])
@@ -226,7 +226,10 @@ class TestBoxImage:
             box, ntilde = boxes.boxes_f[j], boxes.normals[j]
 
             def coverage(pts):
-                local = (pts - box.center) @ box.axes.T
+                # box-frame coordinate q as sum_i a_qi (p_i - c_i), summed
+                # in the order of the builders' linear form
+                local = sum((pts[:, [i]] - box.center[i]) * box.axes[:, i]
+                            for i in range(3))
                 cov = np.clip((box.half_extents - np.abs(local)) / h + 0.5,
                               0.0, 1.0)
                 return np.prod(cov, axis=-1)
@@ -239,8 +242,38 @@ class TestBoxImage:
             assert np.array_equal(img, want)
             assert np.count_nonzero(ind) > 0 and np.count_nonzero(img) > 0
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_indicator_near_matmul_frame(self, k):
+        # the builder's broadcast linear form rounds apart from the matrix
+        # product (mesh - c) @ axes.T it replaced, by at most an ulp or two
+        boxes = bs.build_boxes(bs.build_perron_rectangles(k))
+        grid = mp.GridFunction(np.zeros(128), 4.0)
+        h = grid.spacing
+        for box in (boxes.boxes_f[0], boxes.boxes_f[-1]):
+
+            def coverage(pts):
+                local = (pts - box.center) @ box.axes.T
+                cov = np.clip((box.half_extents - np.abs(local)) / h + 0.5,
+                              0.0, 1.0)
+                return np.prod(cov, axis=-1)
+
+            ind = mp.indicator_box(box, 4.0, 128).values
+            assert np.max(np.abs(ind - _full_grid(grid, coverage))) <= 2e-15
+
+    def test_linear_form_order(self):
+        axes = [np.array([0.1, -2.0]), np.array([3.0]), np.array([0.5, 7.0])]
+        coeffs, offsets = [0.3, -1.7, 2.9], [0.25, -0.5, 1.0]
+        got = mp._linear_form(coeffs, offsets, axes)
+        assert got.shape == (2, 1, 2)
+        for i, j, m in np.ndindex(got.shape):
+            p = (axes[0][i], axes[1][j], axes[2][m])
+            want = ((p[0] - offsets[0]) * coeffs[0]
+                    + (p[1] - offsets[1]) * coeffs[1]
+                    + (p[2] - offsets[2]) * coeffs[2])
+            assert got[i, j, m] == want
+
     def test_gaussian_probe_oracle_equivalence(self, boxes_k1):
-        err = mp.gaussian_box_probe(
+        err = gaussian_box_probe(
             boxes_k1.boxes_f[0], boxes_k1.normals[0], 12.0, 128, window=6.0
         )
         assert err < 5e-3
@@ -252,7 +285,7 @@ class TestDilationCovariance:
             assert mp.cone_dilation_symbol_defect(lam, samples=64) < 1e-6
 
     def test_spatial_probe(self):
-        err = mp.cone_dilation_probe(2, samples=128, spectral_width=0.35)
+        err = cone_dilation_probe(2, samples=128, spectral_width=0.35)
         assert err < 1e-5
 
 

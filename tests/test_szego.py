@@ -171,13 +171,27 @@ class TestCompactJacobianBounds:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_bounds_are_scaled_jacobian_extremes(self, n):
-        # on the Shilov boundary det(e + x^2)^(n/2) = 2^n |J_Phi| at x = Phi(w)
+        # on the Shilov boundary 2^n |J_Phi| = det(e + x^2)^(n/2) at the real
+        # point x = Phi(w); the oracle maps the samples and takes the density
         rng = np.random.default_rng(160 + n)
         zs = sz.sample_shilov_boundary(n, 200, rng, margin=0.2)
         lo, hi = sz.compact_jacobian_bounds(zs, margin=0.1)
-        jac = sz.cayley_jacobian_modulus(zs)
-        assert lo == pytest.approx(2.0**n * jac.min(), rel=1e-11, abs=0.0)
-        assert hi == pytest.approx(2.0**n * jac.max(), rel=1e-11, abs=0.0)
+        image = sz.cayley(sz.lie_to_spin(zs)).coords
+        assert np.max(np.abs(image.imag)) <= 1e-8 * (1 + np.max(np.abs(image)))
+        values = 1.0 / sz.jacobian_density(
+            jd.Element(jd.spin_factor(n), image.real))
+        assert lo == pytest.approx(values.min(), rel=1e-11, abs=0.0)
+        assert hi == pytest.approx(values.max(), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [
+        1.01 * np.exp(1.0j) * np.array([1.0, 0.0, 0.0]),  # off |z| = 1
+        np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0),        # sum z_j^2 = 0
+    ])
+    def test_sample_off_shilov_boundary_rejected(self, bad):
+        rng = np.random.default_rng(167)
+        zs = sz.sample_shilov_boundary(3, 5, rng, margin=0.2)
+        with pytest.raises(ValueError, match="Shilov boundary"):
+            sz.compact_jacobian_bounds(np.vstack([zs, bad]), margin=0.1)
 
     def test_stability_under_doubling(self):
         rng = np.random.default_rng(139)
