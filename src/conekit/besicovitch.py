@@ -540,14 +540,15 @@ def family_from_json(text):
     return RectangleFamily(k=doc["k"], rects=rects, shift=doc["shift"])
 
 
-def family_to_svg(family, margin=0.5):
-    """SVG rendering of the rectangles and their translates."""
+def family_to_svg(family):
+    """SVG rendering of the rectangles and their translates, with a margin
+    of 0.5 around them."""
     groups = [
         ("#1f77b4", family.rects),
         ("#d62728", family.translates()),
     ]
     verts = np.concatenate([r.vertices() for _, rs in groups for r in rs])
-    lo, hi = verts.min(axis=0) - margin, verts.max(axis=0) + margin
+    lo, hi = verts.min(axis=0) - 0.5, verts.max(axis=0) + 0.5
     span = hi - lo
     scale = 800.0 / span.max()
     parts = [

@@ -155,26 +155,21 @@ RATIO_SCHEMA = {
     "mc_samples": ("count", REQUIRED),
     "seed": ("seed", REQUIRED),
     "out_dir": ("path", REQUIRED),
-    "c_p": ("positive", mp.DEFAULT_KHINTCHINE_CP),
 }
 
 
 def cmd_ratio(args):
     config = load_config(args.config, RATIO_SCHEMA)
     for p in config["p_list"]:
-        if not (1.0 <= p < 2.0 or p == 2.0):
-            raise ValueError("p_list entries must lie in [1, 2) or be the "
-                             "p = 2 control")
+        mp.check_cell(p, config["mc_samples"])
     for k in config["k_list"]:
         bs.check_level(k)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
     rows = []
-    for report in mp.ratio_experiment(
-        config["k_list"], config["p_list"], config["mc_samples"],
-        seed=config["seed"], c_p=config["c_p"],
-    ):
+    for report in mp.ratio_experiment(config["k_list"], config["p_list"],
+                                      config["mc_samples"], config["seed"]):
         timings[f"k{report.k}_p{report.p:g}"] = report.wall_ms
         row = {
             name: getattr(report, name)
@@ -430,8 +425,8 @@ def _engine_checks(fast):
 
     def dilation():
         return bool(
-            mp.cone_dilation_symbol_defect(2, samples=64) < 1e-6
-            and mp.cone_dilation_symbol_defect(4, samples=64) < 1e-6
+            mp.cone_dilation_symbol_defect(2) < 1e-6
+            and mp.cone_dilation_symbol_defect(4) < 1e-6
         )
 
     checks.append(("cone symbol is dilation invariant on the lattice",
@@ -497,7 +492,7 @@ def _szego_checks(fast):
 
     def power_law():
         samples = _kernel_points(3, n_products, rng)
-        products = sz.kernel_power_law_products(samples, tol=1e-6)
+        products = sz.kernel_power_law_products(samples)
         return bool(products.std() / products.mean() < 1e-3)
 
     checks.append(("kernel power-law constancy", power_law))

@@ -260,8 +260,8 @@ def is_idempotent(c, tol=FRAME_TOL):
     return norm(jordan_product(c, c) - c) <= tol * max(1.0, norm(c))
 
 
-def primitive_idempotent_check(c, tol=IDEMPOTENT_TOL):
-    """True iff c is an idempotent of trace 1.
+def primitive_idempotent_check(c):
+    """True iff c is an idempotent of trace 1, to IDEMPOTENT_TOL relative.
 
     The trace of an idempotent is the number of orthogonal primitive
     idempotents it splits into (Faraut & Koranyi, 1994), an integer, so
@@ -269,8 +269,7 @@ def primitive_idempotent_check(c, tol=IDEMPOTENT_TOL):
     """
     if c.is_complex:
         raise ValueError("primitivity is defined for real elements")
-    return (is_idempotent(c, tol=tol * max(1.0, norm(c)))
-            and abs(trace(c) - 1.0) <= 0.25)
+    return is_idempotent(c, IDEMPOTENT_TOL) and abs(trace(c) - 1.0) <= 0.25
 
 
 def peirce_components(x, c):
@@ -323,15 +322,17 @@ class JordanFrame:
         if not self.validate():
             raise ValueError("incomplete or invalid Jordan frame")
 
-    def validate(self, tol=FRAME_TOL):
+    def validate(self):
+        """Primitive idempotents, pairwise orthogonal, summing to e: each
+        test to FRAME_TOL."""
         cs = self.idempotents
         for i, c in enumerate(cs):
-            if not (is_idempotent(c, tol) and primitive_idempotent_check(c)):
+            if not (is_idempotent(c) and primitive_idempotent_check(c)):
                 return False
             for j in range(i):
-                if norm(jordan_product(c, cs[j])) > tol:
+                if norm(jordan_product(c, cs[j])) > FRAME_TOL:
                     return False
-        return norm(sum(cs[1:], cs[0]) - identity(self.algebra)) <= tol
+        return norm(sum(cs[1:], cs[0]) - identity(self.algebra)) <= FRAME_TOL
 
 
 def standard_frame(algebra):
@@ -455,7 +456,7 @@ def _schur_parts(xi, c1, lam):
 
 @dataclass(frozen=True)
 class FillingResult:
-    status: str            # "found" | "not_fillable" | "exceeded" (array per row)
+    status: str            # "found" | "not_fillable" (array per row)
     radius: float | None = None      # NaN on the rows of a batch not found
 
     @property
@@ -463,21 +464,17 @@ class FillingResult:
         return self.status == "found"
 
 
-def filling_radius(xi, c1, r_max=None):
+def filling_radius(xi, c1):
     """Smallest R with xi + R*(e - c1) in the closed cone, if one exists.
 
     Returns ``not_fillable`` when <xi, c1> <= 0 (the first minor can never
     become positive).  Otherwise, with lam the Peirce coefficient and
     A = xi_0 - (xi_half^2)_0 / lam, xi + R*(e - c1) is in the open cone
     exactly when A + R*e' is (rank reduction, Faraut & Koranyi 1994, ch. IV),
-    so R = max(0, -lambda_min(A)); ``exceeded`` when that is above r_max.
+    so the status is ``found`` with R = max(0, -lambda_min(A)).
     """
     if not primitive_idempotent_check(c1):
         raise ValueError("filling_radius expects a primitive idempotent")
-    if r_max is None:
-        r_max = 1e6 * (1.0 + norm(xi))
-    if np.any(np.asarray(r_max) <= 0):
-        raise ValueError("r_max must be positive")
     pairing = inner(xi, c1)
     fillable = pairing > 0.0
     lam = np.where(fillable, pairing, 1.0) / inner(c1, c1)
@@ -486,13 +483,10 @@ def filling_radius(xi, c1, r_max=None):
     if c1.algebra.kind == "sym":
         low = np.linalg.eigvalsh(low)[..., 0]
     radius = np.maximum(0.0, -low)
-    status = np.where(fillable, np.where(radius <= r_max, "found", "exceeded"),
-                      "not_fillable")
+    status = np.where(fillable, "found", "not_fillable")
     if status.ndim == 0:
-        status = str(status)
-        return FillingResult(status,
-                             float(radius) if status == "found" else None)
-    return FillingResult(status, np.where(status == "found", radius, np.nan))
+        return FillingResult(str(status), float(radius) if fillable else None)
+    return FillingResult(status, np.where(fillable, radius, np.nan))
 
 
 def det_identity_residual(xi, r_shift, c1):

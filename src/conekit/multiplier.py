@@ -150,10 +150,12 @@ def _spectrum(f):
 
 
 def fft_multiplier_apply(f, symbol, shift=None):
-    """Apply a Fourier multiplier on the grid: DFT, symbol, inverse DFT."""
+    """Apply a Fourier multiplier on the grid: DFT, symbol, inverse DFT.
+    The spectrum is multiplied and inverted in place, so the input, the
+    spectrum and the float symbol are the only full grids held at once."""
     fhat = _spectrum(f)
-    m = sample_symbol(symbol, [f.freqs()] * f.dims, shift=shift)
-    return f.with_values(np.fft.ifftn(fhat * m))
+    fhat *= sample_symbol(symbol, [f.freqs()] * f.dims, shift=shift)
+    return f.with_values(np.fft.ifftn(fhat, out=fhat))
 
 
 def indicator_interval(extent, samples, a, b):
@@ -204,7 +206,7 @@ def halfline_projection_1d(a, b, t, sign=1):
     return complex(out) if out.ndim == 0 else out
 
 
-def halfline_projection_periodic(a, b, t, period, sign=1):
+def halfline_projection_periodic(a, b, t, period):
     """Periodized positive-frequency projection of 1_[a,b].
 
     The DFT path acts on the periodization of the input, so its continuum
@@ -225,7 +227,7 @@ def halfline_projection_periodic(a, b, t, period, sign=1):
     frac = np.mod(t - a, period)
     real = 0.5 * (frac < (b - a))
     imag = np.log(np.abs(sa / sb)) / (2.0 * np.pi)
-    out = real + 1j * sign * imag
+    out = real + 1j * imag
     return complex(out) if out.ndim == 0 else out
 
 
@@ -287,14 +289,15 @@ def box_image_grid(box, n_tilde, grid):
 
 # --- dilation covariance -------------------------------------------------------
 
-def cone_dilation_symbol_defect(lam, samples=128, extent=8.0):
-    """Sup defect of the lattice identity cone(xi) = cone(lam * xi).
+def cone_dilation_symbol_defect(lam):
+    """Sup defect of the lattice identity cone(xi) = cone(lam * xi) on the
+    64^3 frequency lattice of [-8, 8)^3.
 
     This is the exact content of the homogeneity of the cone symbol; the
     defect is zero unless a lattice point falls inside the boundary
     tolerance band for one scale but not the other.
     """
-    freqs = [GridFunction(np.zeros(samples), extent).freqs()] * 3
+    freqs = [GridFunction(np.zeros(64), 8.0).freqs()] * 3
     base = sample_symbol(Cone(), freqs)
     scaled = sample_symbol(Cone(), [lam * f for f in freqs])
     return float(np.max(np.abs(base - scaled)))
@@ -302,8 +305,8 @@ def cone_dilation_symbol_defect(lam, samples=128, extent=8.0):
 
 # --- the square-function experiment ---------------------------------------------
 
-def translate_image_integral(f_box, ntilde, shift=bs.SHIFT, tol=1e-8):
-    """Integral of |H 1_F| over the translated box F + shift*ntilde.
+def translate_image_integral(f_box, ntilde, tol=1e-8):
+    """Integral of |H 1_F| over the translated box F + bs.SHIFT * ntilde.
 
     The translate sits along the half-line axis, so the integral is the
     cross-section area times the 1D integral of |log|(t-a)/(t-b)|| / 2 pi
@@ -317,7 +320,7 @@ def translate_image_integral(f_box, ntilde, shift=bs.SHIFT, tol=1e-8):
     """
     idx, sign, a, b = box_axis_interval(f_box, ntilde)
     ntilde = np.asarray(ntilde, dtype=float)
-    axis_shift = float(shift * ntilde @ f_box.axes[idx])
+    axis_shift = float(bs.SHIFT * ntilde @ f_box.axes[idx])
     lo, hi = a + axis_shift, b + axis_shift
     if not (hi < a or lo > b):
         raise ValueError("translate overlaps the box along the axis")
@@ -341,14 +344,14 @@ def translate_image_integral(f_box, ntilde, shift=bs.SHIFT, tol=1e-8):
     return value
 
 
-def translate_image_minimum(f_box, ntilde, shift=bs.SHIFT):
-    """Uniform lower bound of |H 1_F| over the translate.
+def translate_image_minimum(f_box, ntilde):
+    """Uniform lower bound of |H 1_F| over the translate F + bs.SHIFT * ntilde.
 
     The log tail decreases away from the interval, so the minimum sits at the
-    translate end farthest from the box, at distance |shift * ntilde| along
-    the axis from the near interval endpoint."""
+    translate end farthest from the box, at distance |bs.SHIFT * ntilde|
+    along the axis from the near interval endpoint."""
     idx, sign, a, b = box_axis_interval(f_box, ntilde)
-    far = abs(float(shift * np.asarray(ntilde) @ f_box.axes[idx]))
+    far = abs(float(bs.SHIFT * np.asarray(ntilde) @ f_box.axes[idx]))
     return float(np.log1p((b - a) / far) / (2.0 * np.pi))
 
 
@@ -453,16 +456,20 @@ class ExperimentReport:
     CSV_HEADER = tuple("N" if f == "n" else f for f in CSV_FIELDS)
 
 
-DEFAULT_KHINTCHINE_CP = float(np.sqrt(2.0))   # config value, not from theory
+KHINTCHINE_CP = float(np.sqrt(2.0))   # m_lower's divisor: fixed, not derived
 
 
-def ratio_experiment(
-    k_list,
-    p_list,
-    mc_samples,
-    seed=0,
-    c_p=DEFAULT_KHINTCHINE_CP,
-):
+def check_cell(p, mc_samples):
+    """ValueError unless p lies in [1, 2) or is the p = 2 control, and the
+    cell has at least 10^4 Monte-Carlo samples."""
+    if not (1.0 <= p < 2.0 or p == 2.0):
+        raise ValueError("p_list entries must lie in [1, 2) or be the "
+                         "p = 2 control")
+    if mc_samples < 10_000:
+        raise ValueError("mc_samples must be at least 10^4")
+
+
+def ratio_experiment(k_list, p_list, mc_samples, seed=0):
     """Run the square-function experiment over a (k, p) grid, yielding one
     ExperimentReport per cell as soon as that cell is done.
 
@@ -474,12 +481,10 @@ def ratio_experiment(
         record = build_geometry_record(
             bs.build_boxes(bs.build_perron_rectangles(k)))
         for p in p_list:
-            yield ratio_experiment_cell(record, p, mc_samples, seed=seed,
-                                        c_p=c_p)
+            yield ratio_experiment_cell(record, p, mc_samples, seed=seed)
 
 
-def ratio_experiment_cell(record, p, mc_samples, seed=0,
-                          c_p=DEFAULT_KHINTCHINE_CP):
+def ratio_experiment_cell(record, p, mc_samples, seed=0):
     """One (k, p) cell of the ratio experiment on a GeometryRecord.
 
     The exact right side is the stratified Monte-Carlo estimate of
@@ -488,10 +493,7 @@ def ratio_experiment_cell(record, p, mc_samples, seed=0,
     derived from (seed, k, p), so results do not depend on how cells are
     grouped into runs.
     """
-    if not (1.0 <= p < 2.0 or p == 2.0):
-        raise ValueError("p must be in [1, 2); p = 2 only as control")
-    if mc_samples < 10_000:
-        raise ValueError("mc_samples must be at least 10^4")
+    check_cell(p, mc_samples)
     boxes = record.boxes
     child_seed = int(
         np.random.SeedSequence(
@@ -521,7 +523,7 @@ def ratio_experiment_cell(record, p, mc_samples, seed=0,
         rhs_holder=rhs_holder,
         ratio=record.lhs / rhs_exact,
         ratio_holder=record.lhs / rhs_holder,
-        m_lower=record.lhs / rhs_exact / c_p,
+        m_lower=record.lhs / rhs_exact / KHINTCHINE_CP,
         wall_ms=wall_ms,
         control=p == 2.0,
     )
@@ -578,13 +580,7 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
 
 # --- tensor extension -------------------------------------------------------------
 
-def tensor_extension_check(
-    phi,
-    k,
-    samples_3d=64,
-    extent_3d=4.0,
-    normal_last=0.0,
-):
+def tensor_extension_check(phi, k, samples_3d=64, normal_last=0.0):
     """Relative L2 defect of the separability identity
 
         H(1_F ⊗ phi) = H^(3)(1_F) ⊗ phi
@@ -595,23 +591,24 @@ def tensor_extension_check(
 
     The spectrum of 1_F ⊗ phi is fhat ⊗ phihat, so by Parseval the squared
     defect is  sum_xi4 |phihat(xi4)|^2 |fhat (m4(., xi4) - m3)|^2  over
-    |phihat|^2 |fhat m3|^2: one 3D and one 1D transform, and the 4D symbol
-    one slice xi4 at a time, with no 4D grid.
+    |phihat|^2 |fhat m3|^2: one 3D and one 1D transform on [-4, 4), and the
+    4D symbol one slice xi4 at a time, with no 4D grid.  A slice with
+    xi4 * normal_last == 0 has m4 = m3 bit for bit, so it is skipped.
     """
     if phi.dims != 1:
         raise ValueError("phi must live on a 1D grid")
     boxes = bs.build_boxes(bs.build_perron_rectangles(k))
-    grid = GridFunction(np.zeros(samples_3d), extent_3d)
+    grid = GridFunction(np.zeros(samples_3d), 4.0)
     _check_resolvable(boxes, grid)
 
     power = np.abs(_spectrum(phi)) ** 2
-    weight = np.abs(_spectrum(indicator_box(boxes.boxes_f[0], extent_3d,
+    weight = np.abs(_spectrum(indicator_box(boxes.boxes_f[0], grid.extent,
                                             samples_3d))) ** 2
     g3 = _linear_form(-boxes.normals[0], np.zeros(3), [grid.freqs()] * 3)
     m3 = _boundary_rule(g3.copy())
     defect = sum(
         p * np.vdot(weight, (_boundary_rule(g3 + xi * -normal_last) - m3) ** 2)
-        for p, xi in zip(power, phi.freqs())
+        for p, xi in zip(power, phi.freqs()) if xi * normal_last != 0.0
     )
     whole = np.sum(power) * np.vdot(weight, m3**2)
     return float(np.sqrt(defect / max(whole, 1e-300)))

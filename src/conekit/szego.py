@@ -153,13 +153,13 @@ def sample_lie_ball(n, count, rng, margin=0.0):
     return _accepted_rows(count, draw)
 
 
-def sample_tube(n, count, rng, x_scale=5.0, margin=1e-6):
-    """Tube samples x + iy with y in the cone at a positive margin, as a
-    batched spin element of shape (count, n)."""
+def sample_tube(n, count, rng):
+    """Tube samples x + iy with x in [-5, 5)^n and y in the cone at margin
+    above 0.05, as a batched spin element of shape (count, n)."""
     yprime = rng.normal(size=(count, n - 1))
-    y1 = (np.linalg.norm(yprime, axis=-1) + margin
+    y1 = (np.linalg.norm(yprime, axis=-1) + 1e-6
           + np.abs(rng.normal(size=count)) + 0.05)
-    x = rng.uniform(-x_scale, x_scale, size=(count, n))
+    x = rng.uniform(-5.0, 5.0, size=(count, n))
     coords = x + 1j * np.concatenate((y1[:, None], yprime), axis=-1)
     return jd.Element(jd.spin_factor(n), coords)
 
@@ -300,15 +300,16 @@ def _kernel_fixed_order(w, n_phi):
     return (1j / (2.0 * np.pi * w[0])) * (2.0 * np.pi / n_phi) * np.sum(radial)
 
 
-def kernel_power_law_products(samples, tol=1e-6):
-    """|kernel| * |det((z - u)/i)|^(n/r) over (z, u) samples.
+def kernel_power_law_products(samples):
+    """|kernel| * |det((z - u)/i)|^(n/r) over (z, u) samples, with the
+    kernel quadrature at tol 1e-6.
 
     The classical closed form predicts this is constant; the constant is
     measured, not asserted.
     """
     products = []
     for z_elem, u in samples:
-        sample = szego_kernel_quadrature(TubePoint(z_elem), u, tol=tol)
+        sample = szego_kernel_quadrature(TubePoint(z_elem), u, tol=1e-6)
         w = z_elem.coords - np.asarray(u)
         det = jd.determinant(jd.Element(z_elem.algebra, w / 1j))
         exponent = z_elem.algebra.dim / z_elem.algebra.rank

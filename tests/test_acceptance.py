@@ -182,8 +182,7 @@ def test_criterion_5_jordan_suite():
                 xi = -1.0 * xi
             if jd.inner(xi, c1) == 0:
                 continue
-            res = jd.filling_radius(xi, c1,
-                                    r_max=1e6 * (1 + jd.norm(xi)))
+            res = jd.filling_radius(xi, c1)
             if not res.found:
                 filling_failures += 1
     ok &= filling_failures == 0
@@ -295,7 +294,7 @@ def test_criterion_6_cayley_tube_suite():
         zz = jd.Element(jd.spin_factor(3),
                         x + 1j * np.concatenate(([y1], yp)))
         samples.append((zz, rng.uniform(-1.5, 1.5, size=3)))
-    products = sz.kernel_power_law_products(samples, tol=1e-6)
+    products = sz.kernel_power_law_products(samples)
     cv = float(products.std() / products.mean())
     ok &= cv < 1e-3
 

@@ -168,6 +168,23 @@ class TestRatioCommand:
         assert "1..12" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, text", [
+        ({"mc_samples": 5000}, "10^4"),
+        ({"p_list": [1.0, 2.5]}, "[1, 2)"),
+        ({"c_p": 1.5}, "c_p"),
+    ])
+    def test_bad_config_is_usage_error_before_output(self, tmp_path, capsys,
+                                                     override, text):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "run"
+        cfg.write_text(json.dumps({
+            "k_list": [3], "p_list": [1.0], "mc_samples": 10_000,
+            "seed": 5, "out_dir": str(out), **override,
+        }))
+        assert run_main(["ratio", "--config", str(cfg)]) == 2
+        assert text in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({

@@ -383,7 +383,7 @@ class TestFillingRadius:
                     xi = -1.0 * xi
                 if jd.inner(xi, c1) == 0:
                     continue
-                res = jd.filling_radius(xi, c1, r_max=1e6 * (1 + jd.norm(xi)))
+                res = jd.filling_radius(xi, c1)
                 assert res.found
 
     def test_light_ray_translates_fill_half_space(self):
@@ -512,12 +512,6 @@ class TestRotatedFrames:
             assert jd.cone_contains(jd.from_matrix(m), frame) == bool(
                 np.linalg.eigvalsh(m)[0] > 0
             )
-
-    def test_filling_radius_exceeded(self):
-        c1 = jd.from_matrix(np.diag([1.0, 0.0]))
-        xi = jd.from_matrix(np.array([[1.0, 3.0], [3.0, 0.0]]))
-        res = jd.filling_radius(xi, c1, r_max=2.0)   # true radius is 9
-        assert res.status == "exceeded"
 
 
 def per_row(algebra, fn, *arrays):
@@ -700,13 +694,11 @@ class TestSymBatch:
         xs = np.array([[1.0, 3.0, 0.0],      # radius 9
                        [1.0, 0.0, 1.0],      # inside: radius 0
                        [-1.0, 0.0, 1.0]])    # <xi, c1> < 0
-        res = jd.filling_radius(jd.Element(c1.algebra, xs), c1, r_max=2.0)
-        assert list(res.status) == ["exceeded", "found", "not_fillable"]
-        assert np.array_equal(res.found, [False, True, False])
-        assert np.array_equal(res.radius, [np.nan, 0.0, np.nan],
-                              equal_nan=True)
         res = jd.filling_radius(jd.Element(c1.algebra, xs), c1)
-        assert res.radius[0] == pytest.approx(9.0, rel=1e-14)
+        assert list(res.status) == ["found", "found", "not_fillable"]
+        assert np.array_equal(res.found, [True, True, False])
+        np.testing.assert_allclose(res.radius, [9.0, 0.0, np.nan],
+                                   rtol=1e-14, equal_nan=True)
 
 
 class TestComplexConeMargin:
@@ -795,6 +787,20 @@ class TestClosedFormRadius:
             assert status == want
             if want == "found":
                 assert abs(radius - ref) <= 1e-8 + 1e-10 * ref
+
+    @pytest.mark.parametrize("exponent", [30, 40])
+    def test_large_radius_is_reported(self, exponent):
+        # xi + R (e - c1) has determinant 2^-e R - 1: the radius is 2^e,
+        # however far it lies above any fixed budget
+        c1 = jd.from_matrix(np.diag([1.0, 0.0]))
+        xi = jd.from_matrix(np.array([[2.0**-exponent, 1.0], [1.0, 0.0]]))
+        res = jd.filling_radius(xi, c1)
+        assert res.status == "found"
+        assert res.radius == pytest.approx(2.0**exponent, rel=1e-12)
+        n = (jd.identity(c1.algebra) - c1).coords
+        for factor, inside in ((1 + 1e-9, True), (1 - 1e-9, False)):
+            step = res.radius * factor * n
+            assert exact_in_cone(c1.algebra, xi.coords + step) == inside
 
     def test_validate_suite_makes_one_call_per_check(self, monkeypatch):
         from conekit import cli

@@ -239,7 +239,7 @@ class TestKernelQuadrature:
             z = jd.Element(jd.spin_factor(3),
                            x + 1j * np.concatenate(([y1], yp)))
             samples.append((z, rng.uniform(-1.5, 1.5, size=3)))
-        products = sz.kernel_power_law_products(samples, tol=1e-6)
+        products = sz.kernel_power_law_products(samples)
         assert products.std() / products.mean() < 1e-3
 
     def test_margin_violation_rejected(self):
