@@ -524,22 +524,6 @@ def family_to_json(family):
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def family_from_json(text):
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError("unsupported schema version")
-    rects = tuple(
-        Rect2(
-            center=np.array(r["center"]),
-            direction=np.array(r["direction"]),
-            length=r["length"],
-            width=r["width"],
-        )
-        for r in doc["rects"]
-    )
-    return RectangleFamily(k=doc["k"], rects=rects, shift=doc["shift"])
-
-
 def family_to_svg(family):
     """SVG rendering of the rectangles and their translates, with a margin
     of 0.5 around them."""

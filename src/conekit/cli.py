@@ -19,6 +19,7 @@ the wall-clock timings live in the run manifest, not in the data files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -55,7 +56,7 @@ def sha256_path(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir, config, timings, outputs):
+def write_manifest(out_dir, config, timings, outputs, **sections):
     manifest = {
         "tool_version": __version__,
         "config_sha256": hashlib.sha256(
@@ -63,6 +64,7 @@ def write_manifest(out_dir, config, timings, outputs):
         ).hexdigest(),
         "timings_ms": {k: round(v, 3) for k, v in timings.items()},
         "outputs": {name: sha256_path(out_dir / name) for name in outputs},
+        **sections,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True) + "\n"
@@ -160,28 +162,26 @@ RATIO_SCHEMA = {
 
 def cmd_ratio(args):
     config = load_config(args.config, RATIO_SCHEMA)
-    for p in config["p_list"]:
-        mp.check_cell(p, config["mc_samples"])
+    mp.check_cells(config["p_list"], config["mc_samples"])
     for k in config["k_list"]:
         bs.check_level(k)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    timings = {}
-    rows = []
-    for report in mp.ratio_experiment(config["k_list"], config["p_list"],
-                                      config["mc_samples"], config["seed"]):
-        timings[f"k{report.k}_p{report.p:g}"] = report.wall_ms
-        row = {
-            name: getattr(report, name)
-            for name in mp.ExperimentReport.CSV_FIELDS
-        }
-        # timings live in the manifest; the CSV stays byte-reproducible
-        row["wall_ms"] = 0.0
-        rows.append(row)
-        # rewritten per cell: a failing cell leaves the finished rows on disk
+    timings, kappa, rows = {}, {}, []
+    levels = mp.ratio_experiment(config["k_list"], config["p_list"],
+                                 config["mc_samples"], config["seed"])
+    start = time.perf_counter()
+    for record, reports in levels:
+        level = f"k{record.boxes.k}"
+        timings[level] = 1e3 * (time.perf_counter() - start)
+        kappa[level] = record.kappa
+        rows.extend({**dataclasses.asdict(report), "wall_ms": 0.0}
+                    for report in reports)
+        # rewritten per level: a failing level leaves the finished rows
         write_csv(out_dir / "report.csv",
                   list(mp.ExperimentReport.CSV_FIELDS), rows,
                   header=list(mp.ExperimentReport.CSV_HEADER))
+        start = time.perf_counter()
 
     outputs = ["report.csv"]
     for pi, p in enumerate(config["p_list"]):
@@ -193,7 +193,7 @@ def cmd_ratio(args):
         ]
         (out_dir / name).write_text("\n".join(lines) + "\n")
         outputs.append(name)
-    write_manifest(out_dir, config, timings, outputs)
+    write_manifest(out_dir, config, timings, outputs, kappa=kappa)
     return 0
 
 
@@ -435,7 +435,7 @@ def _engine_checks(fast):
     def square_function():
         record = mp.build_geometry_record(
             bs.build_boxes(bs.build_perron_rectangles(3)))
-        res = mp.ratio_experiment_cell(record, 1.0, mc, seed=77)
+        res, = mp.ratio_experiment_level(record, [1.0], mc, seed=77)
         lhs_expected = 0.05 / (2.0 * np.pi)
         return bool(
             res.lhs >= lhs_expected

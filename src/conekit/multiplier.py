@@ -17,7 +17,6 @@ uses the stratified Monte-Carlo identity
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,37 +372,63 @@ def _cover_counts(boxes, pts):
     return counts
 
 
+def _pooled(acc, g):
+    """The summary (points, mean, sum of squared deviations) ``acc`` pooled
+    with the sample ``g`` by the pairwise update of Chan, Golub & LeVeque
+    (1979); ``acc`` is None before the first sample, summed up as is."""
+    mean = g.mean()
+    m2 = np.sum((g - mean) ** 2)
+    if acc is None:
+        return len(g), mean, m2
+    na, ma, sa = acc
+    n, delta = na + len(g), mean - ma
+    return n, ma + delta * len(g) / n, sa + m2 + delta**2 * na * len(g) / n
+
+
 def stratified_count_moment(boxes, power, n_samples, seed):
     """Stratified Monte-Carlo estimate of integral count(x)^(power+1) via
 
         sum_j |F_j| E_{x ~ Unif(F_j)}[count(x)^power],
 
-    returning (estimate, standard error).  Strata are drawn and counted in
-    consecutive groups of at most ``bs._BLOCK_VALUES / 16`` points (or one
-    stratum): 16 values a point hold the points, counts and copies in
-    ``contains``.
+    returning (estimate, standard error) on the Philox stream of ``seed``.
+    ``power`` is a float, or a sequence of them that all read one draw and
+    one count and return arrays; each power is taken on its own, so its pair
+    is bit-identical to a call with that power alone.  Strata are drawn and
+    counted in consecutive groups of at most ``bs._BLOCK_VALUES / 16``
+    points (16 values a point hold the points, counts and copies in
+    ``contains``), and a larger stratum in consecutive chunks of that size,
+    whose statistics are pooled; one that fits keeps the bits of one draw.
     """
     n = boxes.n_boxes
     if n_samples < 2 * n:
         raise ValueError("n_samples must be at least 2 per box")
+    powers = [float(s) for s in np.atleast_1d(power)]
     per_box = np.full(n, n_samples // n)
     per_box[: n_samples % n] += 1
     rng = np.random.Generator(np.random.Philox(seed))
-    total = var_total = 0.0
-    strata = max(1, bs._BLOCK_VALUES // (16 * int(per_box[0])))
+    cap = bs._BLOCK_VALUES // 16
+    strata = max(1, cap // int(per_box[0]))
+    stats = [[None] * n for _ in powers]     # per power and stratum
     for first in range(0, n, strata):
-        group = boxes.boxes_f[first:first + strata]
-        sizes = per_box[first:first + strata]
-        pts = np.concatenate([
-            f.center + (rng.uniform(-1.0, 1.0, (m, 3)) * f.half_extents)
-            @ f.axes for f, m in zip(group, sizes)])
-        counts = _cover_counts(boxes.boxes_f, pts)
-        for f_box, c in zip(group, np.split(counts, np.cumsum(sizes)[:-1])):
-            g = c.astype(float) ** power
-            vol = f_box.volume()
-            total += vol * g.mean()
-            var_total += vol**2 * g.var(ddof=1) / len(g)
-    return total, float(np.sqrt(var_total))
+        group = range(first, min(first + strata, n))
+        for start in range(0, per_box[first], cap):
+            sizes = [min(cap, per_box[j] - start) for j in group]
+            pts = np.concatenate([
+                f.center + (rng.uniform(-1.0, 1.0, (m, 3)) * f.half_extents)
+                @ f.axes for f, m in zip(boxes.boxes_f[first:], sizes)])
+            counts = _cover_counts(boxes.boxes_f, pts).astype(float)
+            for j, c in zip(group, np.split(counts, np.cumsum(sizes)[:-1])):
+                for acc, s in zip(stats, powers):
+                    acc[j] = _pooled(acc[j], c**s)
+    vols = [f.volume() for f in boxes.boxes_f]
+    estimates = np.array([sum(v * mean for v, (_, mean, _) in zip(vols, acc))
+                          for acc in stats])
+    errors = np.sqrt([sum(v**2 * (m2 / (m - 1)) / m
+                          for v, (m, _, m2) in zip(vols, acc))
+                      for acc in stats])
+    if np.ndim(power) == 0:
+        return float(estimates[0]), float(errors[0])
+    return estimates, errors
 
 
 @dataclass(frozen=True)
@@ -445,9 +470,9 @@ class ExperimentReport:
     ratio: float
     ratio_holder: float
     m_lower: float
-    wall_ms: float
     control: bool
 
+    # report.csv's wall_ms is a constant 0; timings go to manifest.json
     CSV_FIELDS = (
         "k", "n", "eps_hat", "p", "lhs", "rhs_exact", "rhs_stderr",
         "rhs_holder", "ratio", "ratio_holder", "m_lower", "wall_ms",
@@ -459,10 +484,10 @@ class ExperimentReport:
 KHINTCHINE_CP = float(np.sqrt(2.0))   # m_lower's divisor: fixed, not derived
 
 
-def check_cell(p, mc_samples):
-    """ValueError unless p lies in [1, 2) or is the p = 2 control, and the
-    cell has at least 10^4 Monte-Carlo samples."""
-    if not (1.0 <= p < 2.0 or p == 2.0):
+def check_cells(p_list, mc_samples):
+    """ValueError unless every p lies in [1, 2) or is the p = 2 control, and
+    each cell has at least 10^4 Monte-Carlo samples."""
+    if not all(1.0 <= p < 2.0 or p == 2.0 for p in p_list):
         raise ValueError("p_list entries must lie in [1, 2) or be the "
                          "p = 2 control")
     if mc_samples < 10_000:
@@ -470,8 +495,9 @@ def check_cell(p, mc_samples):
 
 
 def ratio_experiment(k_list, p_list, mc_samples, seed=0):
-    """Run the square-function experiment over a (k, p) grid, yielding one
-    ExperimentReport per cell as soon as that cell is done.
+    """Run the square-function experiment level by level, yielding each
+    level's GeometryRecord and its ExperimentReports (one per p) as soon as
+    the level is done.
 
     For p < 2 the Holder-normalized ratio grows like eps_hat^(1/2 - 1/p) as
     the union shrinks; the optional p = 2 entries are control runs whose
@@ -480,53 +506,42 @@ def ratio_experiment(k_list, p_list, mc_samples, seed=0):
     for k in k_list:
         record = build_geometry_record(
             bs.build_boxes(bs.build_perron_rectangles(k)))
-        for p in p_list:
-            yield ratio_experiment_cell(record, p, mc_samples, seed=seed)
+        yield record, ratio_experiment_level(record, p_list, mc_samples, seed)
 
 
-def ratio_experiment_cell(record, p, mc_samples, seed=0):
-    """One (k, p) cell of the ratio experiment on a GeometryRecord.
+def ratio_experiment_level(record, p_list, mc_samples, seed):
+    """One ExperimentReport per entry of ``p_list`` on a level's record.
 
     The exact right side is the stratified Monte-Carlo estimate of
     (integral count^(p/2))^(1/p); the Holder side chains through the
-    record's eps_hat.  p = 2 is the control run.  The cell's RNG stream is
-    derived from (seed, k, p), so results do not depend on how cells are
-    grouped into runs.
+    record's eps_hat.  p = 2 is the control run.  The level makes one draw,
+    on the stream SeedSequence(seed, spawn_key=(k,)), and raises its counts
+    to every power p/2 - 1, so a report does not depend on the other
+    entries of ``p_list``.
     """
-    check_cell(p, mc_samples)
+    check_cells(p_list, mc_samples)
     boxes = record.boxes
-    child_seed = int(
-        np.random.SeedSequence(
-            seed, spawn_key=(boxes.k, int(round(p * 1e6)))
-        ).generate_state(1)[0]
-    )
-    start = time.perf_counter()
-    moment, moment_err = stratified_count_moment(
-        boxes, p / 2.0 - 1.0, mc_samples, child_seed
-    )
-    rhs_exact = float(moment ** (1.0 / p))
-    rhs_stderr = float(
-        (1.0 / p) * moment ** (1.0 / p - 1.0) * moment_err if moment > 0 else 0.0
-    )
+    moments, moment_errs = stratified_count_moment(
+        boxes, [p / 2.0 - 1.0 for p in p_list], mc_samples,
+        np.random.SeedSequence(seed, spawn_key=(boxes.k,)))
     total_volume = sum(b.volume() for b in boxes.boxes_f)
-    rhs_holder = float(
-        np.sqrt(total_volume) * record.eps_hat ** (1.0 / p - 0.5))
-    wall_ms = 1e3 * (time.perf_counter() - start)
-    return ExperimentReport(
-        k=boxes.k,
-        n=boxes.n_boxes,
-        eps_hat=record.eps_hat,
-        p=p,
-        lhs=record.lhs,
-        rhs_exact=rhs_exact,
-        rhs_stderr=rhs_stderr,
-        rhs_holder=rhs_holder,
-        ratio=record.lhs / rhs_exact,
-        ratio_holder=record.lhs / rhs_holder,
-        m_lower=record.lhs / rhs_exact / KHINTCHINE_CP,
-        wall_ms=wall_ms,
-        control=p == 2.0,
-    )
+    reports = []
+    for p, moment, moment_err in zip(p_list, moments, moment_errs):
+        rhs_exact = float(moment ** (1.0 / p))
+        rhs_stderr = float(
+            (1.0 / p) * moment ** (1.0 / p - 1.0) * moment_err
+            if moment > 0 else 0.0
+        )
+        rhs_holder = float(
+            np.sqrt(total_volume) * record.eps_hat ** (1.0 / p - 0.5))
+        reports.append(ExperimentReport(
+            k=boxes.k, n=boxes.n_boxes, eps_hat=record.eps_hat, p=p,
+            lhs=record.lhs, rhs_exact=rhs_exact, rhs_stderr=rhs_stderr,
+            rhs_holder=rhs_holder, ratio=record.lhs / rhs_exact,
+            ratio_holder=record.lhs / rhs_holder,
+            m_lower=record.lhs / rhs_exact / KHINTCHINE_CP, control=p == 2.0,
+        ))
+    return reports
 
 
 # --- modulated cone images ------------------------------------------------------

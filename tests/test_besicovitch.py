@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -427,12 +428,13 @@ class TestBoxFamilies:
 class TestSerialization:
     def test_json_round_trip(self):
         fam = bs.build_perron_rectangles(3)
-        text = bs.family_to_json(fam)
-        back = bs.family_from_json(text)
-        assert back.k == fam.k and back.n_rects == fam.n_rects
-        for ra, rb in zip(fam.rects, back.rects):
-            assert np.array_equal(ra.center, rb.center)
-            assert np.array_equal(ra.direction, rb.direction)
+        doc = json.loads(bs.family_to_json(fam))
+        assert doc["schema_version"] == bs.SCHEMA_VERSION
+        assert doc["k"] == fam.k and doc["n_rects"] == fam.n_rects
+        assert len(doc["rects"]) == fam.n_rects
+        for rect, written in zip(fam.rects, doc["rects"]):
+            assert np.array_equal(rect.center, written["center"])
+            assert np.array_equal(rect.direction, written["direction"])
 
     def test_json_is_deterministic(self):
         fam = bs.build_perron_rectangles(2)

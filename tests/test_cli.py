@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conekit import besicovitch as bs
 from conekit import cli
 from conekit import multiplier as mp
 
@@ -120,6 +121,16 @@ class TestRatioCommand:
         controls = [r for r in rows if r["control"] == "1"]
         assert len(controls) == 2
         assert (out / "ratio_holder_p0.dat").exists()
+
+    def test_manifest_times_and_kappa_per_level(self, config):
+        path, out = config
+        assert run_main(["ratio", "--config", str(path)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["timings_ms"]) == {"k3", "k4"}
+        assert manifest["kappa"] == {
+            f"k{k}": mp.build_geometry_record(
+                bs.build_boxes(bs.build_perron_rectangles(k))).kappa
+            for k in (3, 4)}
 
     def test_determinism(self, config):
         path, out = config
@@ -253,7 +264,7 @@ class TestEntryPoint:
         # their arguments; a rename, a deletion or a signature change that
         # breaks a hook must fail here, not in a traced run
         code = "\n".join([
-            "import sys",
+            "import json, sys",
             "sys.path[:0] = ['perfbench', 'src']",
             "import tracer",
             "from conekit import cli",
@@ -262,6 +273,12 @@ class TestEntryPoint:
             f"argv = ['besicovitch', '--k', '2', '--out', {str(tmp_path)!r}]",
             "assert cli.main(argv) == 0",
             "assert recorder.report()['besicovitch.union_calls'] == 1",
+            f"cfg = {str(tmp_path / 'ratio.json')!r}",
+            "open(cfg, 'w').write(json.dumps({'k_list': [3],",
+            "    'p_list': [1.0, 2.0], 'mc_samples': 10_000, 'seed': 1,",
+            f"    'out_dir': {str(tmp_path / 'ratio')!r}}}))",
+            "assert cli.main(['ratio', '--config', cfg]) == 0",
+            "assert recorder.report()['multiplier.mc_samples'] == 10_000",
         ])
         proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
                               capture_output=True, text=True)

@@ -318,7 +318,7 @@ class TestSquareFunction:
                         length=1.0, width=1.0)
         family = bs.RectangleFamily(k=0, rects=(rect,))
         record = mp.build_geometry_record(bs.build_boxes(family))
-        res = mp.ratio_experiment_cell(record, 1.5, 10_000, seed=3)
+        res, = mp.ratio_experiment_level(record, [1.5], 10_000, seed=3)
         box = record.boxes.boxes_f[0]
         assert res.rhs_exact == pytest.approx(box.volume() ** (1 / 1.5),
                                               rel=1e-12)
@@ -332,7 +332,7 @@ class TestSquareFunction:
 
     def test_rhs_exact_below_holder(self, boxes_k3):
         record = mp.build_geometry_record(boxes_k3)
-        res = mp.ratio_experiment_cell(record, 1.0, 20_000, seed=7)
+        res, = mp.ratio_experiment_level(record, [1.0], 20_000, seed=7)
         assert res.rhs_exact <= res.rhs_holder + res.rhs_stderr
 
     def test_stratified_estimator_against_raster_oracle(self, boxes_k3):
@@ -354,12 +354,13 @@ class TestSquareFunction:
         record = mp.build_geometry_record(boxes_k3)
         for p in (0.5, 2.5):
             with pytest.raises(ValueError):
-                mp.ratio_experiment_cell(record, p, 10_000)
+                mp.ratio_experiment_level(record, [1.0, p], 10_000, seed=0)
         with pytest.raises(ValueError):
-            mp.ratio_experiment_cell(record, 1.0, 100)
+            mp.ratio_experiment_level(record, [1.0], 100, seed=0)
 
     def test_one_geometry_record_per_k(self, monkeypatch):
         calls = {"union": 0, "integral": 0}
+        moments = []
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -367,25 +368,43 @@ class TestSquareFunction:
                 return func(*args, **kwargs)
             return wrapper
 
+        def moment(boxes, power, n_samples, seed):
+            moments.append((boxes.k, list(power), n_samples, seed.entropy,
+                            seed.spawn_key))
+            return count_moment(boxes, power, n_samples, seed)
+
+        count_moment = mp.stratified_count_moment
         monkeypatch.setattr(bs, "union_measure",
                             counting("union", bs.union_measure))
         monkeypatch.setattr(mp, "translate_image_integral",
                             counting("integral", mp.translate_image_integral))
-        reports = list(mp.ratio_experiment([3, 4], [1.0, 1.5, 2.0], 15_000,
-                                           seed=11))
+        monkeypatch.setattr(mp, "stratified_count_moment", moment)
+        levels = list(mp.ratio_experiment([3, 4], [1.0, 1.5, 2.0], 15_000,
+                                          seed=11))
         assert calls == {"union": 2, "integral": 8 + 16}
-        for r in reports:
-            child_seed = int(np.random.SeedSequence(
-                11, spawn_key=(r.k, int(round(r.p * 1e6)))
-            ).generate_state(1)[0])
-            moment, err = mp.stratified_count_moment(
-                _family(r.k), r.p / 2.0 - 1.0, 15_000, child_seed)
-            assert r.rhs_exact == float(moment ** (1.0 / r.p))
-            assert r.rhs_stderr == float(
-                (1.0 / r.p) * moment ** (1.0 / r.p - 1.0) * err)
+        assert moments == [(k, [-0.5, -0.25, 0.0], 15_000, 11, (k,))
+                           for k in (3, 4)]
+        for record, reports in levels:
+            assert [r.p for r in reports] == [1.0, 1.5, 2.0]
+            for r in reports:
+                moment, err = count_moment(
+                    record.boxes, r.p / 2.0 - 1.0, 15_000,
+                    np.random.SeedSequence(11, spawn_key=(r.k,)))
+                assert r.rhs_exact == float(moment ** (1.0 / r.p))
+                assert r.rhs_stderr == float(
+                    (1.0 / r.p) * moment ** (1.0 / r.p - 1.0) * err)
+
+    def test_report_independent_of_other_p(self, boxes_k3):
+        record = mp.build_geometry_record(boxes_k3)
+        p_list = [1.0, 1.25, 1.5, 2.0]
+        shared = mp.ratio_experiment_level(record, p_list, 12_000, seed=4)
+        for p, report in zip(p_list, shared):
+            alone, = mp.ratio_experiment_level(record, [p], 12_000, seed=4)
+            assert alone == report
 
     def test_ratio_experiment_growth_and_control(self):
-        reports = list(mp.ratio_experiment([3, 4], [1.0, 2.0], 15_000, seed=11))
+        reports = [r for _, level in mp.ratio_experiment(
+            [3, 4], [1.0, 2.0], 15_000, seed=11) for r in level]
         p1 = [r for r in reports if r.p == 1.0]
         p2 = [r for r in reports if r.control]
         assert p1[1].ratio_holder > p1[0].ratio_holder
@@ -461,9 +480,9 @@ class TestCountMoment:
         if n_samples == "2N":
             n_samples = 2 * boxes.n_boxes
         expected = _pair_loop_moment(boxes, self.POWERS, n_samples, 2026 + k)
-        for power, ref in zip(self.POWERS, expected):
-            got = mp.stratified_count_moment(boxes, power, n_samples, 2026 + k)
-            assert got == ref
+        got = mp.stratified_count_moment(boxes, self.POWERS, n_samples,
+                                         2026 + k)
+        assert [tuple(pair) for pair in zip(*got)] == expected
 
     @pytest.mark.parametrize("strata", [1, 3, 5])
     def test_groups_of_strata_do_not_change_bits(self, monkeypatch, strata):
@@ -472,6 +491,16 @@ class TestCountMoment:
         expected = _pair_loop_moment(boxes, (-0.5,), 1003, 9)[0]
         monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * 63 * strata)
         assert mp.stratified_count_moment(boxes, -0.5, 1003, 9) == expected
+
+    @pytest.mark.parametrize("cap", [1, 7, 62])
+    def test_split_strata_agree_with_pair_loop(self, monkeypatch, cap):
+        # k = 4: strata of 63 or 62 points, drawn in chunks of at most cap
+        boxes = _family(4)
+        expected = _pair_loop_moment(boxes, self.POWERS, 1003, 9)
+        monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * cap)
+        got = mp.stratified_count_moment(boxes, self.POWERS, 1003, 9)
+        for pair, ref in zip(zip(*got), expected):
+            assert pair == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_face_points_counted_as_contains_does(self):
         boxes = _family(6).boxes_f
@@ -507,6 +536,17 @@ class TestCountMoment:
         finally:
             tracemalloc.stop()
         # one group of all 2 * 10^6 points would hold about 100 MB
+        assert peak <= 1.5 * bs._BLOCK_VALUES * 8
+
+    def test_memory_bounded_by_chunks_of_a_large_stratum(self):
+        # k = 1: two strata of 10^6 points; drawn whole, they peak at 133 MB
+        boxes = _family(1)
+        tracemalloc.start()
+        try:
+            mp.stratified_count_moment(boxes, [-0.5, -0.25], 2_000_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 1.5 * bs._BLOCK_VALUES * 8
 
     @pytest.mark.parametrize("n_samples", [5, 12, 15])
