@@ -73,14 +73,16 @@ def write_manifest(out_dir, config, timings, outputs, **sections):
 
 def _list_of(types):
     return lambda v: (isinstance(v, list) and bool(v)
-                      and all(type(x) in types for x in v))
+                      and all(type(x) in types for x in v)
+                      and len(set(v)) == len(v))
 
 
 # kind of a config value: (test, what the error message asks for); type()
 # rather than isinstance() keeps JSON booleans out of the integers
 KINDS = {
-    "ints": (_list_of((int,)), "a non-empty list of integers"),
-    "numbers": (_list_of((int, float)), "a non-empty list of numbers"),
+    "ints": (_list_of((int,)), "a non-empty list of distinct integers"),
+    "numbers": (_list_of((int, float)),
+                "a non-empty list of distinct numbers"),
     "count": (lambda v: type(v) is int and v > 0, "a positive integer"),
     "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     "positive": (lambda v: type(v) in (int, float) and v > 0,

@@ -110,15 +110,33 @@ def sample_symbol(symbol, freq_axes, shift=None):
         g = _linear_form(-np.asarray(symbol.normal, dtype=float),
                          -np.asarray(shift, dtype=float), freq_axes)
     elif isinstance(symbol, Cone):
-        mesh = np.meshgrid(*freq_axes, indexing="ij", sparse=True)
-        if shift is None:
-            shift = np.zeros(len(mesh))
-        first = mesh[0] + shift[0]
-        rest = sum((m + s) ** 2 for m, s in zip(mesh[1:], shift[1:]))
-        g = first - np.sqrt(rest)
+        g = np.subtract(*_cone_terms(freq_axes, shift))
     else:
         raise TypeError(f"unknown symbol {symbol!r}")
     return _boundary_rule(g)
+
+
+def _cone_terms(freq_axes, shift):
+    """xi_1 + s_1 along axis 0 and |xi' + s'| along the others."""
+    mesh = np.meshgrid(*freq_axes, indexing="ij", sparse=True)
+    shift = np.zeros(len(mesh)) if shift is None else shift
+    rest = sum((m + s) ** 2 for m, s in zip(mesh[1:], shift[1:]))
+    return mesh[0] + shift[0], np.sqrt(rest)
+
+
+def _cone_thresholds(freqs, shift):
+    """Counts [lo, hi] per column (xi_2, xi_3): in ascending xi_1 order,
+    ``sample_symbol(Cone(), [freqs] * 3, shift)`` reads 0 on the first lo,
+    BOUNDARY_VALUE up to hi and 1 after, since fl(a - r) is monotone in a.
+    Both are bisections of all columns at once through the boundary rule."""
+    first, root = _cone_terms([freqs] * 3, shift)
+    first, root, m = first.ravel()[np.argsort(freqs)], root[0], len(freqs)
+    n = np.zeros((2,) + root.shape, dtype=np.intp)
+    level = np.array([BOUNDARY_VALUE, 1.0])[:, None, None]
+    for step in m >> np.arange(m.bit_length()):     # m, m / 2, ..., 1
+        i = np.minimum(n + step, m)
+        n = np.where(_boundary_rule(first[i - 1] - root) < level, i, n)
+    return n
 
 
 def _linear_form(coeffs, offsets, axes):
@@ -137,15 +155,15 @@ def _boundary_rule(g):
     return out
 
 
-def _spectrum(f):
-    """DFT of a grid, refused when its support would alias under the
-    periodization the DFT implies."""
+def _spectrum(f, out=None):
+    """DFT of a grid, into ``out`` if given, refused when its support would
+    alias under the periodization the DFT implies."""
     if f.support_radius is not None and f.support_radius > f.extent / 2:
         raise ValueError(
             "grid support exceeds half the extent; pad the grid to control "
             "periodization"
         )
-    return np.fft.fftn(f.values)
+    return np.fft.fftn(f.values, out=out)
 
 
 def fft_multiplier_apply(f, symbol, shift=None):
@@ -561,9 +579,11 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
 
     The shifted symbol realizes the modulation exactly on the lattice, with
     no aliasing no matter how large R is.  The distances are taken between
-    spectra; by Parseval they equal the relative distances between grids, so
-    each box costs the forward transforms of its indicator and of its oracle
-    grid, each modulation step only a symbol product and a norm, and memory
+    spectra; by Parseval they equal the relative distances between grids.
+    Each box costs two in-place forward transforms, and prefix sums along
+    xi_1 of the densities in |m fhat - ohat|^2 = m^2 |fhat|^2 - 2 m Re(fhat
+    conj(ohat)) + |ohat|^2; each modulation step reads them at the symbol's
+    two thresholds per column (``_cone_thresholds``), in O(M^2).  Memory
     holds one box's grids however many boxes there are.  The translated
     cones grow with the modulation (Omega - R1 n is contained in
     Omega - R2 n for R1 < R2), so the distances decrease monotonically.
@@ -575,21 +595,32 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     _check_resolvable(boxes, grid)
     if not r_list:
         return []
-    freqs = [grid.freqs()] * 3
+    freqs = grid.freqs()
+    order = np.argsort(freqs)
     rows = [[] for _ in r_list]
     for f_box, ntilde, ray in zip(boxes.boxes_f, boxes.normals,
                                   boxes.light_rays):
-        fhat = _spectrum(indicator_box(f_box, extent, samples_per_axis))
-        ohat = box_image_grid(f_box, ntilde, grid).values
-        np.fft.fftn(ohat, out=ohat)
-        nrm = np.linalg.norm(ohat)
-        g = np.empty_like(fhat)
+        dens = box_image_grid(f_box, ntilde, grid).values
+        np.fft.fftn(dens, out=dens)
+        ind = indicator_box(f_box, extent, samples_per_axis)
+        fhat = _spectrum(ind, out=ind.values)
+        nrm2 = np.vdot(dens, dens).real
+        # the oracle's spectrum becomes Re(fhat conj(ohat)) + i |fhat|^2
+        np.conjugate(dens, out=dens)
+        dens *= fhat
+        np.square(np.abs(fhat, out=dens.imag), out=dens.imag)
+        for prev, cur in zip(order[:-1], order[1:]):    # prefix sums
+            dens[cur] += dens[prev]
         for row, r_mod in zip(rows, r_list):
-            np.multiply(fhat, sample_symbol(Cone(), freqs, shift=r_mod * ray),
-                        out=g)
-            g -= ohat
-            row.append(float(np.linalg.norm(g) / nrm))
-        del fhat, ohat, g      # before the next box's grids are built
+            n = _cone_thresholds(freqs, r_mod * ray)
+            sums = np.take_along_axis(dens, order[n - 1], 0)
+            lo, hi = np.where(n > 0, sums, 0.0)
+            # m: 0 on a column's first lo, BOUNDARY_VALUE up to hi, 1 after
+            above, mid = dens[order[-1]] - hi, hi - lo
+            d2 = (np.sum(above.imag + BOUNDARY_VALUE**2 * mid.imag) + nrm2
+                  - 2.0 * np.sum(above.real + BOUNDARY_VALUE * mid.real))
+            row.append(float(np.sqrt(max(d2, 0.0) / nrm2)))
+        del dens, ind, fhat    # before the next box's grids are built
     return rows
 
 

@@ -183,6 +183,14 @@ class TestRatioCommand:
         ({"mc_samples": 5000}, "10^4"),
         ({"p_list": [1.0, 2.5]}, "[1, 2)"),
         ({"c_p": 1.5}, "c_p"),
+        # a repeat would write its rows twice into report.csv and into every
+        # ratio_holder_p*.dat whose p it shares
+        ({"k_list": [3, 3]},
+         "'k_list' must be a non-empty list of distinct integers"),
+        ({"p_list": [1.0, 1.0]},
+         "'p_list' must be a non-empty list of distinct numbers"),
+        ({"p_list": [1, 1.0]},
+         "'p_list' must be a non-empty list of distinct numbers"),
     ])
     def test_bad_config_is_usage_error_before_output(self, tmp_path, capsys,
                                                      override, text):

@@ -608,6 +608,36 @@ class TestModulation:
         # k = 1 has two boxes, k = 2 four
         assert peak(2) <= 1.1 * peak(1)
 
+    @pytest.mark.parametrize("samples", [64, 128])
+    def test_thresholds_rebuild_sampled_symbol(self, boxes_k1, samples):
+        freqs = mp.GridFunction(np.zeros(samples), 12.0).freqs()
+        rank = np.empty(samples, dtype=int)
+        rank[np.argsort(freqs)] = np.arange(samples)
+        rank = rank[:, None, None]          # place of xi_1 in ascending order
+        shifts = [r * ray for ray in boxes_k1.light_rays
+                  for r in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)]
+        halves = []
+        for shift in shifts + [np.zeros(3)]:
+            lo, hi = mp._cone_thresholds(freqs, shift)
+            rebuilt = np.where(rank < lo, 0.0,
+                               np.where(rank < hi, mp.BOUNDARY_VALUE, 1.0))
+            symbol = mp.sample_symbol(mp.Cone(), [freqs] * 3, shift=shift)
+            assert np.array_equal(rebuilt, symbol)
+            halves.append(int(np.sum(symbol == mp.BOUNDARY_VALUE)))
+        # 24 on the modulated symbols at either size, more at the apex
+        assert sum(halves[:-1]) > 0 and halves[-1] > 0
+
+    def test_peak_memory_is_two_spectra(self, boxes_k1):
+        # the two densities overwrite the oracle's spectrum: 2.23 complex
+        # grids measured at 64^3; a full symbol and product per R took 4.10
+        tracemalloc.start()
+        try:
+            mp.modulation_convergence(boxes_k1, [1.0, 3.0, 9.0], 64, 6.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 64**3 * 16
+
     def test_empty_sweep(self, boxes_k1):
         assert mp.modulation_convergence(boxes_k1, [], 64, 6.0) == []
 
