@@ -73,6 +73,11 @@ class RectangleFamily:
     rects: tuple
     shift: float = SHIFT
 
+    def __post_init__(self):
+        # the closed-form integrals and the geometry check use SHIFT
+        if self.shift != SHIFT:
+            raise ValueError(f"rectangle families are shifted by {SHIFT}")
+
     @property
     def n_rects(self):
         return len(self.rects)
@@ -217,9 +222,6 @@ def boxes_intersect(b1, b2):
     """True iff the interiors of two Box3, or of two Rect2, overlap
     (separating-axis test)."""
     return bool(next(_sat_blocks(*_frames((b1, b2))))[2][0])
-
-
-rects_intersect = boxes_intersect       # a Rect2 is a box in the plane
 
 
 def translates_disjoint(family):

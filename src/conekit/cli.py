@@ -11,9 +11,11 @@ Commands:
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 internal error.
 
 All numeric output is written with 17 significant digits, newline-separated,
-locale independent.  Runs are deterministic for a fixed config: stochastic
-steps use counter-based Philox streams derived from the mandatory seed, and
-the wall-clock timings live in the run manifest, not in the data files.
+locale independent.  Runs are deterministic for a fixed config: the ratio
+experiment draws from counter-based Philox streams derived from the
+mandatory seed, ``szego`` and ``validate`` from numpy's default generator
+(PCG64) seeded by the config seed or by fixed seeds, and the wall-clock
+timings live in the run manifest, not in the data files.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def _kernel_relation(n, n_held_out, rng, tol):
     boundary = sz.sample_shilov_boundary(n, n_held_out + 1, rng, margin=0.15)
     c0 = sz.fit_kernel_relation_constant(interior[0], boundary[0], tol=tol)
     residuals = [
-        sz.szego_kernel_relation_residual(z, zp, c0, tol=tol)
+        abs(c0 / sz.fit_kernel_relation_constant(z, zp, tol=tol) - 1.0)
         for z, zp in zip(interior[1:], boundary[1:])
     ]
     return c0, residuals
@@ -315,11 +317,11 @@ def _jordan_checks(fast):
     def peirce_invariants():
         c = jd.from_matrix(np.diag([1.0, 0.0, 0.0]))
         x = jd.Element(jd.sym_matrix(3), rng.normal(size=(n_prop, 6)))
-        split = jd.peirce_decompose(x, c)
+        x1, xhalf, x0 = jd.peirce_decompose(x, c)
         return bool(
-            np.all(jd.norm(split.reassembled() - x) <= 1e-9)
-            and np.all(jd.norm(jd.jordan_product(c, split.xhalf)
-                               - 0.5 * split.xhalf) <= 1e-9)
+            np.all(jd.norm(x1 + xhalf + x0 - x) <= 1e-9)
+            and np.all(jd.norm(jd.jordan_product(c, xhalf) - 0.5 * xhalf)
+                       <= 1e-9)
         )
 
     checks.append(("peirce split reassembles and is eigen", peirce_invariants))
@@ -331,10 +333,10 @@ def _jordan_checks(fast):
         pairing = jd.inner(jd.Element(c1.algebra, coords), c1)
         xi = jd.Element(c1.algebra,
                         (coords * np.sign(pairing)[:, None])[pairing != 0])
-        res = jd.filling_radius(xi, c1)
-        if not np.all(res.found):
+        radius = jd.filling_radius(xi, c1)
+        if not np.all(np.isfinite(radius)):
             return False
-        step = res.radius + 1e-7 * (1.0 + res.radius)
+        step = radius + 1e-7 * (1.0 + radius)
         return bool(np.all(jd.in_cone(
             xi + jd.Element(c1.algebra, np.multiply.outer(step, n_vec.coords))
         )))
@@ -349,7 +351,7 @@ def _jordan_checks(fast):
         xi = jd.Element(c1.algebra,
                         coords * np.where(pairing > 0, -1.0, 1.0)[:, None])
         closed = jd.inner(xi, c1) <= 0
-        if np.any(jd.filling_radius(xi, c1).found & closed):
+        if np.any(np.isfinite(jd.filling_radius(xi, c1)) & closed):
             return False
         return not any(np.any(jd.in_cone(xi + r * n_vec) & closed)
                        for r in (1.0, 1e2, 1e4, 1e6))

@@ -23,7 +23,7 @@ batch.
 Besides the algebra arithmetic, the module provides cone membership through
 principal minors, Peirce decompositions with respect to an idempotent, and
 the filling radius in closed form: the smallest R such that xi + R*(e - c1)
-lies in the closed cone, which exists exactly when <xi, c1> > 0.
+lies in the closed cone, +inf where <xi, c1> <= 0 and no R does.
 """
 
 from __future__ import annotations
@@ -288,24 +288,11 @@ def peirce_components(x, c):
     return x1, xhalf, x0
 
 
-@dataclass(frozen=True)
-class PeirceSplit:
-    """Decomposition x = x1 + xhalf + x0 with respect to an idempotent c."""
-
-    c: Element
-    x1: Element
-    xhalf: Element
-    x0: Element
-
-    def reassembled(self):
-        return self.x1 + self.xhalf + self.x0
-
-
 def peirce_decompose(x, c):
+    """(x1, xhalf, x0) with x = x1 + xhalf + x0, c a primitive idempotent."""
     if not primitive_idempotent_check(c):
         raise ValueError("peirce_decompose expects a primitive idempotent")
-    x1, xhalf, x0 = peirce_components(x, c)
-    return PeirceSplit(c=c, x1=x1, xhalf=xhalf, x0=x0)
+    return peirce_components(x, c)
 
 
 @dataclass(frozen=True)
@@ -394,10 +381,8 @@ def principal_minors(x, frame):
     return np.stack(minors, axis=-1)
 
 
-def cone_contains(x, frame=None):
+def cone_contains(x, frame):
     """Membership in the open symmetric cone: all principal minors > 0."""
-    if frame is None:
-        return in_cone(x)
     return _out(np.all(principal_minors(x, frame) > 0.0, axis=-1), bool)
 
 
@@ -439,12 +424,6 @@ def _v0_compression(x, c1):
     return u.T @ as_matrix(x) @ u
 
 
-def _v0_determinant(x0, c1):
-    """Determinant inside the Peirce-0 subalgebra of a primitive idempotent."""
-    comp = _v0_compression(x0, c1)
-    return comp if c1.algebra.kind == "spin" else np.linalg.det(comp)
-
-
 def _schur_parts(xi, c1, lam):
     """xi_0 and (xi_half^2)_0 / lam: with them, xi + R*(e - c1) has
     determinant lam * det'(xi_0 + R*e' - (xi_half^2)_0 / lam)."""
@@ -454,24 +433,15 @@ def _schur_parts(xi, c1, lam):
     return xi0, Element(xi.algebra, half_sq0.coords * scale)
 
 
-@dataclass(frozen=True)
-class FillingResult:
-    status: str            # "found" | "not_fillable" (array per row)
-    radius: float | None = None      # NaN on the rows of a batch not found
-
-    @property
-    def found(self):
-        return self.status == "found"
-
-
 def filling_radius(xi, c1):
-    """Smallest R with xi + R*(e - c1) in the closed cone, if one exists.
+    """Smallest R with xi + R*(e - c1) in the closed cone: a float for one
+    element, an array for a batch.
 
-    Returns ``not_fillable`` when <xi, c1> <= 0 (the first minor can never
-    become positive).  Otherwise, with lam the Peirce coefficient and
-    A = xi_0 - (xi_half^2)_0 / lam, xi + R*(e - c1) is in the open cone
-    exactly when A + R*e' is (rank reduction, Faraut & Koranyi 1994, ch. IV),
-    so the status is ``found`` with R = max(0, -lambda_min(A)).
+    The radius is +inf, the infimum of the empty set, where <xi, c1> <= 0
+    (the first minor can never become positive).  Otherwise, with lam the
+    Peirce coefficient and A = xi_0 - (xi_half^2)_0 / lam, xi + R*(e - c1)
+    is in the open cone exactly when A + R*e' is (rank reduction, Faraut &
+    Koranyi 1994, ch. IV), so R = max(0, -lambda_min(A)).
     """
     if not primitive_idempotent_check(c1):
         raise ValueError("filling_radius expects a primitive idempotent")
@@ -482,11 +452,7 @@ def filling_radius(xi, c1):
     low = _v0_compression(xi0 - shift, c1)
     if c1.algebra.kind == "sym":
         low = np.linalg.eigvalsh(low)[..., 0]
-    radius = np.maximum(0.0, -low)
-    status = np.where(fillable, "found", "not_fillable")
-    if status.ndim == 0:
-        return FillingResult(str(status), float(radius) if fillable else None)
-    return FillingResult(status, np.where(fillable, radius, np.nan))
+    return _out(np.where(fillable, np.maximum(0.0, -low), np.inf), float)
 
 
 def det_identity_residual(xi, r_shift, c1):
@@ -507,7 +473,8 @@ def det_identity_residual(xi, r_shift, c1):
     a = xi.algebra
     step = Element(a, np.multiply.outer(r_shift, (identity(a) - c1).coords))
     lhs = determinant(xi + step)
-    rhs = lam * _v0_determinant(xi0 + step - shift, c1)
+    comp = _v0_compression(xi0 + step - shift, c1)
+    rhs = lam * (comp if a.kind == "spin" else np.linalg.det(comp))
     return _out(np.abs(lhs - rhs), float)
 
 

@@ -51,7 +51,7 @@ class GridFunction:
             raise ValueError("grids are 1D or 3D")
         if len(set(v.shape)) != 1:
             raise ValueError("grid must have equal samples per axis")
-        if v.shape[0] & (v.shape[0] - 1):
+        if v.shape[0] < 1 or v.shape[0] & (v.shape[0] - 1):
             raise ValueError("samples per axis must be a power of two")
         object.__setattr__(self, "values", np.asarray(v, dtype=complex))
 

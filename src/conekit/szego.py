@@ -45,18 +45,12 @@ class TubePoint:
     def y(self):
         return jd.Element(self.z.algebra, self.z.coords.imag)
 
-    @property
-    def in_tube(self):
-        return jd.in_cone(self.y)
-
     def margin(self):
         return jd.cone_margin(self.y)
 
 
 @dataclass(frozen=True)
 class KernelSample:
-    z: np.ndarray
-    u: np.ndarray
     value: complex
     error_estimate: float
     method: str
@@ -114,16 +108,6 @@ def _guarded_quotient(num, denom, x, message):
     return jd.jordan_product(num, jd.jordan_inverse(denom))
 
 
-def lie_ball_to_tube(z):
-    """Cayley image of a Lie-ball point as a TubePoint."""
-    return TubePoint(cayley(lie_to_spin(z)))
-
-
-def tube_to_lie_ball(z_elem):
-    """Inverse Cayley of a tube point, back in Lie-ball coordinates."""
-    return spin_to_lie(cayley_inverse(z_elem))
-
-
 def _accepted_rows(count, draw):
     """The first ``count`` accepted rows, in draw order.  ``draw(m)`` returns
     m candidate rows and their acceptance mask; m follows the acceptance
@@ -178,11 +162,12 @@ def conformal_consistency_check(n, samples, seed):
     failures = 0
     worst_margin = np.inf
     for size in chunks:
-        tube = lie_ball_to_tube(sample_lie_ball(n, size, rng))
-        worst_margin = min(worst_margin, np.min(tube.margin()))
-        failures += size - np.count_nonzero(tube.in_tube)
+        tube = TubePoint(cayley(lie_to_spin(sample_lie_ball(n, size, rng))))
+        margin = tube.margin()
+        worst_margin = min(worst_margin, np.min(margin))
+        failures += size - np.count_nonzero(margin > 0.0)
     for size in chunks:
-        back = tube_to_lie_ball(sample_tube(n, size, rng))
+        back = spin_to_lie(cayley_inverse(sample_tube(n, size, rng)))
         failures += size - np.count_nonzero(lie_ball_contains(back))
     return {
         "samples": 2 * samples,
@@ -270,8 +255,6 @@ def szego_kernel_quadrature(z, u, tol=1e-6):
             err = max(abs(value - prev) / max(abs(value), 1e-300), _EPS)
             if err <= tol:
                 return KernelSample(
-                    z=z_elem.coords.copy(),
-                    u=u,
                     value=complex(value),
                     error_estimate=float(err),
                     method="quadrature",
@@ -350,11 +333,3 @@ def fit_kernel_relation_constant(z, zprime, tol=1e-6):
     diff = jd.Element(w.algebra, w.coords[0] - w.coords[1])
     ball = np.abs(jd.determinant(diff)) ** (-w.algebra.dim / w.algebra.rank)
     return float(ball / (abs(kernel.value) * np.sqrt(jz) * np.sqrt(jp)))
-
-
-def szego_kernel_relation_residual(z, zprime, c0_modulus, tol=1e-6):
-    """Relative defect |c0 / c0(z, z') - 1| of
-    |S_D| = |c0| |S_T(Phi., Phi.)| |J|^(1/2) |J'|^(1/2) on a held-out pair,
-    with |c0| fitted elsewhere."""
-    return abs(c0_modulus / fit_kernel_relation_constant(z, zprime, tol=tol)
-               - 1.0)

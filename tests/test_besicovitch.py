@@ -67,6 +67,13 @@ class TestRectangleFamilies:
         with pytest.raises(ValueError):
             bs.build_perron_rectangles(13)
 
+    def test_only_the_tested_shift_accepted(self):
+        rects = bs.build_perron_rectangles(3).rects
+        with pytest.raises(ValueError, match="shifted by"):
+            bs.RectangleFamily(k=3, rects=rects, shift=3.0)
+        family = bs.RectangleFamily(k=3, rects=rects, shift=bs.SHIFT)
+        assert bs.box_geometry_check(bs.build_boxes(family))["all_passed"]
+
 
 _ROT = np.linalg.qr(np.random.default_rng(89).normal(size=(3, 3)))[0]
 
@@ -80,17 +87,17 @@ def _box(axes, half_extents, center=(0.0, 0.0, 0.0)):
 class TestIntersectionPredicates:
     def test_identical_rectangles_overlap(self):
         r = bs.Rect2(center=[0.0, 0.0], direction=[0.0, 1.0], length=1.0, width=0.25)
-        assert bs.rects_intersect(r, r)
+        assert bs.boxes_intersect(r, r)
 
     def test_separated_rectangles_do_not(self):
         r1 = bs.Rect2(center=[0.0, 0.0], direction=[0.0, 1.0], length=1.0, width=0.25)
         r2 = bs.Rect2(center=[1.0, 0.0], direction=[0.0, 1.0], length=1.0, width=0.25)
-        assert not bs.rects_intersect(r1, r2)
+        assert not bs.boxes_intersect(r1, r2)
 
     def test_touching_edges_count_as_disjoint_interiors(self):
         r1 = bs.Rect2(center=[0.0, 0.0], direction=[0.0, 1.0], length=1.0, width=0.5)
         r2 = bs.Rect2(center=[0.5, 0.0], direction=[0.0, 1.0], length=1.0, width=0.5)
-        assert not bs.rects_intersect(r1, r2)
+        assert not bs.boxes_intersect(r1, r2)
 
     def test_rotated_pair_against_area_oracle(self):
         # Monte-Carlo area of the intersection as an independent oracle.
@@ -114,8 +121,8 @@ class TestIntersectionPredicates:
             )
             frac = np.mean(in1 & in2)
             if frac > 0.002:
-                assert bs.rects_intersect(r1, r2)
-            if not bs.rects_intersect(r1, r2):
+                assert bs.boxes_intersect(r1, r2)
+            if not bs.boxes_intersect(r1, r2):
                 assert frac == 0.0
 
     def test_k8_translates_disjoint(self):
@@ -142,7 +149,7 @@ class TestIntersectionPredicates:
                                length=rng.uniform(0.2, 1.5),
                                width=rng.uniform(0.05, 0.6))
                       for t in rng.uniform(0.0, np.pi, 2))
-            verdicts.append((bs.rects_intersect(r1, r2), _lp_margin(r1, r2)))
+            verdicts.append((bs.boxes_intersect(r1, r2), _lp_margin(r1, r2)))
             b1, b2 = (bs.Box3(center=rng.uniform(-0.8, 0.8, 3),
                               axes=np.linalg.qr(rng.normal(size=(3, 3)))[0],
                               half_extents=rng.uniform(0.05, 0.6, 3))
@@ -182,8 +189,8 @@ class TestIntersectionPredicates:
                        length=2.0, width=1.0)
         small = bs.Rect2(center=[0.1, 0.2], direction=[0.6, 0.8],
                          length=0.5, width=0.2)
-        assert bs.rects_intersect(big, small)
-        assert bs.rects_intersect(small, big)
+        assert bs.boxes_intersect(big, small)
+        assert bs.boxes_intersect(small, big)
 
     @pytest.mark.parametrize("lift", [False, True])
     def test_overlap_found_in_every_block(self, monkeypatch, lift):
@@ -217,13 +224,10 @@ class TestIntersectionPredicates:
         outcomes = set()
         for k in range(1, 7):
             family = bs.build_perron_rectangles(k)
-            for shapes, pairwise in (
-                (family.rects, bs.rects_intersect),
-                (bs.build_boxes(family).boxes_f, bs.boxes_intersect),
-            ):
+            for shapes in (family.rects, bs.build_boxes(family).boxes_f):
                 batched = np.concatenate(
                     [b[2] for b in bs._sat_blocks(*bs._frames(shapes))])
-                expected = [pairwise(a, b)
+                expected = [bs.boxes_intersect(a, b)
                             for a, b in itertools.combinations(shapes, 2)]
                 assert batched.tolist() == expected
                 outcomes.update(expected)

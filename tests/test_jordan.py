@@ -172,20 +172,20 @@ class TestConeMembership:
 class TestPeirce:
     def test_idempotent_decomposes_as_itself(self):
         c = jd.from_matrix(np.diag([1.0, 0.0, 0.0]))
-        split = jd.peirce_decompose(c, c)
-        assert jd.norm(split.x1 - c) < 1e-12
-        assert jd.norm(split.xhalf) < 1e-12
-        assert jd.norm(split.x0) < 1e-12
+        x1, xhalf, x0 = jd.peirce_decompose(c, c)
+        assert jd.norm(x1 - c) < 1e-12
+        assert jd.norm(xhalf) < 1e-12
+        assert jd.norm(x0) < 1e-12
 
     def test_offdiagonal_block_is_half_component(self):
         c = jd.from_matrix(np.diag([1.0, 0.0, 0.0]))
         m = np.zeros((3, 3))
         m[0, 1] = m[1, 0] = 1.0
         x = jd.from_matrix(m)
-        split = jd.peirce_decompose(x, c)
-        assert jd.norm(split.xhalf - x) < 1e-12
-        assert jd.norm(split.x1) < 1e-12
-        assert jd.norm(split.x0) < 1e-12
+        x1, xhalf, x0 = jd.peirce_decompose(x, c)
+        assert jd.norm(xhalf - x) < 1e-12
+        assert jd.norm(x1) < 1e-12
+        assert jd.norm(x0) < 1e-12
 
     def test_eigenspace_dimensions_sym3(self):
         # decompose a full basis and count nonzero components: 1 / 2 / 3
@@ -196,7 +196,7 @@ class TestPeirce:
             v = np.zeros(a.dim)
             v[i] = 1.0
             split = jd.peirce_decompose(jd.Element(a, v), c)
-            for slot, comp in enumerate((split.x1, split.xhalf, split.x0)):
+            for slot, comp in enumerate(split):
                 if jd.norm(comp) > 1e-12:
                     dims[slot] += 1
         assert dims == [1, 2, 3]
@@ -211,16 +211,16 @@ class TestPeirce:
         for a, c in cases:
             for _ in range(50):
                 x = jd.Element(a, rng.normal(size=a.dim))
-                split = jd.peirce_decompose(x, c)
-                assert jd.norm(split.reassembled() - x) < 1e-9
-                assert abs(jd.inner(split.x1, split.xhalf)) < 1e-9
-                assert abs(jd.inner(split.x1, split.x0)) < 1e-9
-                assert abs(jd.inner(split.xhalf, split.x0)) < 1e-9
-                assert jd.norm(jd.jordan_product(c, split.x1) - split.x1) < 1e-9
+                x1, xhalf, x0 = jd.peirce_decompose(x, c)
+                assert jd.norm(x1 + xhalf + x0 - x) < 1e-9
+                assert abs(jd.inner(x1, xhalf)) < 1e-9
+                assert abs(jd.inner(x1, x0)) < 1e-9
+                assert abs(jd.inner(xhalf, x0)) < 1e-9
+                assert jd.norm(jd.jordan_product(c, x1) - x1) < 1e-9
                 assert jd.norm(
-                    jd.jordan_product(c, split.xhalf) - 0.5 * split.xhalf
+                    jd.jordan_product(c, xhalf) - 0.5 * xhalf
                 ) < 1e-9
-                assert jd.norm(jd.jordan_product(c, split.x0)) < 1e-9
+                assert jd.norm(jd.jordan_product(c, x0)) < 1e-9
 
     def test_non_idempotent_rejected(self):
         x = jd.from_matrix(np.diag([2.0, 0.0, 0.0]))
@@ -347,25 +347,22 @@ class TestFrames:
 class TestFillingRadius:
     def test_already_inside_returns_zero(self):
         c1 = jd.from_matrix(np.diag([1.0, 0.0]))
-        res = jd.filling_radius(jd.identity(jd.sym_matrix(2)), c1)
-        assert res.found and res.radius == 0.0
+        assert jd.filling_radius(jd.identity(jd.sym_matrix(2)), c1) == 0.0
 
     def test_explicit_two_by_two_root(self):
         # det([[1, 3], [3, R]]) = R - 9 crosses zero at R = 9.
         c1 = jd.from_matrix(np.diag([1.0, 0.0]))
         xi = jd.from_matrix(np.array([[1.0, 3.0], [3.0, 0.0]]))
-        res = jd.filling_radius(xi, c1)
-        assert res.found
-        assert res.radius == pytest.approx(9.0, abs=1e-6)
+        radius = jd.filling_radius(xi, c1)
+        assert radius == pytest.approx(9.0, abs=1e-6)
         n = jd.identity(xi.algebra) - c1
-        assert jd.in_cone(xi + (res.radius + 1e-7) * n)
+        assert jd.in_cone(xi + (radius + 1e-7) * n)
 
     def test_nonpositive_pairing_is_not_fillable(self):
         c1 = spin3(0.5, 0.5, 0.0)
         xi = spin3(-1.0, -1.0, 0.0)
         assert jd.inner(xi, c1) == pytest.approx(-1.0)
-        res = jd.filling_radius(xi, c1)
-        assert res.status == "not_fillable"
+        assert jd.filling_radius(xi, c1) == np.inf
         n = jd.identity(xi.algebra) - c1
         for r in [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6]:
             assert not jd.in_cone(xi + r * n)
@@ -383,8 +380,7 @@ class TestFillingRadius:
                     xi = -1.0 * xi
                 if jd.inner(xi, c1) == 0:
                     continue
-                res = jd.filling_radius(xi, c1)
-                assert res.found
+                assert np.isfinite(jd.filling_radius(xi, c1))
 
     def test_light_ray_translates_fill_half_space(self):
         # with n = (1, u) and c1 = (1, -u)/2, a point can be pushed into the
@@ -396,11 +392,11 @@ class TestFillingRadius:
         for _ in range(200):
             xi = spin3(*rng.normal(size=3))
             pairing = xi.coords @ ntilde
-            res = jd.filling_radius(xi, c1)
+            radius = jd.filling_radius(xi, c1)
             if pairing < 0:
-                assert res.found
+                assert np.isfinite(radius)
             elif pairing > 0:
-                assert res.status == "not_fillable"
+                assert radius == np.inf
 
     def test_non_primitive_rejected(self):
         with pytest.raises(ValueError):
@@ -656,13 +652,10 @@ class TestSymBatch:
         rng = np.random.default_rng(420 + r)
         a, xs = sym_rows(r, rng)
         c1 = jd.from_matrix(np.diag([1.0] + [0.0] * (r - 1)))
-        res = jd.filling_radius(jd.Element(a, xs), c1)
+        radius = jd.filling_radius(jd.Element(a, xs), c1)
         singles = [jd.filling_radius(jd.Element(a, x), c1) for x in xs]
-        assert list(res.status) == [one.status for one in singles]
-        assert np.array_equal(
-            res.radius, [np.nan if one.radius is None else one.radius
-                         for one in singles], equal_nan=True)
-        assert set(res.status) == {"found", "not_fillable"}
+        assert np.array_equal(radius, singles)
+        assert np.isfinite(radius).any() and not np.isfinite(radius).all()
         frame = jd.standard_frame(a)
         m = np.zeros((len(xs), r, r))
         m[:, :2, :2] = jd.vec_to_mat(xs[:, :3], 2)
@@ -677,14 +670,14 @@ class TestSymBatch:
                                      [0.0, 0.5, -1.0]]))
         c1 = jd.from_matrix(np.diag([1.0, 0.0, 0.0]))
         frame = jd.standard_frame(x.algebra)
-        res = jd.filling_radius(x, c1)
         for val, kind in (
             (jd.determinant(x), float), (jd.inner(x, x), float),
             (jd.cone_margin(x), float), (jd.in_cone(x), bool),
             (jd.cone_contains(x, frame), bool),
             (jd.peirce_coefficient(x, c1), float),
             (jd.det_identity_residual(x, 1.0, c1), float),
-            (res.status, str), (res.radius, float),
+            (jd.filling_radius(x, c1), float),
+            (jd.filling_radius(-x, c1), float),
             *((side, bool) for side in jd.slice_test(x, frame)),
         ):
             assert type(val) is kind
@@ -694,11 +687,9 @@ class TestSymBatch:
         xs = np.array([[1.0, 3.0, 0.0],      # radius 9
                        [1.0, 0.0, 1.0],      # inside: radius 0
                        [-1.0, 0.0, 1.0]])    # <xi, c1> < 0
-        res = jd.filling_radius(jd.Element(c1.algebra, xs), c1)
-        assert list(res.status) == ["found", "found", "not_fillable"]
-        assert np.array_equal(res.found, [True, True, False])
-        np.testing.assert_allclose(res.radius, [9.0, 0.0, np.nan],
-                                   rtol=1e-14, equal_nan=True)
+        radius = jd.filling_radius(jd.Element(c1.algebra, xs), c1)
+        assert np.array_equal(np.isfinite(radius), [True, True, False])
+        np.testing.assert_allclose(radius, [9.0, 0.0, np.inf], rtol=1e-14)
 
 
 class TestComplexConeMargin:
@@ -739,12 +730,13 @@ def exact_in_cone(algebra, coords):
 
 
 def bisection_radius(xi, c1, tol=1e-8):
-    """Reference filling radius: exponential bracket, then bisection to
-    ``tol``, deciding membership exactly.  In floating point that decision
-    is wrong within about eps * |M| / |P_0 v|^2 of the boundary (v the null
-    vector), which for a small Peirce coefficient exceeds ``tol``."""
+    """Reference filling radius, +inf where <xi, c1> <= 0: exponential
+    bracket, then bisection to ``tol``, deciding membership exactly.  In
+    floating point that decision is wrong within about eps * |M| / |P_0 v|^2
+    of the boundary (v the null vector), which for a small Peirce
+    coefficient exceeds ``tol``."""
     if jd.inner(xi, c1) <= 0.0:
-        return "not_fillable", None
+        return np.inf
     x = [Fraction(v) for v in xi.coords]
     n = [Fraction(v) for v in (jd.identity(xi.algebra) - c1).coords]
 
@@ -753,7 +745,7 @@ def bisection_radius(xi, c1, tol=1e-8):
                              [u + Fraction(r) * w for u, w in zip(x, n)])
 
     if inside(0.0):
-        return "found", 0.0
+        return 0.0
     hi = 1.0
     while not inside(hi):
         hi *= 2.0
@@ -764,7 +756,7 @@ def bisection_radius(xi, c1, tol=1e-8):
             hi = mid
         else:
             lo = mid
-    return "found", hi
+    return hi
 
 
 class TestClosedFormRadius:
@@ -781,11 +773,12 @@ class TestClosedFormRadius:
         a, c = self.CASES[case]
         c1 = jd.from_matrix(c) if a.kind == "sym" else jd.Element(a, c)
         xs = np.random.default_rng(500 + case).normal(size=(300, a.dim))
-        res = jd.filling_radius(jd.Element(a, xs), c1)
-        for x, status, radius in zip(xs, res.status, res.radius):
-            want, ref = bisection_radius(jd.Element(a, x), c1)
-            assert status == want
-            if want == "found":
+        radii = jd.filling_radius(jd.Element(a, xs), c1)
+        for x, radius in zip(xs, radii):
+            ref = bisection_radius(jd.Element(a, x), c1)
+            if ref == np.inf:
+                assert radius == np.inf
+            else:
                 assert abs(radius - ref) <= 1e-8 + 1e-10 * ref
 
     @pytest.mark.parametrize("exponent", [30, 40])
@@ -794,12 +787,12 @@ class TestClosedFormRadius:
         # however far it lies above any fixed budget
         c1 = jd.from_matrix(np.diag([1.0, 0.0]))
         xi = jd.from_matrix(np.array([[2.0**-exponent, 1.0], [1.0, 0.0]]))
-        res = jd.filling_radius(xi, c1)
-        assert res.status == "found"
-        assert res.radius == pytest.approx(2.0**exponent, rel=1e-12)
+        radius = jd.filling_radius(xi, c1)
+        assert np.isfinite(radius)
+        assert radius == pytest.approx(2.0**exponent, rel=1e-12)
         n = (jd.identity(c1.algebra) - c1).coords
         for factor, inside in ((1 + 1e-9, True), (1 - 1e-9, False)):
-            step = res.radius * factor * n
+            step = radius * factor * n
             assert exact_in_cone(c1.algebra, xi.coords + step) == inside
 
     def test_validate_suite_makes_one_call_per_check(self, monkeypatch):

@@ -175,6 +175,14 @@ class TestFFTPath:
         assert g.values.dtype == complex
         assert np.array_equal(g.values, b)
 
+    def test_zero_samples_rejected(self, boxes_k3):
+        # a bit test alone passes 0 (0 & -1 == 0), and spacing divides by it
+        with pytest.raises(ValueError, match="power of two"):
+            mp.GridFunction(np.zeros(0), 1.0)
+        with pytest.raises(ValueError, match="power of two"):
+            mp.modulation_convergence(boxes_k3, [1.0], samples_per_axis=0,
+                                      extent=4.0)
+
 
 class TestBoxImage:
     def test_center_value(self, boxes_k1):

@@ -93,6 +93,20 @@ class TestConformalConsistency:
             report = sz.conformal_consistency_check(n, 1000, seed=n)
             assert report["failures"] == 0
 
+    def test_counts_every_failure(self, monkeypatch):
+        # both maps broken: each Lie-ball image leaves the tube (its
+        # imaginary part lies in -Omega) and each pull-back leaves the ball
+        cayley = sz.cayley
+        monkeypatch.setattr(sz, "cayley", lambda w: -cayley(w))
+        monkeypatch.setattr(
+            sz, "cayley_inverse",
+            lambda z: jd.Element(z.algebra, np.full(z.coords.shape, 2.0 + 0j)))
+        samples = 5000
+        report = sz.conformal_consistency_check(3, samples, seed=3)
+        assert report["samples"] == 2 * samples
+        assert report["failures"] == 2 * samples
+        assert report["worst_tube_margin"] < 0
+
     def test_boundary_margin_points_still_map_inside(self):
         rng = np.random.default_rng(109)
         hits = 0
@@ -103,8 +117,8 @@ class TestConformalConsistency:
             if slack > 2e-3:
                 continue
             hits += 1
-            tube = sz.lie_ball_to_tube(z)
-            assert tube.in_tube and tube.margin() > 0
+            tube = sz.TubePoint(sz.cayley(sz.lie_to_spin(z)))
+            assert jd.in_cone(tube.y) and tube.margin() > 0
         assert hits > 0
 
 
@@ -261,13 +275,15 @@ class TestKernelRelation:
 
     def test_fit_point_reproduces_itself(self, fitted):
         interior, boundary, c0 = fitted
-        res = sz.szego_kernel_relation_residual(interior[0], boundary[0], c0)
+        res = abs(c0 / sz.fit_kernel_relation_constant(interior[0],
+                                                       boundary[0]) - 1.0)
         assert res < 1e-12
 
     def test_held_out_residuals(self, fitted):
         interior, boundary, c0 = fitted
         for z, zp in zip(interior[1:11], boundary[1:11]):
-            assert sz.szego_kernel_relation_residual(z, zp, c0) < 5e-2
+            res = abs(c0 / sz.fit_kernel_relation_constant(z, zp) - 1.0)
+            assert res < 5e-2
 
     def test_fitted_constant_is_four_pi_squared(self, fitted):
         # c0 = 1 / c3 with S_T(ie, 0) = c3 = 1 / (4 pi^2)
@@ -284,10 +300,10 @@ class TestKernelRelation:
             assert np.max(np.abs(fd / exact - 1.0)) <= 1e-9, n
 
     def test_near_singular_boundary_rejected(self, fitted):
-        interior, _, c0 = fitted
+        interior, _, _ = fitted
         singular = np.array([1.0 + 0.0j, 0.0, 0.0])
         with pytest.raises((ValueError, NearSingularityError)):
-            sz.szego_kernel_relation_residual(interior[1], singular, c0)
+            sz.fit_kernel_relation_constant(interior[1], singular)
 
 
 class TestErrorPaths:
