@@ -53,6 +53,8 @@ class GridFunction:
             raise ValueError("grid must have equal samples per axis")
         if v.shape[0] < 1 or v.shape[0] & (v.shape[0] - 1):
             raise ValueError("samples per axis must be a power of two")
+        if not 0.0 < self.extent < np.inf:
+            raise ValueError("extent must be finite and positive")
         object.__setattr__(self, "values", np.asarray(v, dtype=complex))
 
     @property
@@ -157,13 +159,33 @@ def _boundary_rule(g):
 
 def _spectrum(f, out=None):
     """DFT of a grid, into ``out`` if given, refused when its support would
-    alias under the periodization the DFT implies."""
+    alias under the periodization the DFT implies.  A 3D grid is transformed
+    in place along axes 0, 1, 2, the first two only over the index spans that
+    hold a nonzero (an all-zero line transforms to exact zeros); only the
+    axis order differs from numpy's, which takes the strided axis 0 last."""
     if f.support_radius is not None and f.support_radius > f.extent / 2:
         raise ValueError(
             "grid support exceeds half the extent; pad the grid to control "
             "periodization"
         )
-    return np.fft.fftn(f.values, out=out)
+    if f.dims == 1:
+        return np.fft.fft(f.values, out=out)
+    if out is None:
+        out = f.values.copy()
+    elif out is not f.values:
+        out[...] = f.values
+    live = np.zeros(out.shape[1:], dtype=bool)    # columns (i1, i2)
+    for plane in out:
+        live |= plane != 0
+    for i1 in np.flatnonzero(live.any(axis=1)):
+        i2 = np.flatnonzero(live[i1])
+        span = out[:, i1, i2[0]:i2[-1] + 1]
+        np.fft.fft(span, axis=0, out=span)
+    i2 = np.flatnonzero(live.any(axis=0))
+    if i2.size:
+        span = out[:, :, i2[0]:i2[-1] + 1]
+        np.fft.fft(span, axis=1, out=span)
+    return np.fft.fft(out, axis=2, out=out)
 
 
 def fft_multiplier_apply(f, symbol, shift=None):
@@ -600,8 +622,8 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     rows = [[] for _ in r_list]
     for f_box, ntilde, ray in zip(boxes.boxes_f, boxes.normals,
                                   boxes.light_rays):
-        dens = box_image_grid(f_box, ntilde, grid).values
-        np.fft.fftn(dens, out=dens)
+        oracle = box_image_grid(f_box, ntilde, grid)
+        dens = _spectrum(oracle, out=oracle.values)
         ind = indicator_box(f_box, extent, samples_per_axis)
         fhat = _spectrum(ind, out=ind.values)
         nrm2 = np.vdot(dens, dens).real
@@ -620,7 +642,7 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
             d2 = (np.sum(above.imag + BOUNDARY_VALUE**2 * mid.imag) + nrm2
                   - 2.0 * np.sum(above.real + BOUNDARY_VALUE * mid.real))
             row.append(float(np.sqrt(max(d2, 0.0) / nrm2)))
-        del dens, ind, fhat    # before the next box's grids are built
+        del oracle, dens, ind, fhat    # before the next box's grids
     return rows
 
 
