@@ -218,12 +218,6 @@ def _family_in_ball(family, radius=BALL_RADIUS_2D):
 _BLOCK_VALUES = 2**22
 
 
-def boxes_intersect(b1, b2):
-    """True iff the interiors of two Box3, or of two Rect2, overlap
-    (separating-axis test)."""
-    return bool(next(_sat_blocks(*_frames((b1, b2))))[2][0])
-
-
 def translates_disjoint(family):
     """Exact pairwise disjointness of a family's translated rectangles or
     (for a BoxFamily) translated boxes."""

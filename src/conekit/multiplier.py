@@ -472,35 +472,9 @@ def stratified_count_moment(boxes, power, n_samples, seed):
 
 
 @dataclass(frozen=True)
-class GeometryRecord:
-    """The p-independent half of the square-function experiment at one level
-    k: the boxes, the certified union measure eps_hat (measure plus its
-    rounding bound), the left side lhs summed over the disjoint translates and
-    kappa, the least value of |H_j 1_{F_j}| on any translate."""
-
-    boxes: bs.BoxFamily
-    eps_hat: float
-    lhs: float
-    kappa: float
-
-
-def build_geometry_record(boxes):
-    """The GeometryRecord of ``boxes``: one union measure and one left-side
-    integral per box, shared by every p run on them."""
-    union, union_err = bs.union_measure(boxes, bs.UNION_RESOLUTION)
-    pairs = list(zip(boxes.boxes_f, boxes.normals))
-    return GeometryRecord(
-        boxes=boxes,
-        eps_hat=float(union + union_err),
-        lhs=float(sum(translate_image_integral(f, n) for f, n in pairs)),
-        kappa=float(min(translate_image_minimum(f, n) for f, n in pairs)),
-    )
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
     k: int
-    n: int
+    N: int
     eps_hat: float
     p: float
     lhs: float
@@ -511,14 +485,7 @@ class ExperimentReport:
     ratio_holder: float
     m_lower: float
     control: bool
-
-    # report.csv's wall_ms is a constant 0; timings go to manifest.json
-    CSV_FIELDS = (
-        "k", "n", "eps_hat", "p", "lhs", "rhs_exact", "rhs_stderr",
-        "rhs_holder", "ratio", "ratio_holder", "m_lower", "wall_ms",
-        "control",
-    )
-    CSV_HEADER = tuple("N" if f == "n" else f for f in CSV_FIELDS)
+    kappa: float
 
 
 KHINTCHINE_CP = float(np.sqrt(2.0))   # m_lower's divisor: fixed, not derived
@@ -534,33 +501,28 @@ def check_cells(p_list, mc_samples):
         raise ValueError("mc_samples must be at least 10^4")
 
 
-def ratio_experiment(k_list, p_list, mc_samples, seed=0):
-    """Run the square-function experiment level by level, yielding each
-    level's GeometryRecord and its ExperimentReports (one per p) as soon as
-    the level is done.
+def ratio_experiment_level(boxes, p_list, mc_samples, seed):
+    """The square-function experiment at one level: one ExperimentReport per
+    entry of ``p_list`` on ``boxes``.
 
-    For p < 2 the Holder-normalized ratio grows like eps_hat^(1/2 - 1/p) as
-    the union shrinks; the optional p = 2 entries are control runs whose
-    ratio stays bounded.
-    """
-    for k in k_list:
-        record = build_geometry_record(
-            bs.build_boxes(bs.build_perron_rectangles(k)))
-        yield record, ratio_experiment_level(record, p_list, mc_samples, seed)
-
-
-def ratio_experiment_level(record, p_list, mc_samples, seed):
-    """One ExperimentReport per entry of ``p_list`` on a level's record.
-
-    The exact right side is the stratified Monte-Carlo estimate of
-    (integral count^(p/2))^(1/p); the Holder side chains through the
-    record's eps_hat.  p = 2 is the control run.  The level makes one draw,
-    on the stream SeedSequence(seed, spawn_key=(k,)), and raises its counts
-    to every power p/2 - 1, so a report does not depend on the other
-    entries of ``p_list``.
+    The level's p-independent half is computed once: the certified union
+    measure eps_hat (measure plus its rounding bound), the left side lhs
+    summed over the disjoint translates and kappa, the least value of
+    |H_j 1_{F_j}| on any translate.  The exact right side is the stratified
+    Monte-Carlo estimate of (integral count^(p/2))^(1/p); the Holder side
+    chains through eps_hat.  For p < 2 the Holder-normalized ratio grows
+    like eps_hat^(1/2 - 1/p) as the union shrinks; p = 2 is the control
+    run, whose ratio stays bounded.  The level makes one draw, on the
+    stream SeedSequence(seed, spawn_key=(k,)), and raises its counts to
+    every power p/2 - 1, so a report does not depend on the other entries
+    of ``p_list``.
     """
     check_cells(p_list, mc_samples)
-    boxes = record.boxes
+    union, union_err = bs.union_measure(boxes, bs.UNION_RESOLUTION)
+    eps_hat = float(union + union_err)
+    pairs = list(zip(boxes.boxes_f, boxes.normals))
+    lhs = float(sum(translate_image_integral(f, n) for f, n in pairs))
+    kappa = float(min(translate_image_minimum(f, n) for f, n in pairs))
     moments, moment_errs = stratified_count_moment(
         boxes, [p / 2.0 - 1.0 for p in p_list], mc_samples,
         np.random.SeedSequence(seed, spawn_key=(boxes.k,)))
@@ -572,14 +534,14 @@ def ratio_experiment_level(record, p_list, mc_samples, seed):
             (1.0 / p) * moment ** (1.0 / p - 1.0) * moment_err
             if moment > 0 else 0.0
         )
-        rhs_holder = float(
-            np.sqrt(total_volume) * record.eps_hat ** (1.0 / p - 0.5))
+        rhs_holder = float(np.sqrt(total_volume) * eps_hat ** (1.0 / p - 0.5))
         reports.append(ExperimentReport(
-            k=boxes.k, n=boxes.n_boxes, eps_hat=record.eps_hat, p=p,
-            lhs=record.lhs, rhs_exact=rhs_exact, rhs_stderr=rhs_stderr,
-            rhs_holder=rhs_holder, ratio=record.lhs / rhs_exact,
-            ratio_holder=record.lhs / rhs_holder,
-            m_lower=record.lhs / rhs_exact / KHINTCHINE_CP, control=p == 2.0,
+            k=boxes.k, N=boxes.n_boxes, eps_hat=eps_hat, p=p, lhs=lhs,
+            rhs_exact=rhs_exact, rhs_stderr=rhs_stderr,
+            rhs_holder=rhs_holder, ratio=lhs / rhs_exact,
+            ratio_holder=lhs / rhs_holder,
+            m_lower=lhs / rhs_exact / KHINTCHINE_CP, control=p == 2.0,
+            kappa=kappa,
         ))
     return reports
 

@@ -184,25 +184,6 @@ def jacobian_density(x):
     return val ** (-x.algebra.dim / x.algebra.rank)
 
 
-def compact_jacobian_bounds(boundary_samples, margin=1e-3):
-    """Min and max of det(e + x^2)^(n/r) at x = Phi(w) over Shilov samples.
-
-    On the Shilov boundary (|sum z_j^2| = sum |z_j|^2 = 1) this is
-    2^n cayley_jacobian_modulus; samples closer than ``margin`` to the
-    singular set det(e - w) = 0, or off the boundary by more than 1e-8, are
-    rejected.
-    """
-    z = np.asarray(boundary_samples, dtype=complex)
-    w = lie_to_spin(z)
-    if np.any(np.abs(jd.determinant(jd.identity(w.algebra) - w)) < margin):
-        raise ValueError("sample violates the Dom Phi margin")
-    if (np.any(np.abs(np.abs(np.sum(z * z, axis=-1)) - 1.0) > 1e-8)
-            or np.any(np.abs(np.sum(np.abs(z) ** 2, axis=-1) - 1.0) > 1e-8)):
-        raise ValueError("sample is not on the Shilov boundary")
-    values = 2.0 ** w.algebra.dim * cayley_jacobian_modulus(z)
-    return float(np.min(values)), float(np.max(values))
-
-
 def sample_shilov_boundary(n, count, rng, margin=1e-3):
     """Points exp(i theta) x with x on the real unit sphere, avoiding the
     singular set of the Cayley transform by the given margin, as a

@@ -1,12 +1,18 @@
 """Independent oracles that only the tests use: the Gaussian/Faddeeva probe
 of the half-space FFT path, the spatial dilation probe of the cone
-multiplier and the Monte-Carlo union measure."""
+multiplier, the pairwise separating-axis predicate, the Monte-Carlo and the
+exact rational union measure, and the Cayley Jacobian bounds on Shilov
+samples."""
+
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import wofz
 
 from conekit import besicovitch as bs
+from conekit import jordan as jd
 from conekit import multiplier as mp
+from conekit import szego as sz
 
 SLAB_ROWS = 32             # first-axis rows per slab of the full probe grid
 SHIFT_WEIGHT_FLOOR = 1e-12  # transverse weight below which a copy is dropped
@@ -157,7 +163,13 @@ def cone_dilation_probe(lam, samples=128, extent=8.0, order=3,
     )
 
 
-# --- union measure -------------------------------------------------------------
+# --- intersection and union measure --------------------------------------------
+
+def boxes_intersect(b1, b2):
+    """True iff the interiors of two Box3, or of two Rect2, overlap
+    (separating-axis test)."""
+    return bool(next(bs._sat_blocks(*bs._frames((b1, b2))))[2][0])
+
 
 def mc_union_measure(shapes, n_samples, seed):
     """Monte-Carlo estimate of the union measure over the bounding box, with
@@ -175,3 +187,77 @@ def mc_union_measure(shapes, n_samples, seed):
     est = area_box * p
     stderr = area_box * np.sqrt(max(p * (1 - p), 0.0) / n_samples)
     return float(est), float(stderr)
+
+
+def exact_union_measure(rects):
+    """Exact measure, as a Fraction, of the union of rectangles whose float
+    fields are taken as exact rationals (the direction need not be a unit
+    vector then; its square norm scales both slab half-widths).
+
+    Every edge P + t d, t in [0, 1], is clipped against the open interior of
+    every other rectangle, with no tie tolerance, and the union's area is
+    -1/2 sum cross(P, d) times the uncovered parameter length (edges run
+    clockwise).  An edge that lies on another rectangle's side line raises
+    ValueError: the tie rule of ``union_measure`` is not modelled."""
+    frames = []
+    for r in bs._as_rect_list(rects):
+        c = [Fraction(float(x)) for x in r.center]
+        u = [Fraction(float(x)) for x in r.direction]
+        n = [-u[1], u[0]]
+        hl, hw = Fraction(float(r.length)) / 2, Fraction(float(r.width)) / 2
+        norm2 = u[0] ** 2 + u[1] ** 2
+        verts = [[c[i] + a * hl * u[i] + b * hw * n[i] for i in range(2)]
+                 for a, b in ((1, 1), (1, -1), (-1, -1), (-1, 1))]
+        frames.append((c, ((u, hl * norm2), (n, hw * norm2)), verts))
+    area = Fraction(0)
+    for owner, (_, _, verts) in enumerate(frames):
+        for q in range(4):
+            p0, p1 = verts[q], verts[(q + 1) % 4]
+            d = [p1[0] - p0[0], p1[1] - p0[1]]
+            spans = []
+            for j, (c, slabs, _) in enumerate(frames):
+                if j == owner:
+                    continue
+                lo, hi = Fraction(0), Fraction(1)
+                for a, half in slabs:
+                    s0 = (p0[0] - c[0]) * a[0] + (p0[1] - c[1]) * a[1]
+                    s1 = d[0] * a[0] + d[1] * a[1]
+                    if s1 == 0:
+                        if abs(s0) == half:
+                            raise ValueError(
+                                "an edge lies on another rectangle's side line")
+                        if abs(s0) > half:
+                            lo, hi = Fraction(1), Fraction(0)
+                        continue
+                    t1, t2 = (-half - s0) / s1, (half - s0) / s1
+                    lo, hi = max(lo, min(t1, t2)), min(hi, max(t1, t2))
+                if lo < hi:
+                    spans.append((lo, hi))
+            covered, reach = Fraction(0), Fraction(0)
+            for lo, hi in sorted(spans):
+                covered += max(hi, reach) - max(lo, reach)
+                reach = max(reach, hi)
+            cross = p0[0] * d[1] - p0[1] * d[0]
+            area -= cross * (1 - covered) / 2
+    return area
+
+
+# --- Cayley Jacobian ---------------------------------------------------------
+
+def compact_jacobian_bounds(boundary_samples, margin=1e-3):
+    """Min and max of det(e + x^2)^(n/r) at x = Phi(w) over Shilov samples.
+
+    On the Shilov boundary (|sum z_j^2| = sum |z_j|^2 = 1) this is
+    2^n cayley_jacobian_modulus; samples closer than ``margin`` to the
+    singular set det(e - w) = 0, or off the boundary by more than 1e-8, are
+    rejected.
+    """
+    z = np.asarray(boundary_samples, dtype=complex)
+    w = sz.lie_to_spin(z)
+    if np.any(np.abs(jd.determinant(jd.identity(w.algebra) - w)) < margin):
+        raise ValueError("sample violates the Dom Phi margin")
+    if (np.any(np.abs(np.abs(np.sum(z * z, axis=-1)) - 1.0) > 1e-8)
+            or np.any(np.abs(np.sum(np.abs(z) ** 2, axis=-1) - 1.0) > 1e-8)):
+        raise ValueError("sample is not on the Shilov boundary")
+    values = 2.0 ** w.algebra.dim * sz.cayley_jacobian_modulus(z)
+    return float(np.min(values)), float(np.max(values))

@@ -85,9 +85,8 @@ def test_criterion_3_blowup_demonstration(box_families):
     lhs_floor = 0.05 / (2.0 * np.pi)
     reports = {}
     for k in range(3, 9):
-        record = mp.build_geometry_record(box_families[k])
-        level = mp.ratio_experiment_level(record, [1.0, 2.0], mc_samples,
-                                          seed=2026)
+        level = mp.ratio_experiment_level(box_families[k], [1.0, 2.0],
+                                          mc_samples, seed=2026)
         reports[(k, 1.0)], reports[(k, 2.0)] = level
     lhs_ok = all(reports[(k, 1.0)].lhs >= lhs_floor for k in range(3, 9))
     eps_decreasing = all(

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from conekit import besicovitch as bs
 from conekit.errors import ConstructionFailedError
-from oracles import mc_union_measure
+from oracles import boxes_intersect, exact_union_measure, mc_union_measure
 
 
 class TestRectangleFamilies:
@@ -87,17 +87,17 @@ def _box(axes, half_extents, center=(0.0, 0.0, 0.0)):
 class TestIntersectionPredicates:
     def test_identical_rectangles_overlap(self):
         r = bs.Rect2(center=[0.0, 0.0], direction=[0.0, 1.0], length=1.0, width=0.25)
-        assert bs.boxes_intersect(r, r)
+        assert boxes_intersect(r, r)
 
     def test_separated_rectangles_do_not(self):
         r1 = bs.Rect2(center=[0.0, 0.0], direction=[0.0, 1.0], length=1.0, width=0.25)
         r2 = bs.Rect2(center=[1.0, 0.0], direction=[0.0, 1.0], length=1.0, width=0.25)
-        assert not bs.boxes_intersect(r1, r2)
+        assert not boxes_intersect(r1, r2)
 
     def test_touching_edges_count_as_disjoint_interiors(self):
         r1 = bs.Rect2(center=[0.0, 0.0], direction=[0.0, 1.0], length=1.0, width=0.5)
         r2 = bs.Rect2(center=[0.5, 0.0], direction=[0.0, 1.0], length=1.0, width=0.5)
-        assert not bs.boxes_intersect(r1, r2)
+        assert not boxes_intersect(r1, r2)
 
     def test_rotated_pair_against_area_oracle(self):
         # Monte-Carlo area of the intersection as an independent oracle.
@@ -121,8 +121,8 @@ class TestIntersectionPredicates:
             )
             frac = np.mean(in1 & in2)
             if frac > 0.002:
-                assert bs.boxes_intersect(r1, r2)
-            if not bs.boxes_intersect(r1, r2):
+                assert boxes_intersect(r1, r2)
+            if not boxes_intersect(r1, r2):
                 assert frac == 0.0
 
     def test_k8_translates_disjoint(self):
@@ -138,7 +138,7 @@ class TestIntersectionPredicates:
         for s in np.linspace(0.0, 3.0, 13)[1:]:
             shifted = b.translated(s * b.axes[0])
             expected = s < 2 * b.half_extents[0]
-            assert bs.boxes_intersect(b, shifted) == expected
+            assert boxes_intersect(b, shifted) == expected
 
     def test_random_pairs_against_lp_margin(self):
         rng = np.random.default_rng(83)
@@ -149,12 +149,12 @@ class TestIntersectionPredicates:
                                length=rng.uniform(0.2, 1.5),
                                width=rng.uniform(0.05, 0.6))
                       for t in rng.uniform(0.0, np.pi, 2))
-            verdicts.append((bs.boxes_intersect(r1, r2), _lp_margin(r1, r2)))
+            verdicts.append((boxes_intersect(r1, r2), _lp_margin(r1, r2)))
             b1, b2 = (bs.Box3(center=rng.uniform(-0.8, 0.8, 3),
                               axes=np.linalg.qr(rng.normal(size=(3, 3)))[0],
                               half_extents=rng.uniform(0.05, 0.6, 3))
                       for _ in range(2))
-            verdicts.append((bs.boxes_intersect(b1, b2), _lp_margin(b1, b2)))
+            verdicts.append((boxes_intersect(b1, b2), _lp_margin(b1, b2)))
         checked = [(got, s > 0) for got, s in verdicts if abs(s) >= 1e-9]
         assert all(got == expected for got, expected in checked)
         assert {expected for _, expected in checked} == {True, False}
@@ -179,8 +179,8 @@ class TestIntersectionPredicates:
          _box(_ROT, [0.1, 0.2, 0.3], [0.1, -0.2, 0.3]), True),
     ])
     def test_box_special_cases(self, a, b, expected):
-        assert bs.boxes_intersect(a, b) == expected
-        assert bs.boxes_intersect(b, a) == expected
+        assert boxes_intersect(a, b) == expected
+        assert boxes_intersect(b, a) == expected
         s = _lp_margin(a, b)
         assert s > 1e-9 if expected else s < 1e-9
 
@@ -189,8 +189,8 @@ class TestIntersectionPredicates:
                        length=2.0, width=1.0)
         small = bs.Rect2(center=[0.1, 0.2], direction=[0.6, 0.8],
                          length=0.5, width=0.2)
-        assert bs.boxes_intersect(big, small)
-        assert bs.boxes_intersect(small, big)
+        assert boxes_intersect(big, small)
+        assert boxes_intersect(small, big)
 
     @pytest.mark.parametrize("lift", [False, True])
     def test_overlap_found_in_every_block(self, monkeypatch, lift):
@@ -227,7 +227,7 @@ class TestIntersectionPredicates:
             for shapes in (family.rects, bs.build_boxes(family).boxes_f):
                 batched = np.concatenate(
                     [b[2] for b in bs._sat_blocks(*bs._frames(shapes))])
-                expected = [bs.boxes_intersect(a, b)
+                expected = [boxes_intersect(a, b)
                             for a, b in itertools.combinations(shapes, 2)]
                 assert batched.tolist() == expected
                 outcomes.update(expected)
@@ -372,6 +372,28 @@ class TestUnionMeasure:
         m, err = bs.union_measure(rects, 1.0)
         assert m < 1.0 < m + err
         assert Fraction(m + err) - Fraction(m) == Fraction(err)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_bound_holds_against_exact_rationals(self, k):
+        fam = bs.build_perron_rectangles(k)
+        m, err = bs.union_measure(fam, bs.UNION_RESOLUTION)
+        assert abs(Fraction(m) - exact_union_measure(fam)) <= Fraction(err)
+
+    def test_exact_oracle_closed_forms(self):
+        # a 45 degree rotation holds no exact rational unit direction, so the
+        # oracle's square has sides |u| long
+        u = np.sqrt([0.5, 0.5])
+        assert exact_union_measure([_square(0.0, 0.0, u)]) == (
+            Fraction(u[0]) ** 2 + Fraction(u[1]) ** 2)
+        # a square strictly inside another, then two overlapping in a corner
+        assert exact_union_measure([
+            _square(0.5, 0.5, length=0.5, width=0.5), _square(0.5, 0.5)]) == 1
+        assert exact_union_measure([_square(0.5, 0.5),
+                                    _square(1.0, 1.0)]) == Fraction(7, 4)
+        # a copy lies on its original's side lines: the tie rule is not
+        # modelled
+        with pytest.raises(ValueError):
+            exact_union_measure([_square(0.5, 0.5)] * 2)
 
     def test_invalid_resolution(self):
         fam = bs.build_perron_rectangles(1)

@@ -1,5 +1,6 @@
 """Tests for the command-line driver: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -48,6 +49,19 @@ def test_config_value_of_wrong_kind_is_usage_error(tmp_path, capsys, command,
     path.write_text(json.dumps(cfg))
     assert run_main([command, "--config", str(path)]) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["Infinity", "NaN", "-1e-6"])
+def test_nonfinite_or_negative_number_is_usage_error_before_output(
+        tmp_path, capsys, tol):
+    # Python's json reads the non-standard Infinity and NaN literals
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"seed": 7, "out_dir": "{out}", "tol": {tol}}}')
+    assert run_main(["szego", "--config", str(path)]) == 2
+    assert "config key 'tol' must be a finite positive number" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_resolution_knobs_are_gone(tmp_path, capsys):
@@ -114,7 +128,7 @@ class TestRatioCommand:
         path, out = config
         assert run_main(["ratio", "--config", str(path)]) == 0
         lines = (out / "report.csv").read_text().splitlines()
-        assert lines[0] == ",".join(mp.ExperimentReport.CSV_HEADER)
+        assert lines[0] == ",".join(cli.REPORT_COLUMNS)
         rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
         p1 = [r for r in rows if r["control"] == "0"]
         assert float(p1[1]["ratio_holder"]) > float(p1[0]["ratio_holder"])
@@ -127,10 +141,17 @@ class TestRatioCommand:
         assert run_main(["ratio", "--config", str(path)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["timings_ms"]) == {"k3", "k4"}
+        boxes = {k: bs.build_boxes(bs.build_perron_rectangles(k))
+                 for k in (3, 4)}
         assert manifest["kappa"] == {
-            f"k{k}": mp.build_geometry_record(
-                bs.build_boxes(bs.build_perron_rectangles(k))).kappa
-            for k in (3, 4)}
+            f"k{k}": min(mp.translate_image_minimum(f, n)
+                         for f, n in zip(b.boxes_f, b.normals))
+            for k, b in boxes.items()}
+
+    def test_report_columns_are_the_report_fields(self):
+        fields = [f.name for f in dataclasses.fields(mp.ExperimentReport)]
+        assert ([c for c in cli.REPORT_COLUMNS if c != "wall_ms"]
+                == [f for f in fields if f != "kappa"])
 
     def test_determinism(self, config):
         path, out = config
@@ -154,14 +175,14 @@ class TestRatioCommand:
             "k_list": [3, 4], "p_list": [1.0, 2.0], "mc_samples": 10_000,
             "seed": 5, "out_dir": str(out),
         }))
-        build = mp.build_geometry_record
+        level = mp.ratio_experiment_level
 
-        def failing_at_k4(boxes):
+        def failing_at_k4(boxes, *args):
             if boxes.k == 4:
                 raise ValueError("cell failed")
-            return build(boxes)
+            return level(boxes, *args)
 
-        monkeypatch.setattr(mp, "build_geometry_record", failing_at_k4)
+        monkeypatch.setattr(mp, "ratio_experiment_level", failing_at_k4)
         assert run_main(["ratio", "--config", str(cfg)]) == 2
         lines = (out / "report.csv").read_text().splitlines()
         rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]

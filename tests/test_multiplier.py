@@ -424,22 +424,20 @@ class TestSquareFunction:
         rect = bs.Rect2(center=[0.5, 0.0], direction=[0.0, 1.0],
                         length=1.0, width=1.0)
         family = bs.RectangleFamily(k=0, rects=(rect,))
-        record = mp.build_geometry_record(bs.build_boxes(family))
-        res, = mp.ratio_experiment_level(record, [1.5], 10_000, seed=3)
-        box = record.boxes.boxes_f[0]
+        boxes = bs.build_boxes(family)
+        res, = mp.ratio_experiment_level(boxes, [1.5], 10_000, seed=3)
+        box = boxes.boxes_f[0]
         assert res.rhs_exact == pytest.approx(box.volume() ** (1 / 1.5),
                                               rel=1e-12)
         assert res.rhs_stderr == 0.0
-        assert res.lhs == mp.translate_image_integral(
-            box, record.boxes.normals[0])
+        assert res.lhs == mp.translate_image_integral(box, boxes.normals[0])
 
     def test_holder_bound_arithmetic(self):
         # p = 1, eps = 0.1: sqrt(1/2) * 0.1^(1/2) ~ 0.2236
         assert np.sqrt(0.5) * 0.1**0.5 == pytest.approx(0.22360679, abs=1e-6)
 
     def test_rhs_exact_below_holder(self, boxes_k3):
-        record = mp.build_geometry_record(boxes_k3)
-        res, = mp.ratio_experiment_level(record, [1.0], 20_000, seed=7)
+        res, = mp.ratio_experiment_level(boxes_k3, [1.0], 20_000, seed=7)
         assert res.rhs_exact <= res.rhs_holder + res.rhs_stderr
 
     def test_stratified_estimator_against_raster_oracle(self, boxes_k3):
@@ -458,12 +456,11 @@ class TestSquareFunction:
         assert moment == pytest.approx(oracle, rel=0.02)
 
     def test_invalid_p_rejected(self, boxes_k3):
-        record = mp.build_geometry_record(boxes_k3)
         for p in (0.5, 2.5):
             with pytest.raises(ValueError):
-                mp.ratio_experiment_level(record, [1.0, p], 10_000, seed=0)
+                mp.ratio_experiment_level(boxes_k3, [1.0, p], 10_000, seed=0)
         with pytest.raises(ValueError):
-            mp.ratio_experiment_level(record, [1.0], 100, seed=0)
+            mp.ratio_experiment_level(boxes_k3, [1.0], 100, seed=0)
 
     def test_one_geometry_record_per_k(self, monkeypatch):
         calls = {"union": 0, "integral": 0}
@@ -486,32 +483,43 @@ class TestSquareFunction:
         monkeypatch.setattr(mp, "translate_image_integral",
                             counting("integral", mp.translate_image_integral))
         monkeypatch.setattr(mp, "stratified_count_moment", moment)
-        levels = list(mp.ratio_experiment([3, 4], [1.0, 1.5, 2.0], 15_000,
-                                          seed=11))
-        assert calls == {"union": 2, "integral": 8 + 16}
-        assert moments == [(k, [-0.5, -0.25, 0.0], 15_000, 11, (k,))
-                           for k in (3, 4)]
-        for record, reports in levels:
+        for k in (3, 4):
+            boxes = _family(k)
+            before = dict(calls)
+            reports = mp.ratio_experiment_level(boxes, [1.0, 1.5, 2.0],
+                                                15_000, seed=11)
+            # one union and one left-side pass per level call
+            assert calls == {"union": before["union"] + 1,
+                             "integral": before["integral"] + 2**k}
             assert [r.p for r in reports] == [1.0, 1.5, 2.0]
             for r in reports:
                 moment, err = count_moment(
-                    record.boxes, r.p / 2.0 - 1.0, 15_000,
+                    boxes, r.p / 2.0 - 1.0, 15_000,
                     np.random.SeedSequence(11, spawn_key=(r.k,)))
                 assert r.rhs_exact == float(moment ** (1.0 / r.p))
                 assert r.rhs_stderr == float(
                     (1.0 / r.p) * moment ** (1.0 / r.p - 1.0) * err)
+        assert calls == {"union": 2, "integral": 8 + 16}
+        assert moments == [(k, [-0.5, -0.25, 0.0], 15_000, 11, (k,))
+                           for k in (3, 4)]
+
+    def test_reports_carry_the_level_kappa(self, boxes_k3):
+        kappa = min(mp.translate_image_minimum(f, n)
+                    for f, n in zip(boxes_k3.boxes_f, boxes_k3.normals))
+        reports = mp.ratio_experiment_level(boxes_k3, [1.0, 1.5, 2.0],
+                                            10_000, seed=0)
+        assert [r.kappa for r in reports] == [kappa] * 3
 
     def test_report_independent_of_other_p(self, boxes_k3):
-        record = mp.build_geometry_record(boxes_k3)
         p_list = [1.0, 1.25, 1.5, 2.0]
-        shared = mp.ratio_experiment_level(record, p_list, 12_000, seed=4)
+        shared = mp.ratio_experiment_level(boxes_k3, p_list, 12_000, seed=4)
         for p, report in zip(p_list, shared):
-            alone, = mp.ratio_experiment_level(record, [p], 12_000, seed=4)
+            alone, = mp.ratio_experiment_level(boxes_k3, [p], 12_000, seed=4)
             assert alone == report
 
     def test_ratio_experiment_growth_and_control(self):
-        reports = [r for _, level in mp.ratio_experiment(
-            [3, 4], [1.0, 2.0], 15_000, seed=11) for r in level]
+        reports = [r for k in (3, 4) for r in mp.ratio_experiment_level(
+            _family(k), [1.0, 2.0], 15_000, seed=11)]
         p1 = [r for r in reports if r.p == 1.0]
         p2 = [r for r in reports if r.control]
         assert p1[1].ratio_holder > p1[0].ratio_holder

