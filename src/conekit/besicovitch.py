@@ -131,12 +131,16 @@ class Box3:
 
 @dataclass(frozen=True)
 class BoxFamily:
-    k: int
+    family: RectangleFamily       # the R_j that the E_j = [0,1] x R_j lift
     boxes_e: tuple
     boxes_f: tuple
     boxes_f_shifted: tuple
     light_rays: np.ndarray        # rows n_j = (1, u_j)
     normals: np.ndarray           # rows ntilde_j = (-1, u_j)
+
+    @property
+    def k(self):
+        return self.family.k
 
     @property
     def n_boxes(self):
@@ -219,56 +223,40 @@ _BLOCK_VALUES = 2**22
 
 
 def translates_disjoint(family):
-    """Exact pairwise disjointness of a family's translated rectangles or
-    (for a BoxFamily) translated boxes."""
-    shapes = (family.translates() if isinstance(family, RectangleFamily)
-              else family.boxes_f_shifted)
+    """Exact pairwise disjointness of a RectangleFamily's translates."""
     # any() stops at the first block holding an overlapping pair
-    return not any(overlap.any()
-                   for _, _, overlap in _sat_blocks(*_frames(shapes)))
+    return not any(overlap.any() for _, _, overlap
+                   in _sat_blocks(*_frames(family.translates())))
 
 
-def _frames(shapes):
-    """Centers (n, d), orthonormal axis rows (n, d, d) and half extents
-    (n, d) of a sequence of Rect2 (rows u, n) or of Box3."""
-    if isinstance(shapes[0], Rect2):
-        return (np.array([r.center for r in shapes]),
-                np.array([[r.direction, r.normal] for r in shapes]),
-                0.5 * np.array([[r.length, r.width] for r in shapes]))
-    return (np.array([b.center for b in shapes]),
-            np.array([b.axes for b in shapes]),
-            np.array([b.half_extents for b in shapes]))
+def _frames(rects):
+    """Centers (n, 2), axis rows u, n (n, 2, 2) and half extents (n, 2) of a
+    sequence of Rect2."""
+    return (np.array([r.center for r in rects]),
+            np.array([[r.direction, r.normal] for r in rects]),
+            0.5 * np.array([[r.length, r.width] for r in rects]))
 
 
 def _sat_blocks(centers, axes, halves):
-    """Separating-axis verdicts for every pair i < j of n boxes in d = 2 or 3
-    dimensions, one block of rows i at a time: yields (i, j, overlap).
+    """Separating-axis verdicts for every pair i < j of n rectangles, one
+    block of rows i at a time: yields (i, j, overlap).
 
-    A box's radius along a unit axis x is sum_q half_q |axes_q . x|.  The
-    candidate axes are both boxes' own rows and, for d = 3, the nine
-    normalised cross products of a row of one with a row of the other; a
-    cross product of norm <= 1e-14 (parallel rows) becomes NaN, which never
-    separates.  A pair is separated when |x . (c_j - c_i)| >= r_i + r_j on
-    some candidate, so boxes that only touch count as disjoint.
+    A rectangle's radius along a unit axis x is sum_q half_q |axes_q . x|.
+    The candidate axes are both rectangles' own rows.  A pair is separated
+    when |x . (c_j - c_i)| >= r_i + r_j on some candidate, so rectangles
+    that only touch count as disjoint.
     """
-    n, d = centers.shape
-    n_axes = 2 * d + (9 if d == 3 else 0)
-    # per pair, all live values stay below 3x the candidate x own-row product
-    rows = max(1, _BLOCK_VALUES // (n * 3 * n_axes * 2 * d))
+    n = len(centers)
+    # per pair, all live values stay below 3x the 4 x 4 product of own rows
+    rows = max(1, _BLOCK_VALUES // (n * 3 * 4 * 4))
     index = np.arange(n)
     for first in range(0, n - 1, rows):
         i, j = np.nonzero(index[first:first + rows, None] < index)
         i += first
-        cand = own = np.concatenate([axes[i], axes[j]], axis=1)
-        if d == 3:
-            cross = np.cross(axes[i][:, :, None],
-                             axes[j][:, None, :]).reshape(-1, 9, 3)
-            norm = np.linalg.norm(cross, axis=2, keepdims=True)
-            cand = np.concatenate(
-                [own, cross / np.where(norm > 1e-14, norm, np.nan)], axis=1)
-        dist = np.abs(cand @ (centers[j] - centers[i])[:, :, None])
-        # r_i + r_j in one product: all 2d own rows against both half extents
-        proj = cand @ own.transpose(0, 2, 1)
+        own = np.concatenate([axes[i], axes[j]], axis=1)
+        dist = np.abs(own @ (centers[j] - centers[i])[:, :, None])
+        # r_i + r_j in one product: all four own rows against both extents
+        proj = own @ own.transpose(0, 2, 1)
         radii = (np.abs(proj, out=proj)
                  @ np.hstack([halves[i], halves[j]])[:, :, None])
         yield i, j, ~(dist >= radii).any(axis=(1, 2))
@@ -292,12 +280,18 @@ def union_measure(shapes, resolution):
     with opposite normals both stay and cancel.  Returns (measure, bound);
     the bound covers rounding, including the 1/|s1| growth of clip
     endpoints on near-parallel edges.  ``resolution`` must be positive but
-    has no effect.  Accepts a RectangleFamily, a BoxFamily (planar
-    projections of the E_j) or a sequence of Rect2.
+    has no effect.  Accepts a RectangleFamily, a BoxFamily (the family its
+    E_j lift) or a sequence of Rect2.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     rects = _as_rect_list(shapes)
+    centers, axes, halves = _frames(rects)
+    # slab k of rectangle j is |axes[k, j] . x - offsets[k, j]| < halves[k, j],
+    # in the coordinates of the vertices, which carry |u|^2
+    axes = axes.transpose(1, 0, 2)
+    offsets = np.sum(centers * axes, 2)
+    halves = halves.T * np.vecdot(axes[0], axes[0])
     verts = np.array([r.vertices() for r in rects])        # clockwise
     starts = verts.reshape(-1, 2)
     vectors = (np.roll(verts, -1, axis=1) - verts).reshape(-1, 2)
@@ -306,8 +300,8 @@ def union_measure(shapes, resolution):
     # _edge_coverage holds up to nine (edges, 2, rects) arrays at once
     block = max(1, _BLOCK_VALUES // (9 * 2 * len(rects)))
     covered, frac_err, bands = np.concatenate([
-        _edge_coverage(rects, starts[e0:e0 + block], vectors[e0:e0 + block],
-                       e0, err)
+        _edge_coverage(axes, offsets, halves, starts[e0:e0 + block],
+                       vectors[e0:e0 + block], e0, err)
         for e0 in range(0, len(starts), block)], axis=1)
     cross = starts[:, 0] * vectors[:, 1] - starts[:, 1] * vectors[:, 0]
     terms = 0.5 * cross * (covered - 1.0)    # clockwise: area = -1/2 sum
@@ -325,22 +319,17 @@ def union_measure(shapes, resolution):
     return measure, float(total - measure)
 
 
-def _edge_coverage(rects, starts, vectors, first, err):
+def _edge_coverage(axes, offsets, halves, starts, vectors, first, err):
     """For the edges first, first + 1, ...: the fraction covered by the other
     rectangles, a first-order bound on its rounding, and the number of
     slab-boundary bands met."""
-    centers = np.array([r.center for r in rects])
-    axes = np.array([[r.direction for r in rects], [r.normal for r in rects]])
-    # half-widths in the slab coordinates of the vertices, which carry |u|^2
-    halves = 0.5 * np.array([[r.length, r.width] for r in rects]).T * [
-        r.direction @ r.direction for r in rects]
-    n, rows = len(rects), np.arange(len(starts))
+    n, rows = axes.shape[1], np.arange(len(starts))
     owner = (first + rows) // 4
     with np.errstate(divide="ignore", invalid="ignore"):
         # edge point t lies inside slab k of rectangle j if |s0 + t s1| <
         # half; arrays are indexed [edge, k, j]
         flat = axes.reshape(-1, 2).T
-        s0 = (starts @ flat).reshape(-1, 2, n) - np.sum(centers * axes, 2)
+        s0 = (starts @ flat).reshape(-1, 2, n) - offsets
         s1 = (vectors @ flat).reshape(-1, 2, n)
         t1, t2 = (-halves - s0) / s1, (halves - s0) / s1
         # an edge parallel to the slab up to rounding is inside it for all t
@@ -378,28 +367,9 @@ def _edge_coverage(rects, starts, vectors, first, err):
 
 
 def _as_rect_list(shapes):
-    if isinstance(shapes, RectangleFamily):
-        return list(shapes.rects)
     if isinstance(shapes, BoxFamily):
-        return [_project_box(b) for b in shapes.boxes_e]
-    return list(shapes)
-
-
-def _project_box(box):
-    """Planar rectangle obtained by dropping the first coordinate of an E_j
-    style box (one axis along e1, the others planar)."""
-    planar_axes = [i for i in range(3) if abs(box.axes[i, 0]) < 1e-12]
-    if len(planar_axes) != 2:
-        raise ValueError("box is not aligned with the first coordinate axis")
-    i, j = planar_axes
-    u = box.axes[i, 1:]
-    length = 2.0 * box.half_extents[i]
-    width = 2.0 * box.half_extents[j]
-    if length < width:
-        i, j = j, i
-        u = box.axes[i, 1:]
-        length, width = width, length
-    return Rect2(center=box.center[1:], direction=u, length=length, width=width)
+        shapes = shapes.family
+    return list(shapes.rects if isinstance(shapes, RectangleFamily) else shapes)
 
 
 # --- 3D boxes ----------------------------------------------------------------
@@ -407,49 +377,38 @@ def _project_box(box):
 def build_boxes(family):
     """The boxes E_j = [0,1] x R_j, the rotated inner boxes F_j and the
     translates F_j + 5*(-1, u_j)."""
-    n = family.n_rects
-    width = 1.0 / n
-    boxes_e, boxes_f, boxes_ft = [], [], []
-    rays, normals = [], []
-    sqrt2 = np.sqrt(2.0)
+    width, sqrt2 = 1.0 / family.n_rects, np.sqrt(2.0)
+    boxes_e, boxes_f = [], []
     for rect in family.rects:
-        u = rect.direction
-        uperp = rect.normal
-        bc = rect.center
-        e_box = Box3(
-            center=np.array([0.5, bc[0], bc[1]]),
-            axes=np.array(
-                [[1.0, 0.0, 0.0], [0.0, u[0], u[1]], [0.0, uperp[0], uperp[1]]]
-            ),
-            half_extents=np.array([0.5, 0.5, width / 2]),
-        )
-        a1 = np.array([1.0, -u[0], -u[1]]) / sqrt2
-        a2 = np.array([1.0, u[0], u[1]]) / sqrt2
-        a3 = np.array([0.0, uperp[0], uperp[1]])
-        f_box = Box3(
-            center=np.array([0.5, bc[0], bc[1]]),
-            axes=np.array([a1, a2, a3]),
-            half_extents=np.array([sqrt2 / 4, sqrt2 / 4, width / 2]),
-        )
-        ntilde = np.array([-1.0, u[0], u[1]])
-        boxes_e.append(e_box)
-        boxes_f.append(f_box)
-        boxes_ft.append(f_box.translated(family.shift * ntilde))
-        rays.append(np.array([1.0, u[0], u[1]]))
-        normals.append(ntilde)
+        (u0, u1), (p0, p1) = rect.direction, rect.normal
+        center = [0.5, *rect.center]
+        boxes_e.append(Box3(center, [[1.0, 0.0, 0.0], [0.0, u0, u1],
+                                     [0.0, p0, p1]], [0.5, 0.5, width / 2]))
+        boxes_f.append(Box3(
+            center, [np.array([1.0, -u0, -u1]) / sqrt2,
+                     np.array([1.0, u0, u1]) / sqrt2, [0.0, p0, p1]],
+            [sqrt2 / 4, sqrt2 / 4, width / 2]))
+    directions = np.array([r.direction for r in family.rects])
+    light_rays = np.column_stack([np.ones(len(directions)), directions])
+    normals = light_rays * [-1.0, 1.0, 1.0]
     return BoxFamily(
-        k=family.k,
+        family=family,
         boxes_e=tuple(boxes_e),
         boxes_f=tuple(boxes_f),
-        boxes_f_shifted=tuple(boxes_ft),
-        light_rays=np.array(rays),
-        normals=np.array(normals),
+        boxes_f_shifted=tuple(f.translated(family.shift * ntilde)
+                              for f, ntilde in zip(boxes_f, normals)),
+        light_rays=light_rays,
+        normals=normals,
     )
 
 
 def box_geometry_check(boxes):
     """Verify the box-family invariants; returns a dict of named booleans."""
     n = boxes.n_boxes
+    shifts = (np.array([b.center for b in boxes.boxes_f_shifted])
+              - np.array([b.center for b in boxes.boxes_f]))
+    are_shifts = bool(np.max(np.abs(shifts - SHIFT * boxes.normals)) <= 1e-12)
+    lifted = _projections_match(boxes)
     report = {}
     vol_f = np.array([b.volume() for b in boxes.boxes_f])
     report["volumes_f"] = bool(np.max(np.abs(vol_f - 1.0 / (2 * n))) <= 1e-12)
@@ -459,14 +418,16 @@ def box_geometry_check(boxes):
         bool(np.all(e.contains(f.vertices(), slack=1e-12)))
         for e, f in zip(boxes.boxes_e, boxes.boxes_f)
     )
-    report["translates_disjoint"] = translates_disjoint(boxes)
+    # F_j + 5 ntilde_j lies in E_j + 5 ntilde_j = [-5,-4] x (R_j + 5 u_j), so
+    # the box translates are disjoint where the family's translates are
+    report["translates_disjoint"] = (report["f_inside_e"] and are_shifts
+                                     and lifted
+                                     and translates_disjoint(boxes.family))
     report["normals_have_sqrt2_length"] = bool(
         np.max(np.abs(np.linalg.norm(boxes.normals, axis=1) - np.sqrt(2.0)))
         <= 1e-12
     )
-    shifts = _frames(boxes.boxes_f_shifted)[0] - _frames(boxes.boxes_f)[0]
-    report["translates_are_shifts"] = bool(
-        np.max(np.abs(shifts - SHIFT * boxes.normals)) <= 1e-12)
+    report["translates_are_shifts"] = are_shifts
     all_verts = np.concatenate(
         [b.vertices() for b in boxes.boxes_f]
         + [b.vertices() for b in boxes.boxes_f_shifted]
@@ -474,7 +435,7 @@ def box_geometry_check(boxes):
     max_norm = float(np.max(np.linalg.norm(all_verts, axis=1)))
     report["max_vertex_norm"] = max_norm
     report["inside_ball"] = bool(max_norm <= BALL_RADIUS_3D)
-    report["projections_match"] = _projections_match(boxes)
+    report["projections_match"] = lifted
     report["all_passed"] = all(
         v for key, v in report.items() if isinstance(v, bool)
     )
@@ -482,17 +443,17 @@ def box_geometry_check(boxes):
 
 
 def _projections_match(boxes):
-    """Planar projections of the translated E_j equal the translated R_j."""
-    for e_box, ntilde in zip(boxes.boxes_e, boxes.normals):
-        e_shift = e_box.translated(SHIFT * ntilde)
-        proj = _project_box(e_shift)
-        u = ntilde[1:]
-        expected_center = e_box.center[1:] + SHIFT * u
-        if np.max(np.abs(proj.center - expected_center)) > 1e-12:
-            return False
-        if abs(abs(proj.direction @ u) - 1.0) > 1e-12:
-            return False
-    return True
+    """Each E_j is [0,1] x R_j, the lift of its family's rectangle, and each
+    ntilde_j is (-1, u_j)."""
+    centers, axes, halves = _frames(boxes.family.rects)
+    gaps = (np.array([b.center for b in boxes.boxes_e])
+            - np.insert(centers, 0, 0.5, axis=1),
+            np.array([b.axes for b in boxes.boxes_e]) - np.diag([1.0, 0, 0])
+            - np.pad(axes, ((0, 0), (1, 0), (1, 0))),
+            np.array([b.half_extents for b in boxes.boxes_e])
+            - np.insert(halves, 0, 0.5, axis=1),
+            boxes.normals - np.insert(axes[:, 0], 0, -1.0, axis=1))
+    return all(np.max(np.abs(gap)) <= 1e-12 for gap in gaps)
 
 
 # --- serialization -----------------------------------------------------------

@@ -35,6 +35,7 @@ from . import besicovitch as bs
 from . import jordan as jd
 from . import multiplier as mp
 from . import szego as sz
+from .errors import BudgetExceededError
 
 
 def _fmt(value):
@@ -250,6 +251,9 @@ def cmd_szego(args):
     if config["dimension"] != 3:
         # the kernel quadrature integrates over the light cone of R^3 only
         raise ValueError("config key 'dimension' must be 3")
+    if config["tol"] < np.finfo(float).eps:
+        # the quadrature's error estimate is floored at 2^-52
+        raise ValueError("config key 'tol' must be at least 2^-52")
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -581,6 +585,9 @@ def main(argv=None):
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceededError as exc:         # a result missed its tolerance
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:                   # internal failure
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -242,7 +242,7 @@ def szego_kernel_quadrature(z, u, tol=1e-6):
                 )
         prev = value
     raise BudgetExceededError(
-        "kernel quadrature did not reach the tolerance",
+        f"kernel quadrature did not reach tol = {tol:g}",
         partial=prev,
         error_estimate=float(err),
     )

@@ -165,10 +165,9 @@ def cone_dilation_probe(lam, samples=128, extent=8.0, order=3,
 
 # --- intersection and union measure --------------------------------------------
 
-def boxes_intersect(b1, b2):
-    """True iff the interiors of two Box3, or of two Rect2, overlap
-    (separating-axis test)."""
-    return bool(next(bs._sat_blocks(*bs._frames((b1, b2))))[2][0])
+def boxes_intersect(r1, r2):
+    """True iff the interiors of two Rect2 overlap (separating-axis test)."""
+    return bool(next(bs._sat_blocks(*bs._frames((r1, r2))))[2][0])
 
 
 def mc_union_measure(shapes, n_samples, seed):

@@ -75,15 +75,6 @@ class TestRectangleFamilies:
         assert bs.box_geometry_check(bs.build_boxes(family))["all_passed"]
 
 
-_ROT = np.linalg.qr(np.random.default_rng(89).normal(size=(3, 3)))[0]
-
-
-def _box(axes, half_extents, center=(0.0, 0.0, 0.0)):
-    return bs.Box3(center=np.asarray(center, dtype=float),
-                   axes=np.asarray(axes, dtype=float),
-                   half_extents=half_extents)
-
-
 class TestIntersectionPredicates:
     def test_identical_rectangles_overlap(self):
         r = bs.Rect2(center=[0.0, 0.0], direction=[0.0, 1.0], length=1.0, width=0.25)
@@ -129,17 +120,6 @@ class TestIntersectionPredicates:
         fam = bs.build_perron_rectangles(8)
         assert bs.translates_disjoint(fam)
 
-    def test_boxes_sat_agrees_with_vertex_oracle(self):
-        rng = np.random.default_rng(67)
-        fam = bs.build_perron_rectangles(2)
-        boxes = bs.build_boxes(fam)
-        b = boxes.boxes_f[0]
-        # a displaced copy overlaps until the displacement passes the extent
-        for s in np.linspace(0.0, 3.0, 13)[1:]:
-            shifted = b.translated(s * b.axes[0])
-            expected = s < 2 * b.half_extents[0]
-            assert boxes_intersect(b, shifted) == expected
-
     def test_random_pairs_against_lp_margin(self):
         rng = np.random.default_rng(83)
         verdicts = []
@@ -150,39 +130,9 @@ class TestIntersectionPredicates:
                                width=rng.uniform(0.05, 0.6))
                       for t in rng.uniform(0.0, np.pi, 2))
             verdicts.append((boxes_intersect(r1, r2), _lp_margin(r1, r2)))
-            b1, b2 = (bs.Box3(center=rng.uniform(-0.8, 0.8, 3),
-                              axes=np.linalg.qr(rng.normal(size=(3, 3)))[0],
-                              half_extents=rng.uniform(0.05, 0.6, 3))
-                      for _ in range(2))
-            verdicts.append((boxes_intersect(b1, b2), _lp_margin(b1, b2)))
         checked = [(got, s > 0) for got, s in verdicts if abs(s) >= 1e-9]
         assert all(got == expected for got, expected in checked)
         assert {expected for _, expected in checked} == {True, False}
-
-    @pytest.mark.parametrize("a, b, expected", [
-        # identical rotated frames: the diagonal cross products vanish
-        (_box(_ROT, [0.3, 0.2, 0.1]),
-         _box(_ROT, [0.2, 0.2, 0.2], 0.45 * _ROT[0] + 0.1 * _ROT[1]), True),
-        (_box(_ROT, [0.3, 0.2, 0.1]),
-         _box(_ROT, [0.2, 0.2, 0.2], 0.55 * _ROT[0] + 0.1 * _ROT[1]), False),
-        # parallel axes in another order and sign
-        (_box(_ROT, [0.3, 0.2, 0.1]),
-         _box([-_ROT[2], _ROT[0], -_ROT[1]], [0.1, 0.3, 0.2], 0.35 * _ROT[1]),
-         True),
-        # face- and edge-touching boxes have disjoint interiors
-        (_box(np.eye(3), [1.0, 0.5, 0.25]),
-         _box(np.eye(3), [0.5, 0.5, 0.5], [1.5, 0.25, 0.0]), False),
-        (_box(np.eye(3), [1.0, 0.5, 0.25]),
-         _box(np.eye(3)[[1, 2, 0]], [0.5, 0.5, 0.5], [1.5, 1.0, 0.0]), False),
-        # a rotated box nested inside another
-        (_box(np.eye(3), [1.0, 1.0, 1.0]),
-         _box(_ROT, [0.1, 0.2, 0.3], [0.1, -0.2, 0.3]), True),
-    ])
-    def test_box_special_cases(self, a, b, expected):
-        assert boxes_intersect(a, b) == expected
-        assert boxes_intersect(b, a) == expected
-        s = _lp_margin(a, b)
-        assert s > 1e-9 if expected else s < 1e-9
 
     def test_nested_rectangles_overlap(self):
         big = bs.Rect2(center=[0.0, 0.0], direction=[0.0, 1.0],
@@ -194,43 +144,40 @@ class TestIntersectionPredicates:
 
     @pytest.mark.parametrize("lift", [False, True])
     def test_overlap_found_in_every_block(self, monkeypatch, lift):
-        # small blocks, so a k = 8 family spans many of them
+        # small blocks, so a k = 8 family spans many of them; lifted, the
+        # box check must read the same verdict
         monkeypatch.setattr(bs, "_BLOCK_VALUES", 2**16)
         family = bs.build_perron_rectangles(8)
-        boxes = bs.build_boxes(family)
-        shapes = boxes.boxes_f_shifted if lift else family.translates()
-        n = len(shapes)
-        blocks = list(bs._sat_blocks(*bs._frames(shapes)))
+        n = family.n_rects
+        blocks = list(bs._sat_blocks(*bs._frames(family.translates())))
         assert len(blocks) > 2
         pairs = [np.concatenate(p) for p in zip(*(b[:2] for b in blocks))]
         np.testing.assert_array_equal(pairs, np.triu_indices(n, 1))
         boundary = blocks[1][0][0]           # first row of the second block
         for i, j in ((boundary - 1, boundary), (boundary, boundary + 1),
                      (n - 2, n - 1)):
-            # shape j becomes a copy of shape i: the only overlapping pair
+            # rectangle j becomes a copy of rectangle i: the only overlapping
+            # pair
+            rects = list(family.rects)
+            rects[j] = rects[i]
+            planted = dataclasses.replace(family, rects=tuple(rects))
             if lift:
-                shifted = list(boxes.boxes_f_shifted)
-                shifted[j] = shifted[i]
-                planted = dataclasses.replace(
-                    boxes, boxes_f_shifted=tuple(shifted))
+                report = bs.box_geometry_check(bs.build_boxes(planted))
+                assert not report["translates_disjoint"], (i, j)
             else:
-                rects = list(family.rects)
-                rects[j] = rects[i]
-                planted = dataclasses.replace(family, rects=tuple(rects))
-            assert not bs.translates_disjoint(planted), (i, j)
-        assert bs.translates_disjoint(boxes if lift else family)
+                assert not bs.translates_disjoint(planted), (i, j)
+        assert bs.translates_disjoint(family)
 
     def test_batched_verdicts_match_pairwise(self):
         outcomes = set()
         for k in range(1, 7):
-            family = bs.build_perron_rectangles(k)
-            for shapes in (family.rects, bs.build_boxes(family).boxes_f):
-                batched = np.concatenate(
-                    [b[2] for b in bs._sat_blocks(*bs._frames(shapes))])
-                expected = [boxes_intersect(a, b)
-                            for a, b in itertools.combinations(shapes, 2)]
-                assert batched.tolist() == expected
-                outcomes.update(expected)
+            rects = bs.build_perron_rectangles(k).rects
+            batched = np.concatenate(
+                [b[2] for b in bs._sat_blocks(*bs._frames(rects))])
+            expected = [boxes_intersect(a, b)
+                        for a, b in itertools.combinations(rects, 2)]
+            assert batched.tolist() == expected
+            outcomes.update(expected)
         assert outcomes == {True, False}
 
 
@@ -446,9 +393,35 @@ class TestBoxFamilies:
         report = bs.box_geometry_check(boxes)
         assert report["all_passed"], report
 
-    def test_box_disjointness_matches_rect_disjointness(self, boxes_k3):
-        fam = bs.build_perron_rectangles(3)
-        assert bs.translates_disjoint(fam) == bs.translates_disjoint(boxes_k3)
+    def test_box_family_keeps_its_rectangle_family(self):
+        family = bs.build_perron_rectangles(3)
+        boxes = bs.build_boxes(family)
+        assert boxes.family is family and boxes.k == family.k == 3
+
+    @pytest.mark.parametrize("plant", ["copied_rectangle", "displaced_translate"])
+    def test_translate_overlap_is_caught(self, plant):
+        # F_j + 5 ntilde_j lies in E_j + 5 ntilde_j = [-5,-4] x (R_j + 5 u_j):
+        # the box check reads the family's verdict, so an overlap planted in
+        # the family or among the box translates must still turn it False
+        family = bs.build_perron_rectangles(3)
+        if plant == "copied_rectangle":
+            rects = list(family.rects)
+            rects[5] = rects[2]
+            boxes = bs.build_boxes(
+                dataclasses.replace(family, rects=tuple(rects)))
+        else:
+            boxes = bs.build_boxes(family)
+            shifted = list(boxes.boxes_f_shifted)
+            # translate 5 moved onto the center of translate 2
+            shifted[5] = shifted[5].translated(
+                shifted[2].center - shifted[5].center)
+            boxes = dataclasses.replace(boxes, boxes_f_shifted=tuple(shifted))
+        # the LP oracle sees two box translates overlapping
+        assert _lp_margin(boxes.boxes_f_shifted[2],
+                          boxes.boxes_f_shifted[5]) > 1e-3
+        report = bs.box_geometry_check(boxes)
+        assert not report["translates_disjoint"]
+        assert not report["all_passed"]
 
 
 class TestSerialization:
@@ -473,6 +446,13 @@ class TestSerialization:
 
 
 class TestBoxSerialization:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_union_of_boxes_is_union_of_their_family(self, k):
+        family = bs.build_perron_rectangles(k)
+        boxes = bs.build_boxes(family)
+        assert (bs.union_measure(boxes, bs.UNION_RESOLUTION)
+                == bs.union_measure(family, bs.UNION_RESOLUTION))
+
     def test_union_measure_accepts_box_family(self):
         family = bs.build_perron_rectangles(3)
         boxes = bs.build_boxes(family)

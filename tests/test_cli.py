@@ -278,6 +278,27 @@ class TestSzegoCommand:
         assert "'dimension'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tol", [1e-20, 2.0**-53])
+    def test_unreachable_tol_is_usage_error_before_output(self, tmp_path,
+                                                          capsys, tol):
+        # the quadrature's error estimate is floored at 2^-52
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7, "out_dir": str(tmp_path / "out"),
+                                   "tol": tol}))
+        assert run_main(["szego", "--config", str(cfg)]) == 2
+        assert "config key 'tol' must be at least 2^-52" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_missed_tol_is_a_check_failure_naming_it(self, tmp_path, capsys):
+        # above 2^-52, but no refinement of the kernel quadrature gets there
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7, "out_dir": str(tmp_path / "out"),
+                                   "n_kernel_samples": 1, "tol": 3e-16}))
+        assert run_main(["szego", "--config", str(cfg)]) == 1
+        assert ("error: kernel quadrature did not reach tol = 3e-16"
+                in capsys.readouterr().err)
+
 
 class TestEntryPoint:
     def test_subprocess_usage_error_exit_code(self):
