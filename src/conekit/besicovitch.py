@@ -376,8 +376,15 @@ def _as_rect_list(shapes):
 
 def build_boxes(family):
     """The boxes E_j = [0,1] x R_j, the rotated inner boxes F_j and the
-    translates F_j + 5*(-1, u_j)."""
+    translates F_j + 5*(-1, u_j).  The boxes have the sides of a family of
+    N rectangles of length 1 and width 1/N; any other family raises
+    ValueError, naming its first rectangle of other sides."""
     width, sqrt2 = 1.0 / family.n_rects, np.sqrt(2.0)
+    for j, rect in enumerate(family.rects):
+        if abs(rect.length - 1.0) > 1e-12 or abs(rect.width - width) > 1e-12:
+            raise ValueError(
+                f"rectangle {j} is {rect.length!r} x {rect.width!r}; boxes "
+                f"lift rectangles of length 1 and width 1/{family.n_rects}")
     boxes_e, boxes_f = [], []
     for rect in family.rects:
         (u0, u1), (p0, p1) = rect.direction, rect.normal

@@ -254,8 +254,6 @@ def cmd_szego(args):
     if config["tol"] < np.finfo(float).eps:
         # the quadrature's error estimate is floored at 2^-52
         raise ValueError("config key 'tol' must be at least 2^-52")
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
     n = config["dimension"]
     rng = np.random.default_rng(config["seed"])
@@ -276,7 +274,6 @@ def cmd_szego(args):
         row["error_estimate"] = sample.error_estimate
         row["method"] = sample.method
         rows.append(row)
-    write_csv(out_dir / "kernel_samples.csv", list(rows[0]), rows)
     timings["kernel_samples"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -290,6 +287,10 @@ def cmd_szego(args):
                                      config["tol"])
     timings["kernel_relation"] = 1e3 * (time.perf_counter() - t0)
 
+    # a run that fails above leaves no out_dir, as a usage error does
+    out_dir = Path(config["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_csv(out_dir / "kernel_samples.csv", list(rows[0]), rows)
     summary = {
         "conformal_consistency": consistency,
         "kernel_relation": {

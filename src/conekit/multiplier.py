@@ -141,10 +141,13 @@ def _cone_thresholds(freqs, shift):
     return n
 
 
-def _linear_form(coeffs, offsets, axes):
+def _linear_form(coeffs, offsets, axes, at=None):
     """sum_i coeffs[i] * (x_i - offsets[i]) over the grid spanned by the 1D
-    arrays ``axes``, summed in axis order on one sparse mesh."""
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    arrays ``axes``, summed in axis order on one sparse mesh; with ``at``,
+    index arrays into ``axes`` that broadcast together, only at the grid
+    points they name, each with the bits the full grid gives it."""
+    mesh = (np.meshgrid(*axes, indexing="ij", sparse=True) if at is None
+            else [a[i] for a, i in zip(axes, at)])
     return sum((m - o) * c for m, o, c in zip(mesh, offsets, coeffs))
 
 
@@ -311,18 +314,50 @@ def box_halfspace_image(box, n_tilde, x):
 def box_image_grid(box, n_tilde, grid):
     """Closed-form image sampled on a 3D grid: ``box_halfspace_image`` runs
     only at the points that pass the two cross-section inequalities with a
-    rounding margin, and the image is an exact zero everywhere else."""
+    rounding margin, and the image is an exact zero everywhere else.
+
+    Those points lie in the prism of the two cross-section slabs around the
+    n_tilde axis.  Each plane x_i = t, on the grid axis i where that axis
+    has its largest component, cuts the prism in a parallelogram whose
+    centre moves linearly with t.  With A the slab normals' 2 x 2 block on
+    the other two grid axes, a point whose exact slab coordinates are
+    within e + margin lies within |A^-1| (e + margin) of the centre along
+    them.  |det A| is that largest component, at least 1/sqrt(3), so A^-1
+    has entries of at most sqrt(3); the test rounds each slab coordinate by
+    a few ulps of extent + |center|, and the solve by as little, which
+    moves a passing point by far less than the one cell each half-width
+    adds.  So the per-plane index blocks hold every passing point.  The
+    test runs on the blocks alone, through the same linear form, and the
+    passing points reach ``box_halfspace_image`` in C order, as the
+    full-grid test would hand them over."""
     idx = box_axis_interval(box, n_tilde)[0]
-    x = grid.axis()
+    x, m = grid.axis(), grid.samples_per_axis
     margin = 1e-9 * (grid.extent + float(np.max(np.abs(box.center))))
+    slabs = np.delete(box.axes, idx, axis=0)
+    bounds = np.delete(box.half_extents, idx) + margin
+    plane = int(np.argmax(np.abs(box.axes[idx])))
+    rest = [i for i in range(3) if i != plane]
+    inv = np.linalg.inv(slabs[:, rest])
+    centres = box.center[rest] - np.outer(x - box.center[plane],
+                                          inv @ slabs[:, plane])
+    reach = np.abs(inv) @ bounds + grid.spacing
+    at = [np.arange(m)[:, None, None]] * 3
+    for col, (i, c, r) in enumerate(zip(rest, centres.T, reach), start=1):
+        # a block of n indices from the first at or above c - r, moved back
+        # inside the grid where it would leave it
+        n = min(m, int(np.ceil(2.0 * r / grid.spacing)) + 1)
+        first = np.minimum(np.searchsorted(x, c - r), m - n)
+        shape = [m, 1, 1]
+        shape[col] = n
+        at[i] = (first[:, None] + np.arange(n)).reshape(shape)
     near = True
-    for a, e in zip(np.delete(box.axes, idx, axis=0),
-                    np.delete(box.half_extents, idx)):
-        local = _linear_form(a, box.center, [x] * 3)
-        near = near & (np.abs(local, out=local) <= e + margin)
-    pts = np.stack([x[i] for i in np.nonzero(near)], axis=-1)
-    vals = np.zeros(near.shape, dtype=complex)
-    vals[near] = box_halfspace_image(box, n_tilde, pts)
+    for a, e in zip(slabs, bounds):
+        near = near & (np.abs(_linear_form(a, box.center, [x] * 3, at)) <= e)
+    cells = np.unravel_index(
+        np.sort(np.ravel_multi_index(at, (m,) * 3)[near]), (m,) * 3)
+    vals = np.zeros((m,) * 3, dtype=complex)
+    vals[cells] = box_halfspace_image(
+        box, n_tilde, np.stack([x[i] for i in cells], axis=-1))
     return grid.with_values(vals)
 
 

@@ -398,6 +398,21 @@ class TestBoxFamilies:
         boxes = bs.build_boxes(family)
         assert boxes.family is family and boxes.k == family.k == 3
 
+    def test_rectangles_of_other_sides_are_refused(self):
+        # translates_disjoint passes these, but boxes of width 1/N would not
+        # be E_j = [0,1] x R_j
+        family = bs.build_perron_rectangles(3)
+        rects = list(family.rects)
+        for j, side in ((0, {"width": 0.1}), (5, {"length": 0.9})):
+            rects[j] = dataclasses.replace(rects[j], **side)
+        planted = dataclasses.replace(family, rects=tuple(rects))
+        assert bs.translates_disjoint(planted)
+        with pytest.raises(ValueError, match="rectangle 0 is 1.0 x 0.1;"):
+            bs.build_boxes(planted)
+        rects[0] = family.rects[0]
+        with pytest.raises(ValueError, match="rectangle 5 is 0.9 x 0.125;"):
+            bs.build_boxes(dataclasses.replace(family, rects=tuple(rects)))
+
     @pytest.mark.parametrize("plant", ["copied_rectangle", "displaced_translate"])
     def test_translate_overlap_is_caught(self, plant):
         # F_j + 5 ntilde_j lies in E_j + 5 ntilde_j = [-5,-4] x (R_j + 5 u_j):

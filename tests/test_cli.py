@@ -299,6 +299,14 @@ class TestSzegoCommand:
         assert ("error: kernel quadrature did not reach tol = 3e-16"
                 in capsys.readouterr().err)
 
+    def test_missed_tol_leaves_no_out_dir(self, tmp_path):
+        # the files are written only once every result is in
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7, "out_dir": str(tmp_path / "out"),
+                                   "n_kernel_samples": 1, "tol": 3e-16}))
+        assert run_main(["szego", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestEntryPoint:
     def test_subprocess_usage_error_exit_code(self):

@@ -337,11 +337,12 @@ class TestBoxImage:
     @pytest.mark.parametrize("k, samples", [(1, 32), (2, 64), (3, 128)])
     @pytest.mark.parametrize("extent", [1.0, 4.0])
     def test_builders_match_full_grid(self, k, samples, extent):
-        # extent 1.0 puts the far box faces at the grid edge x = L
+        # extent 1.0 puts the far box faces at the grid edge x = L; every
+        # box of k = 1 and 2, the first and last of k = 3
         boxes = bs.build_boxes(bs.build_perron_rectangles(k))
         grid = mp.GridFunction(np.zeros(samples), extent)
         h = grid.spacing
-        for j in (0, -1):
+        for j in range(boxes.n_boxes) if k < 3 else (0, -1):
             box, ntilde = boxes.boxes_f[j], boxes.normals[j]
 
             def coverage(pts):
@@ -360,6 +361,43 @@ class TestBoxImage:
                 grid, lambda pts: mp.box_halfspace_image(box, ntilde, pts))
             assert np.array_equal(img, want)
             assert np.count_nonzero(ind) > 0 and np.count_nonzero(img) > 0
+
+    def test_image_matches_full_grid_at_benchmark_size(self, boxes_k1):
+        # modulation-128's grid: k = 1, 128^3, extent 12
+        grid = mp.GridFunction(np.zeros(128), 12.0)
+        for box, ntilde in zip(boxes_k1.boxes_f, boxes_k1.normals):
+            img = mp.box_image_grid(box, ntilde, grid).values
+            want = _full_grid(
+                grid, lambda pts: mp.box_halfspace_image(box, ntilde, pts))
+            assert np.array_equal(img, want) and np.count_nonzero(img) > 0
+
+    @pytest.mark.parametrize("axes", [
+        # the ntilde axis (first row) has no x_0 component and its largest
+        # on x_1, so the builder cuts the prism with the planes x_1 = t
+        [[0.0, 0.8, -0.6], [0.6, -0.48, -0.64], [-0.8, -0.36, -0.48]],
+        # the ntilde axis along x_2 and the slabs along the other grid axes
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    ])
+    def test_image_matches_full_grid_off_the_x0_planes(self, axes):
+        box = bs.Box3([0.3, -0.2, 0.45], axes, [0.4, 0.3, 0.25])
+        ntilde = 2.0 * box.axes[0]
+        grid = mp.GridFunction(np.zeros(64), 2.0)
+        img = mp.box_image_grid(box, ntilde, grid).values
+        want = _full_grid(
+            grid, lambda pts: mp.box_halfspace_image(box, ntilde, pts))
+        assert np.array_equal(img, want) and np.count_nonzero(img) > 0
+
+    def test_image_allocates_no_full_size_temporary(self, boxes_k1):
+        # the output and the blocks around the prism: 1.03 grids measured
+        # at 64^3; a full-grid float form or boolean mask would not fit
+        grid = mp.GridFunction(np.zeros(64), 6.0)
+        tracemalloc.start()
+        try:
+            mp.box_image_grid(boxes_k1.boxes_f[0], boxes_k1.normals[0], grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 64**3 * 16
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_indicator_near_matmul_frame(self, k):
