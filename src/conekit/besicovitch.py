@@ -48,7 +48,7 @@ class Rect2:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         u = np.asarray(self.direction, dtype=float)
-        if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
             raise ValueError("rectangle direction must be a unit vector")
         object.__setattr__(self, "direction", u)
 
@@ -102,11 +102,11 @@ class Box3:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         axes = np.asarray(self.axes, dtype=float)
-        if np.max(np.abs(axes @ axes.T - np.eye(3))) > 1e-12:
+        if not np.max(np.abs(axes @ axes.T - np.eye(3))) <= 1e-12:
             raise ValueError("box axes must be orthonormal")
         object.__setattr__(self, "axes", axes)
         he = np.asarray(self.half_extents, dtype=float)
-        if np.any(he <= 0):
+        if not np.all(he > 0):
             raise ValueError("half extents must be positive")
         object.__setattr__(self, "half_extents", he)
 
@@ -381,7 +381,8 @@ def build_boxes(family):
     ValueError, naming its first rectangle of other sides."""
     width, sqrt2 = 1.0 / family.n_rects, np.sqrt(2.0)
     for j, rect in enumerate(family.rects):
-        if abs(rect.length - 1.0) > 1e-12 or abs(rect.width - width) > 1e-12:
+        if not (abs(rect.length - 1.0) <= 1e-12
+                and abs(rect.width - width) <= 1e-12):
             raise ValueError(
                 f"rectangle {j} is {rect.length!r} x {rect.width!r}; boxes "
                 f"lift rectangles of length 1 and width 1/{family.n_rects}")

@@ -90,7 +90,7 @@ KINDS = {
     "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     "positive": (lambda v: type(v) in (int, float) and 0 < v < np.inf,
                  "a finite positive number"),
-    "path": (lambda v: type(v) is str, "a string"),
+    "path": (lambda v: type(v) is str and v != "", "a non-empty string"),
 }
 REQUIRED = None     # schema default of a key the config must give
 
@@ -123,6 +123,8 @@ def load_config(path, schema):
 
 def cmd_besicovitch(args):
     bs.check_level(args.k)
+    if not args.out:
+        raise ValueError("--out must be a non-empty path")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -437,10 +439,7 @@ def _engine_checks(fast):
                    halfline_oracle))
 
     def dilation():
-        return bool(
-            mp.cone_dilation_symbol_defect(2) < 1e-6
-            and mp.cone_dilation_symbol_defect(4) < 1e-6
-        )
+        return mp.cone_dilation_symbol_defect([2, 4]) < 1e-6
 
     checks.append(("cone symbol is dilation invariant on the lattice",
                    dilation))
@@ -461,10 +460,8 @@ def _engine_checks(fast):
         x = grid.axis()
         phi = grid.with_values(np.exp(-4.0 * x**2).astype(complex),
                                support_radius=2.0)
-        good = mp.tensor_extension_check(phi, 1, samples_3d=64)
-        broken = mp.tensor_extension_check(phi, 1, samples_3d=64,
-                                           normal_last=0.5)
-        return bool(good < 1e-6 and broken > 1e-3)
+        good, broken = mp.tensor_extension_check(phi, 1, [0.0, 0.5])
+        return good < 1e-6 and broken > 1e-3
 
     checks.append(("tensor extension separability", tensor))
     return checks

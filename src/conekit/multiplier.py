@@ -363,9 +363,9 @@ def box_image_grid(box, n_tilde, grid):
 
 # --- dilation covariance -------------------------------------------------------
 
-def cone_dilation_symbol_defect(lam):
-    """Sup defect of the lattice identity cone(xi) = cone(lam * xi) on the
-    64^3 frequency lattice of [-8, 8)^3.
+def cone_dilation_symbol_defect(lams):
+    """Largest sup defect over the scales ``lams`` of the lattice identity
+    cone(xi) = cone(lam * xi) on the 64^3 frequency lattice of [-8, 8)^3.
 
     This is the exact content of the homogeneity of the cone symbol; the
     defect is zero unless a lattice point falls inside the boundary
@@ -373,8 +373,8 @@ def cone_dilation_symbol_defect(lam):
     """
     freqs = [GridFunction(np.zeros(64), 8.0).freqs()] * 3
     base = sample_symbol(Cone(), freqs)
-    scaled = sample_symbol(Cone(), [lam * f for f in freqs])
-    return float(np.max(np.abs(base - scaled)))
+    scaled = (sample_symbol(Cone(), [lam * f for f in freqs]) for lam in lams)
+    return max(float(np.max(np.abs(base - s))) for s in scaled)
 
 
 # --- the square-function experiment ---------------------------------------------
@@ -608,8 +608,8 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     Omega - R2 n for R1 < R2), so the distances decrease monotonically.
     """
     r_list = list(r_list)
-    if any(r_mod < 1.0 for r_mod in r_list):
-        raise ValueError("modulation parameter must be >= 1")
+    if not all(1.0 <= r_mod < np.inf for r_mod in r_list):
+        raise ValueError("modulation parameter must be finite and >= 1")
     grid = GridFunction(np.zeros(samples_per_axis), extent)
     _check_resolvable(boxes, grid)
     if not r_list:
@@ -645,20 +645,21 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
 
 # --- tensor extension -------------------------------------------------------------
 
-def tensor_extension_check(phi, k, samples_3d=64, normal_last=0.0):
-    """Relative L2 defect of the separability identity
+def tensor_extension_check(phi, k, normal_lasts, samples_3d=64):
+    """Relative L2 defects of the separability identity
 
         H(1_F ⊗ phi) = H^(3)(1_F) ⊗ phi
 
-    for the half-space with normal (-1, u_1, u_2, normal_last).  With a zero
-    last component the symbol ignores the fourth frequency and the identity
-    is exact; a nonzero component is the negative control.
+    for the half-spaces with normal (-1, u_1, u_2, c), one per entry c of
+    ``normal_lasts``.  With c = 0 the symbol ignores the fourth frequency
+    and the identity is exact; a nonzero c is the negative control.
 
     The spectrum of 1_F ⊗ phi is fhat ⊗ phihat, so by Parseval the squared
     defect is  sum_xi4 |phihat(xi4)|^2 |fhat (m4(., xi4) - m3)|^2  over
     |phihat|^2 |fhat m3|^2: one 3D and one 1D transform on [-4, 4), and the
-    4D symbol one slice xi4 at a time, with no 4D grid.  A slice with
-    xi4 * normal_last == 0 has m4 = m3 bit for bit, so it is skipped.
+    4D symbol one slice xi4 at a time, with no 4D grid.  The entries share
+    the transforms, m3 and the normalizer; a slice with xi4 * c == 0 has
+    m4 = m3 bit for bit, so it is skipped.
     """
     if phi.dims != 1:
         raise ValueError("phi must live on a 1D grid")
@@ -671,9 +672,8 @@ def tensor_extension_check(phi, k, samples_3d=64, normal_last=0.0):
                                             samples_3d))) ** 2
     g3 = _linear_form(-boxes.normals[0], np.zeros(3), [grid.freqs()] * 3)
     m3 = _boundary_rule(g3.copy())
-    defect = sum(
-        p * np.vdot(weight, (_boundary_rule(g3 + xi * -normal_last) - m3) ** 2)
-        for p, xi in zip(power, phi.freqs()) if xi * normal_last != 0.0
-    )
-    whole = np.sum(power) * np.vdot(weight, m3**2)
-    return float(np.sqrt(defect / max(whole, 1e-300)))
+    whole = max(np.sum(power) * np.vdot(weight, m3**2), 1e-300)
+    return [float(np.sqrt(sum(
+        p * np.vdot(weight, (_boundary_rule(g3 + xi * -c) - m3) ** 2)
+        for p, xi in zip(power, phi.freqs()) if xi * c != 0.0) / whole))
+        for c in normal_lasts]

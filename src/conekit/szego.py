@@ -225,7 +225,7 @@ def szego_kernel_quadrature(z, u, tol=1e-6):
     w = z_elem.coords - u
     y = w.imag
     margin = y[0] - np.hypot(y[1], y[2])
-    if margin < 1e-3:
+    if not margin >= 1e-3:
         raise ValueError("Im z must sit in the cone with margin >= 1e-3")
 
     prev = None

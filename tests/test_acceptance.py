@@ -283,15 +283,7 @@ def test_criterion_6_cayley_tube_suite():
     translation_defect = abs(s1.value - s2.value) / abs(s1.value)
     ok &= scaling_defect <= 1e-6 and translation_defect <= 1e-6
 
-    samples = []
-    for _ in range(20):
-        yp = rng.normal(size=2) * 0.3
-        y1 = np.linalg.norm(yp) + 0.3 + abs(rng.normal()) * 0.5
-        x = rng.uniform(-1.5, 1.5, size=3)
-        zz = jd.Element(jd.spin_factor(3),
-                        x + 1j * np.concatenate(([y1], yp)))
-        samples.append((zz, rng.uniform(-1.5, 1.5, size=3)))
-    products = sz.kernel_power_law_products(samples)
+    products = sz.kernel_power_law_products(cli._kernel_points(3, 20, rng))
     cv = float(products.std() / products.mean())
     ok &= cv < 1e-3
 

@@ -29,6 +29,11 @@ class TestRectangleFamilies:
             translates = fam.translates()
             assert sum(r.length * r.width for r in translates) == 1.0
 
+    def test_nan_direction_is_refused(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            bs.Rect2(center=[0.0, 0.0], direction=[np.nan, 1.0], length=1.0,
+                     width=0.25)
+
     def test_directions_distinct_and_unit(self):
         fam = bs.build_perron_rectangles(5)
         dirs = np.array([r.direction for r in fam.rects])
@@ -412,6 +417,22 @@ class TestBoxFamilies:
         rects[0] = family.rects[0]
         with pytest.raises(ValueError, match="rectangle 5 is 0.9 x 0.125;"):
             bs.build_boxes(dataclasses.replace(family, rects=tuple(rects)))
+
+    def test_rectangle_of_nan_length_is_refused(self):
+        family = bs.build_perron_rectangles(3)
+        rects = (dataclasses.replace(family.rects[0], length=np.nan),
+                 *family.rects[1:])
+        with pytest.raises(ValueError, match="rectangle 0 is nan x 0.125;"):
+            bs.build_boxes(dataclasses.replace(family, rects=rects))
+
+    @pytest.mark.parametrize("axes, half_extents, message", [
+        ([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         [0.5, 0.5, 0.5], "orthonormal"),
+        (np.eye(3), [0.5, np.nan, 0.5], "positive"),
+    ])
+    def test_nan_box_is_refused(self, axes, half_extents, message):
+        with pytest.raises(ValueError, match=message):
+            bs.Box3(np.zeros(3), axes, half_extents)
 
     @pytest.mark.parametrize("plant", ["copied_rectangle", "displaced_translate"])
     def test_translate_overlap_is_caught(self, plant):

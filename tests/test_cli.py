@@ -1,5 +1,6 @@
 """Tests for the command-line driver: outputs, determinism, exit codes."""
 
+import collections
 import dataclasses
 import json
 import subprocess
@@ -76,6 +77,24 @@ def test_resolution_knobs_are_gone(tmp_path, capsys):
         run_main(["besicovitch", "--k", "2", "--out", str(tmp_path / "b"),
                   "--resolution", "0.001"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, name", [
+    ("ratio", "'out_dir'"), ("szego", "'out_dir'"), ("besicovitch", "--out")])
+def test_empty_output_path_is_usage_error_writing_nothing(
+        tmp_path, monkeypatch, capsys, command, name):
+    # an empty path would put every output in the working directory
+    cfg = {"seed": 1, "out_dir": ""}
+    if command == "ratio":
+        cfg.update(k_list=[1], p_list=[1.0], mc_samples=10_000)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ([command, "--config", str(path)] if command != "besicovitch"
+            else [command, "--k", "1", "--out", ""])
+    monkeypatch.chdir(tmp_path)
+    assert run_main(argv) == 2
+    assert name in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 class TestBesicovitchCommand:
@@ -246,6 +265,25 @@ class TestValidateCommand:
         monkeypatch.setattr(mp, "BOUNDARY_VALUE", 0.0)
         assert run_main(["validate", "--suite", "engine", "--fast"]) == 1
         assert "not ok" in capsys.readouterr().out
+
+    def test_engine_suite_builds_shared_grids_once(self, monkeypatch):
+        # the tensor check builds its box grid once for both normals, and
+        # the dilation check samples the unscaled cone symbol once
+        built = []
+        for module, name in ((mp, "indicator_box"),
+                             (bs, "build_perron_rectangles"),
+                             (mp, "sample_symbol")):
+            def counting(*args, _name=name, _func=getattr(module, name),
+                         **kwargs):
+                built.append((_name, args[0]))
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        assert run_main(["validate", "--suite", "engine"]) == 0
+        counts = collections.Counter(
+            name for name, first in built
+            if name != "sample_symbol" or isinstance(first, mp.Cone))
+        assert counts == {"indicator_box": 1, "build_perron_rectangles": 2,
+                          "sample_symbol": 3}
 
     def test_usage_error_for_unknown_suite(self):
         with pytest.raises(SystemExit) as err:

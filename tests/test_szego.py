@@ -262,6 +262,11 @@ class TestKernelQuadrature:
         with pytest.raises(ValueError):
             sz.szego_kernel_quadrature(z, np.zeros(3))
 
+    def test_nan_imaginary_part_rejected(self):
+        z = sz.TubePoint(spin_elem(complex(0.0, np.nan), 0.0, 0.0))
+        with pytest.raises(ValueError, match="margin"):
+            sz.szego_kernel_quadrature(z, np.zeros(3))
+
 
 @pytest.fixture(scope="module")
 def fitted():
