@@ -129,15 +129,22 @@ def _cone_terms(freq_axes, shift):
 def _cone_thresholds(freqs, shift):
     """Counts [lo, hi] per column (xi_2, xi_3): in ascending xi_1 order,
     ``sample_symbol(Cone(), [freqs] * 3, shift)`` reads 0 on the first lo,
-    BOUNDARY_VALUE up to hi and 1 after, since fl(a - r) is monotone in a.
-    Both are bisections of all columns at once through the boundary rule."""
+    BOUNDARY_VALUE up to hi and 1 after."""
     first, root = _cone_terms([freqs] * 3, shift)
-    first, root, m = first.ravel()[np.argsort(freqs)], root[0], len(freqs)
-    n = np.zeros((2,) + root.shape, dtype=np.intp)
-    level = np.array([BOUNDARY_VALUE, 1.0])[:, None, None]
-    for step in m >> np.arange(m.bit_length()):     # m, m / 2, ..., 1
+    return _rule_counts(first.ravel()[np.argsort(freqs)], root[0])
+
+
+def _rule_counts(values, offsets):
+    """Counts [lo, hi] per entry of ``offsets``: over ascending ``values``,
+    ``_boundary_rule(values - offset)`` reads 0 on the first lo,
+    BOUNDARY_VALUE up to hi and 1 after, since fl(a - r) is monotone in a.
+    Both are bisections of all offsets at once through the rule itself."""
+    m = len(values)
+    n = np.zeros((2,) + np.shape(offsets), dtype=np.intp)
+    level = np.reshape([BOUNDARY_VALUE, 1.0], (2,) + (1,) * np.ndim(offsets))
+    for step in 1 << np.arange(m.bit_length())[::-1]:   # ..., 4, 2, 1
         i = np.minimum(n + step, m)
-        n = np.where(_boundary_rule(first[i - 1] - root) < level, i, n)
+        n = np.where(_boundary_rule(values[i - 1] - offsets) < level, i, n)
     return n
 
 
@@ -371,6 +378,10 @@ def cone_dilation_symbol_defect(lams):
     defect is zero unless a lattice point falls inside the boundary
     tolerance band for one scale but not the other.
     """
+    lams = list(lams)
+    if not lams or not all(0.0 < lam < np.inf for lam in lams):
+        raise ValueError("scales must be a non-empty list of finite positive "
+                         "numbers")
     freqs = [GridFunction(np.zeros(64), 8.0).freqs()] * 3
     base = sample_symbol(Cone(), freqs)
     scaled = (sample_symbol(Cone(), [lam * f for f in freqs]) for lam in lams)
@@ -656,11 +667,16 @@ def tensor_extension_check(phi, k, normal_lasts, samples_3d=64):
 
     The spectrum of 1_F ⊗ phi is fhat ⊗ phihat, so by Parseval the squared
     defect is  sum_xi4 |phihat(xi4)|^2 |fhat (m4(., xi4) - m3)|^2  over
-    |phihat|^2 |fhat m3|^2: one 3D and one 1D transform on [-4, 4), and the
-    4D symbol one slice xi4 at a time, with no 4D grid.  The entries share
-    the transforms, m3 and the normalizer; a slice with xi4 * c == 0 has
-    m4 = m3 bit for bit, so it is skipped.
+    |phihat|^2 |fhat m3|^2: one 3D and one 1D transform on [-4, 4), with no
+    4D grid and no slice of the 4D symbol built.  m3 = rule(g3) and each
+    m4 = rule(g3 + xi4 * -c) read 0, BOUNDARY_VALUE and 1 on three runs of
+    the sorted 3D linear form g3 (``_rule_counts``), so a slice sums at most
+    five runs of constant (m4 - m3)^2 by prefix sums of |fhat|^2 in that
+    order.  A slice with xi4 * c == 0 has m4 = m3 bit for bit and is skipped.
     """
+    normal_lasts = list(normal_lasts)
+    if not all(-np.inf < c < np.inf for c in normal_lasts):
+        raise ValueError("normal components must be finite")
     if phi.dims != 1:
         raise ValueError("phi must live on a 1D grid")
     boxes = bs.build_boxes(bs.build_perron_rectangles(k))
@@ -671,9 +687,24 @@ def tensor_extension_check(phi, k, normal_lasts, samples_3d=64):
     weight = np.abs(_spectrum(indicator_box(boxes.boxes_f[0], grid.extent,
                                             samples_3d))) ** 2
     g3 = _linear_form(-boxes.normals[0], np.zeros(3), [grid.freqs()] * 3)
-    m3 = _boundary_rule(g3.copy())
-    whole = max(np.sum(power) * np.vdot(weight, m3**2), 1e-300)
-    return [float(np.sqrt(sum(
-        p * np.vdot(weight, (_boundary_rule(g3 + xi * -c) - m3) ** 2)
-        for p, xi in zip(power, phi.freqs()) if xi * c != 0.0) / whole))
-        for c in normal_lasts]
+    order = np.argsort(g3, axis=None)
+    g3 = g3.ravel()[order]
+    mass = np.zeros(g3.size + 1)        # mass[n]: weight of the first n
+    np.take(weight, order, out=mass[1:])
+    del weight, order
+    np.cumsum(mass, out=mass)
+
+    offsets = np.multiply.outer(normal_lasts, phi.freqs())
+    lo3, hi3 = _rule_counts(g3, 0.0)
+    lo4, hi4 = _rule_counts(g3, offsets)     # m4 = rule(g3 - offset)
+    cuts = np.sort(np.broadcast_arrays(0, lo3, hi3, lo4, hi4, g3.size), axis=0)
+    start, stop = cuts[:-1], cuts[1:]
+    level = np.array([0.0, BOUNDARY_VALUE, 1.0])
+    jump = (level[(start >= lo4).astype(np.intp) + (start >= hi4)]
+            - level[(start >= lo3).astype(np.intp) + (start >= hi3)])
+    slices = np.sum((mass[stop] - mass[start]) * jump**2, axis=0)
+    slices[offsets == 0.0] = 0.0        # xi4 * c == 0: skipped, m4 = m3
+    m3_mass = (BOUNDARY_VALUE**2 * (mass[hi3] - mass[lo3])
+               + mass[-1] - mass[hi3])
+    whole = max(np.sum(power) * m3_mass, 1e-300)
+    return [float(np.sqrt(s / whole)) for s in slices @ power]

@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from conekit import besicovitch as bs
 from conekit import multiplier as mp
 from conekit.errors import BudgetExceededError, SingularPointError
-from oracles import cone_dilation_probe, gaussian_box_probe
+from oracles import (cone_dilation_probe, gaussian_box_probe,
+                     tensor_defects_by_slices)
 
 
 @pytest.fixture(scope="module")
@@ -438,7 +439,21 @@ class TestBoxImage:
 
 class TestDilationCovariance:
     def test_symbol_scale_invariance_on_lattice(self):
-        assert mp.cone_dilation_symbol_defect([2, 4]) < 1e-6
+        assert mp.cone_dilation_symbol_defect([2, 4]) == 0.0
+
+    @pytest.mark.parametrize("lams", [[], [np.nan], [-1.0], [0.0], [np.inf],
+                                      [2.0, np.nan]])
+    def test_meaningless_scales_rejected(self, lams, monkeypatch):
+        # homogeneity holds only for finite lam > 0, and a defect needs a scale
+        sampled = []
+        sample_symbol = mp.sample_symbol
+        monkeypatch.setattr(mp, "sample_symbol",
+                            lambda *a, **kw: sampled.append(a)
+                            or sample_symbol(*a, **kw))
+        with pytest.raises(ValueError, match="non-empty list of finite "
+                                             "positive"):
+            mp.cone_dilation_symbol_defect(lams)
+        assert sampled == []
 
     def test_spatial_probe(self):
         err = cone_dilation_probe(2, samples=128, spectral_width=0.35)
@@ -909,6 +924,53 @@ class TestTensorExtension:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 64**3 * 16
+
+    def test_memory_is_five_float_grids(self, phi):
+        # the indicator's spectrum sets the peak; the sort, its permutation
+        # and the prefix sums are freed as they are used (5.07 measured)
+        tracemalloc.start()
+        try:
+            mp.tensor_extension_check(phi, 1, [0.0, 0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 64**3 * 8
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("phi_samples", [32, 8])
+    def test_matches_slice_by_slice_sum(self, phi_samples, k):
+        # only the order of summation differs; 5e-13 puts every shift
+        # xi4 * c inside BOUNDARY_TOL, 1e-11 just outside it
+        normal_lasts = [0.0, 0.5, -0.25, 1e-3, 1e-11, 5e-13, 3.0]
+        phi = _gaussian_profile(phi_samples)
+        got = mp.tensor_extension_check(phi, k, normal_lasts)
+        expected = tensor_defects_by_slices(phi, k, normal_lasts)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_rule_counts_match_each_slice(self, phi):
+        # validate's profile: every xi4 slice of c = 0.5, and c = 0 (m3)
+        boxes = bs.build_boxes(bs.build_perron_rectangles(1))
+        grid = mp.GridFunction(np.zeros(64), 4.0)
+        g3 = mp._linear_form(-boxes.normals[0], np.zeros(3),
+                             [grid.freqs()] * 3).ravel()
+        offsets = np.multiply.outer([0.0, 0.5], phi.freqs())
+        lo, hi = mp._rule_counts(np.sort(g3), offsets)
+        for index, offset in np.ndenumerate(offsets):
+            m4 = mp._boundary_rule(g3 + -offset)
+            assert lo[index] == np.count_nonzero(m4 < mp.BOUNDARY_VALUE)
+            assert hi[index] == np.count_nonzero(m4 < 1.0)
+        assert np.any(hi[1] > lo[1]) and np.any(lo[1] != lo[0])
+
+    @pytest.mark.parametrize("normal_last", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_normal_rejected(self, phi, monkeypatch, normal_last):
+        built = []
+        indicator_box = mp.indicator_box
+        monkeypatch.setattr(mp, "indicator_box",
+                            lambda *a: built.append(a) or indicator_box(*a))
+        with pytest.raises(ValueError, match="finite"):
+            mp.tensor_extension_check(phi, 1, [0.0, normal_last])
+        assert built == []
 
     def test_profile_support_guard(self, phi):
         wide = phi.with_values(phi.values, support_radius=2.5)

@@ -4,6 +4,7 @@ the tube-domain kernel quadrature."""
 import numpy as np
 import pytest
 
+from conekit import cli
 from conekit import jordan as jd
 from conekit import szego as sz
 from conekit.errors import NearSingularityError
@@ -245,15 +246,7 @@ class TestKernelQuadrature:
             assert s.value == pytest.approx(base.value * lam**-3, rel=1e-7)
 
     def test_power_law_constancy(self):
-        rng = np.random.default_rng(149)
-        samples = []
-        for _ in range(20):
-            yp = rng.normal(size=2) * 0.3
-            y1 = np.linalg.norm(yp) + 0.3 + abs(rng.normal()) * 0.5
-            x = rng.uniform(-1.5, 1.5, size=3)
-            z = jd.Element(jd.spin_factor(3),
-                           x + 1j * np.concatenate(([y1], yp)))
-            samples.append((z, rng.uniform(-1.5, 1.5, size=3)))
+        samples = cli._kernel_points(3, 20, np.random.default_rng(149))
         products = sz.kernel_power_law_products(samples)
         assert products.std() / products.mean() < 1e-3
 
