@@ -100,14 +100,17 @@ class Box3:
     half_extents: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        center = np.asarray(self.center, dtype=float)
+        if not np.all(np.isfinite(center)):
+            raise ValueError("box center must be finite")
+        object.__setattr__(self, "center", center)
         axes = np.asarray(self.axes, dtype=float)
         if not np.max(np.abs(axes @ axes.T - np.eye(3))) <= 1e-12:
             raise ValueError("box axes must be orthonormal")
         object.__setattr__(self, "axes", axes)
         he = np.asarray(self.half_extents, dtype=float)
-        if not np.all(he > 0):
-            raise ValueError("half extents must be positive")
+        if not np.all((he > 0) & (he < np.inf)):
+            raise ValueError("half extents must be positive and finite")
         object.__setattr__(self, "half_extents", he)
 
     def volume(self):
@@ -121,9 +124,18 @@ class Box3:
         return self.center + (signs * self.half_extents) @ self.axes
 
     def contains(self, points, slack=0.0):
-        """True where all box-frame coordinates are within the extents."""
-        local = (np.atleast_2d(points) - self.center) @ self.axes.T
-        return np.all(np.abs(local) <= self.half_extents + slack, axis=1)
+        """True where all box-frame coordinates are within the extents.
+
+        The coordinates form a (3, m) array, one contiguous row per axis, so
+        each axis is compared as one row; every entry is the same length-3
+        dot product as in the row-major ``(points - center) @ axes.T``."""
+        local = self.axes @ (np.atleast_2d(points) - self.center).T
+        np.abs(local, out=local)
+        bound = self.half_extents + slack
+        inside = local[0] <= bound[0]
+        inside &= local[1] <= bound[1]
+        inside &= local[2] <= bound[2]
+        return inside
 
     def translated(self, shift):
         return Box3(self.center + np.asarray(shift), self.axes, self.half_extents)

@@ -1,8 +1,9 @@
 """Independent oracles that only the tests use: the Gaussian/Faddeeva probe
 of the half-space FFT path, the spatial dilation probe of the cone
 multiplier, the tensor check's slice-by-slice sum, the pairwise
-separating-axis predicate, the Monte-Carlo and the exact rational union
-measure, and the Cayley Jacobian bounds on Shilov samples."""
+separating-axis predicate, row-major box membership, the Monte-Carlo and
+the exact rational union measure, and the Cayley Jacobian bounds on Shilov
+samples."""
 
 from fractions import Fraction
 
@@ -189,6 +190,13 @@ def tensor_defects_by_slices(phi, k, normal_lasts, samples_3d=64):
 def boxes_intersect(r1, r2):
     """True iff the interiors of two Rect2 overlap (separating-axis test)."""
     return bool(next(bs._sat_blocks(*bs._frames((r1, r2))))[2][0])
+
+
+def box_contains_row_major(box, points, slack=0.0):
+    """``Box3.contains`` in the row-major layout: box-frame coordinates as
+    an (m, 3) array, reduced over its short inner axis."""
+    local = (np.atleast_2d(points) - box.center) @ box.axes.T
+    return np.all(np.abs(local) <= box.half_extents + slack, axis=1)
 
 
 def mc_union_measure(shapes, n_samples, seed):

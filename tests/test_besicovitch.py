@@ -429,10 +429,18 @@ class TestBoxFamilies:
         ([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
          [0.5, 0.5, 0.5], "orthonormal"),
         (np.eye(3), [0.5, np.nan, 0.5], "positive"),
+        (np.eye(3), [0.5, np.inf, 0.5], "finite"),
+        (np.eye(3), [np.inf, np.inf, np.inf], "finite"),
     ])
     def test_nan_box_is_refused(self, axes, half_extents, message):
         with pytest.raises(ValueError, match=message):
             bs.Box3(np.zeros(3), axes, half_extents)
+
+    @pytest.mark.parametrize("center", [
+        [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]])
+    def test_nonfinite_center_is_refused(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            bs.Box3(center, np.eye(3), [0.5, 0.5, 0.5])
 
     @pytest.mark.parametrize("plant", ["copied_rectangle", "displaced_translate"])
     def test_translate_overlap_is_caught(self, plant):

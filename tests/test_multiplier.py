@@ -11,8 +11,8 @@ from scipy.integrate import quad
 from conekit import besicovitch as bs
 from conekit import multiplier as mp
 from conekit.errors import BudgetExceededError, SingularPointError
-from oracles import (cone_dilation_probe, gaussian_box_probe,
-                     tensor_defects_by_slices)
+from oracles import (box_contains_row_major, cone_dilation_probe,
+                     gaussian_box_probe, tensor_defects_by_slices)
 
 
 @pytest.fixture(scope="module")
@@ -677,6 +677,17 @@ class TestCountMoment:
             expected += box.contains(pts)
         assert np.array_equal(mp._cover_counts(boxes, pts), expected)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_contains_matches_row_major_formula(self, k):
+        boxes = _family(k)
+        for family in (boxes.boxes_e, boxes.boxes_f, boxes.boxes_f_shifted):
+            pts = _face_points(family)
+            for box in family:
+                for slack in (0.0, 1e-12):
+                    assert np.array_equal(
+                        box.contains(pts, slack),
+                        box_contains_row_major(box, pts, slack))
+
     def test_full_test_runs_on_thin_slab_candidates(self, monkeypatch):
         boxes = _family(7)
         seen = {"points": 0, "hits": 0}
@@ -715,6 +726,35 @@ class TestCountMoment:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * bs._BLOCK_VALUES * 8
+
+    @pytest.mark.parametrize("power, n_samples, error", [
+        (np.nan, 1000, ValueError),
+        (np.inf, 1000, ValueError),
+        (-np.inf, 1000, ValueError),
+        ([-0.5, np.nan], 1000, ValueError),
+        (-0.5, 1000.0, TypeError),
+    ])
+    def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, power,
+                                                     n_samples, error):
+        calls = {"draws": 0, "contains": 0}
+        generator, contains = np.random.Generator, bs.Box3.contains
+
+        def drawn(*args, **kwargs):
+            calls["draws"] += 1
+            return generator(*args, **kwargs)
+
+        def counted(box, points, slack=0.0):
+            calls["contains"] += 1
+            return contains(box, points, slack)
+
+        monkeypatch.setattr(np.random, "Generator", drawn)
+        monkeypatch.setattr(bs.Box3, "contains", counted)
+        with pytest.raises(error):
+            mp.stratified_count_moment(_family(3), power, n_samples, 0)
+        assert calls == {"draws": 0, "contains": 0}
+        # the same call with good arguments draws and counts
+        mp.stratified_count_moment(_family(3), -0.5, 1000, 0)
+        assert calls["draws"] == 1 and calls["contains"] > 0
 
     @pytest.mark.parametrize("n_samples", [5, 12, 15])
     def test_too_few_samples_rejected(self, n_samples):
