@@ -15,7 +15,9 @@ verified once per build.
 
 ``build_boxes`` lifts a family to the 3D boxes: E_j = [0,1] x R_j and the
 rotated box F_j spanned by (1,-u_j), (1,u_j), (0,u_j-perp) with side 1/sqrt2
-along the light-ray direction, plus the translates F_j + 5*(-1, u_j).
+along the light-ray direction, plus the translates F_j + 5*(-1, u_j).  A
+family and its boxes are stacked arrays, built and checked once; the Box3
+objects of a BoxFamily are built only when they are read.
 
 ``union_measure`` is exact: a closed-form boundary integral over the parts
 of the edges no other rectangle covers; its bound covers only rounding.
@@ -23,6 +25,7 @@ of the edges no other rectangle covers; its bound covers only rounding.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -46,11 +49,17 @@ class Rect2:
     width: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        center = np.asarray(self.center, dtype=float)
+        if not np.all(np.isfinite(center)):
+            raise ValueError("rectangle center must be finite")
+        object.__setattr__(self, "center", center)
         u = np.asarray(self.direction, dtype=float)
         if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
             raise ValueError("rectangle direction must be a unit vector")
         object.__setattr__(self, "direction", u)
+        if not (0.0 < self.length < np.inf and 0.0 < self.width < np.inf):
+            raise ValueError(
+                "rectangle length and width must be positive and finite")
 
     @property
     def normal(self):
@@ -58,10 +67,8 @@ class Rect2:
         return np.array([-u[1], u[0]])
 
     def vertices(self):
-        hl = 0.5 * self.length * self.direction
-        hw = 0.5 * self.width * self.normal
-        c = self.center
-        return np.array([c + hl + hw, c + hl - hw, c - hl - hw, c - hl + hw])
+        return _corners(self.center, np.array([self.direction, self.normal]),
+                        0.5 * np.array([self.length, self.width]))
 
     def translated(self, shift):
         return Rect2(self.center + shift, self.direction, self.length, self.width)
@@ -69,6 +76,11 @@ class Rect2:
 
 @dataclass(frozen=True)
 class RectangleFamily:
+    """N rectangles R_j and their translates R_j + shift u_j.  The frames
+    are stacked once, when the family is built: ``centers`` (N, 2), the axis
+    rows u_j and n_j in ``axes`` (N, 2, 2) and the half sides ``halves``
+    (N, 2); every computation on the family reads them."""
+
     k: int
     rects: tuple
     shift: float = SHIFT
@@ -77,18 +89,78 @@ class RectangleFamily:
         # the closed-form integrals and the geometry check use SHIFT
         if self.shift != SHIFT:
             raise ValueError(f"rectangle families are shifted by {SHIFT}")
+        for name, value in zip(("centers", "axes", "halves"),
+                               _frames(self.rects)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_rects(self):
         return len(self.rects)
+
+    def translate_centers(self):
+        return self.centers + self.shift * self.axes[:, 0]
 
     def translates(self):
         return tuple(
             r.translated(self.shift * r.direction) for r in self.rects
         )
 
+    def vertices(self):
+        """Clockwise vertices (2, N, 4, 2) of the rectangles, then of their
+        translates."""
+        return _corners(np.stack([self.centers, self.translate_centers()]),
+                        self.axes, self.halves)
+
     def total_area(self):
         return float(sum(r.length * r.width for r in self.rects))
+
+
+def _corners(centers, axes, halves):
+    """Clockwise vertices (..., 4, 2) of rectangles with centers (..., 2),
+    axis rows u, n (..., 2, 2) and half sides (..., 2)."""
+    hl = halves[..., 0, None] * axes[..., 0, :]
+    hw = halves[..., 1, None] * axes[..., 1, :]
+    return np.stack([centers + hl + hw, centers + hl - hw,
+                     centers - hl - hw, centers - hl + hw], axis=-2)
+
+
+# the 8 sign patterns of a box's vertices, in Box3.vertices's order
+_SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
+                   for sz in (-1, 1)], dtype=float)
+
+
+def _check_boxes(centers, axes, half_extents):
+    """ValueError unless every box of a stack, or the one box, has a finite
+    center, orthonormal axis rows and positive finite half extents."""
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("box center must be finite")
+    gram = axes @ np.swapaxes(axes, -1, -2)
+    if not np.max(np.abs(gram - np.eye(3))) <= 1e-12:
+        raise ValueError("box axes must be orthonormal")
+    if not np.all((half_extents > 0) & (half_extents < np.inf)):
+        raise ValueError("half extents must be positive and finite")
+
+
+def _box_vertices(centers, axes, half_extents):
+    """The 8 vertices (..., 8, 3) of one box or of a stack of boxes."""
+    return (centers[..., None, :]
+            + (_SIGNS * half_extents[..., None, :]) @ axes)
+
+
+def _box_contains(center, axes, half_extents, points, slack=0.0):
+    """True where a point lies within the extents of its box: one box and
+    points (m, 3), or a stack of boxes and points (N, m, 3) each.
+
+    The box-frame coordinates form a (..., 3, m) array, one contiguous row
+    per axis, so each axis is compared as one row; every entry is the same
+    length-3 dot product as in the row-major ``(points - center) @ axes.T``."""
+    local = axes @ (points - center[..., None, :]).swapaxes(-1, -2)
+    np.abs(local, out=local)
+    bound = half_extents[..., None] + slack
+    inside = local[..., 0, :] <= bound[..., 0, :]
+    inside &= local[..., 1, :] <= bound[..., 1, :]
+    inside &= local[..., 2, :] <= bound[..., 2, :]
+    return inside
 
 
 @dataclass(frozen=True)
@@ -100,53 +172,57 @@ class Box3:
     half_extents: np.ndarray
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        if not np.all(np.isfinite(center)):
-            raise ValueError("box center must be finite")
-        object.__setattr__(self, "center", center)
-        axes = np.asarray(self.axes, dtype=float)
-        if not np.max(np.abs(axes @ axes.T - np.eye(3))) <= 1e-12:
-            raise ValueError("box axes must be orthonormal")
-        object.__setattr__(self, "axes", axes)
-        he = np.asarray(self.half_extents, dtype=float)
-        if not np.all((he > 0) & (he < np.inf)):
-            raise ValueError("half extents must be positive and finite")
-        object.__setattr__(self, "half_extents", he)
+        for name in ("center", "axes", "half_extents"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        _check_boxes(self.center, self.axes, self.half_extents)
 
     def volume(self):
         return float(8.0 * np.prod(self.half_extents))
 
     def vertices(self):
-        signs = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=float,
-        )
-        return self.center + (signs * self.half_extents) @ self.axes
+        return _box_vertices(self.center, self.axes, self.half_extents)
 
     def contains(self, points, slack=0.0):
-        """True where all box-frame coordinates are within the extents.
-
-        The coordinates form a (3, m) array, one contiguous row per axis, so
-        each axis is compared as one row; every entry is the same length-3
-        dot product as in the row-major ``(points - center) @ axes.T``."""
-        local = self.axes @ (np.atleast_2d(points) - self.center).T
-        np.abs(local, out=local)
-        bound = self.half_extents + slack
-        inside = local[0] <= bound[0]
-        inside &= local[1] <= bound[1]
-        inside &= local[2] <= bound[2]
-        return inside
+        """True where all box-frame coordinates are within the extents."""
+        return _box_contains(self.center, self.axes, self.half_extents,
+                             np.atleast_2d(points), slack)
 
     def translated(self, shift):
         return Box3(self.center + np.asarray(shift), self.axes, self.half_extents)
 
 
 @dataclass(frozen=True)
+class BoxStack:
+    """N boxes as stacked arrays: centers (N, 3), orthonormal axis rows
+    (N, 3, 3) and half extents (N, 3), float arrays checked once for the
+    whole stack, as ``Box3`` checks one box."""
+
+    centers: np.ndarray
+    axes: np.ndarray
+    half_extents: np.ndarray
+
+    def __post_init__(self):
+        _check_boxes(self.centers, self.axes, self.half_extents)
+
+    @functools.cached_property
+    def boxes(self):
+        """The stack as a tuple of Box3, built on first access."""
+        return tuple(map(Box3, self.centers, self.axes, self.half_extents))
+
+    def volumes(self):
+        return 8.0 * np.prod(self.half_extents, axis=1)
+
+    def vertices(self):
+        return _box_vertices(self.centers, self.axes, self.half_extents)
+
+
+@dataclass(frozen=True)
 class BoxFamily:
     family: RectangleFamily       # the R_j that the E_j = [0,1] x R_j lift
-    boxes_e: tuple
-    boxes_f: tuple
-    boxes_f_shifted: tuple
+    e: BoxStack                   # E_j = [0,1] x R_j
+    f: BoxStack                   # the rotated inner boxes F_j
+    f_shifted: BoxStack           # their translates F_j + SHIFT * ntilde_j
     light_rays: np.ndarray        # rows n_j = (1, u_j)
     normals: np.ndarray           # rows ntilde_j = (-1, u_j)
 
@@ -156,7 +232,19 @@ class BoxFamily:
 
     @property
     def n_boxes(self):
-        return len(self.boxes_f)
+        return len(self.f.centers)
+
+    @property
+    def boxes_e(self):
+        return self.e.boxes
+
+    @property
+    def boxes_f(self):
+        return self.f.boxes
+
+    @property
+    def boxes_f_shifted(self):
+        return self.f_shifted.boxes
 
 
 # --- construction ------------------------------------------------------------
@@ -184,9 +272,10 @@ def _perron_anchors(k, dtheta):
 
 
 def check_level(k):
-    """ValueError unless k is a construction level, an integer in 1..12."""
-    if not 1 <= k <= 12:
-        raise ValueError("construction level k must be in 1..12")
+    """ValueError unless k is a construction level: an int, not a bool, in
+    1..12."""
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= 12:
+        raise ValueError("construction level k must be an integer in 1..12")
 
 
 def build_perron_rectangles(k):
@@ -220,10 +309,7 @@ def build_perron_rectangles(k):
 
 
 def _family_in_ball(family, radius=BALL_RADIUS_2D):
-    verts = np.concatenate(
-        [r.vertices() for r in family.rects]
-        + [r.vertices() for r in family.translates()]
-    )
+    verts = family.vertices().reshape(-1, 2)
     return bool(np.max(np.linalg.norm(verts, axis=1)) <= radius)
 
 
@@ -237,16 +323,16 @@ _BLOCK_VALUES = 2**22
 def translates_disjoint(family):
     """Exact pairwise disjointness of a RectangleFamily's translates."""
     # any() stops at the first block holding an overlapping pair
-    return not any(overlap.any() for _, _, overlap
-                   in _sat_blocks(*_frames(family.translates())))
+    return not any(overlap.any() for _, _, overlap in _sat_blocks(
+        family.translate_centers(), family.axes, family.halves))
 
 
 def _frames(rects):
     """Centers (n, 2), axis rows u, n (n, 2, 2) and half extents (n, 2) of a
     sequence of Rect2."""
-    return (np.array([r.center for r in rects]),
-            np.array([[r.direction, r.normal] for r in rects]),
-            0.5 * np.array([[r.length, r.width] for r in rects]))
+    return (np.reshape([r.center for r in rects], (-1, 2)),
+            np.reshape([[r.direction, r.normal] for r in rects], (-1, 2, 2)),
+            0.5 * np.reshape([[r.length, r.width] for r in rects], (-1, 2)))
 
 
 def _sat_blocks(centers, axes, halves):
@@ -293,24 +379,29 @@ def union_measure(shapes, resolution):
     the bound covers rounding, including the 1/|s1| growth of clip
     endpoints on near-parallel edges.  ``resolution`` must be positive but
     has no effect.  Accepts a RectangleFamily, a BoxFamily (the family its
-    E_j lift) or a sequence of Rect2.
+    E_j lift) or a sequence of Rect2; an empty union measures (0.0, 0.0).
     """
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError("resolution must be positive")
-    rects = _as_rect_list(shapes)
-    centers, axes, halves = _frames(rects)
+    if isinstance(shapes, BoxFamily):
+        shapes = shapes.family
+    centers, axes, halves = (
+        (shapes.centers, shapes.axes, shapes.halves)
+        if isinstance(shapes, RectangleFamily) else _frames(list(shapes)))
+    if not len(centers):
+        return 0.0, 0.0
+    verts = _corners(centers, axes, halves)                  # clockwise
     # slab k of rectangle j is |axes[k, j] . x - offsets[k, j]| < halves[k, j],
     # in the coordinates of the vertices, which carry |u|^2
     axes = axes.transpose(1, 0, 2)
     offsets = np.sum(centers * axes, 2)
     halves = halves.T * np.vecdot(axes[0], axes[0])
-    verts = np.array([r.vertices() for r in rects])        # clockwise
     starts = verts.reshape(-1, 2)
     vectors = (np.roll(verts, -1, axis=1) - verts).reshape(-1, 2)
     # bounds the rounding of every vertex, edge and slab coordinate
     err = 16.0 * _EPS * float(np.abs(verts).max())
     # _edge_coverage holds up to nine (edges, 2, rects) arrays at once
-    block = max(1, _BLOCK_VALUES // (9 * 2 * len(rects)))
+    block = max(1, _BLOCK_VALUES // (9 * 2 * len(centers)))
     covered, frac_err, bands = np.concatenate([
         _edge_coverage(axes, offsets, halves, starts[e0:e0 + block],
                        vectors[e0:e0 + block], e0, err)
@@ -378,45 +469,43 @@ def _edge_coverage(axes, offsets, halves, starts, vectors, first, err):
     return np.array([run[:, -1] - lo[:, 0] - gaps, frac_err, bands])
 
 
-def _as_rect_list(shapes):
-    if isinstance(shapes, BoxFamily):
-        shapes = shapes.family
-    return list(shapes.rects if isinstance(shapes, RectangleFamily) else shapes)
-
-
 # --- 3D boxes ----------------------------------------------------------------
 
 def build_boxes(family):
     """The boxes E_j = [0,1] x R_j, the rotated inner boxes F_j and the
-    translates F_j + 5*(-1, u_j).  The boxes have the sides of a family of
-    N rectangles of length 1 and width 1/N; any other family raises
-    ValueError, naming its first rectangle of other sides."""
-    width, sqrt2 = 1.0 / family.n_rects, np.sqrt(2.0)
-    for j, rect in enumerate(family.rects):
-        if not (abs(rect.length - 1.0) <= 1e-12
-                and abs(rect.width - width) <= 1e-12):
-            raise ValueError(
-                f"rectangle {j} is {rect.length!r} x {rect.width!r}; boxes "
-                f"lift rectangles of length 1 and width 1/{family.n_rects}")
-    boxes_e, boxes_f = [], []
-    for rect in family.rects:
-        (u0, u1), (p0, p1) = rect.direction, rect.normal
-        center = [0.5, *rect.center]
-        boxes_e.append(Box3(center, [[1.0, 0.0, 0.0], [0.0, u0, u1],
-                                     [0.0, p0, p1]], [0.5, 0.5, width / 2]))
-        boxes_f.append(Box3(
-            center, [np.array([1.0, -u0, -u1]) / sqrt2,
-                     np.array([1.0, u0, u1]) / sqrt2, [0.0, p0, p1]],
-            [sqrt2 / 4, sqrt2 / 4, width / 2]))
-    directions = np.array([r.direction for r in family.rects])
-    light_rays = np.column_stack([np.ones(len(directions)), directions])
+    translates F_j + 5*(-1, u_j), lifted from the family's frames in one
+    pass; each stack is checked once.  The boxes have the sides of a family
+    of N rectangles of length 1 and width 1/N; an empty family or any other
+    family raises ValueError, naming its first rectangle of other sides."""
+    n = family.n_rects
+    if not n:
+        raise ValueError("the rectangle family is empty; there are no boxes "
+                         "to lift")
+    width, sqrt2 = 1.0 / n, np.sqrt(2.0)
+    misfits = np.flatnonzero(~np.all(
+        np.abs(2.0 * family.halves - [1.0, width]) <= 1e-12, axis=1))
+    if misfits.size:
+        j = int(misfits[0])
+        rect = family.rects[j]
+        raise ValueError(
+            f"rectangle {j} is {rect.length!r} x {rect.width!r}; boxes "
+            f"lift rectangles of length 1 and width 1/{n}")
+    light_rays = np.column_stack([np.ones(n), family.axes[:, 0]])
     normals = light_rays * [-1.0, 1.0, 1.0]
+    centers = np.insert(family.centers, 0, 0.5, axis=1)
+    axes_e = np.zeros((n, 3, 3))
+    axes_e[:, 0, 0] = 1.0
+    axes_e[:, 1:, 1:] = family.axes
+    # rows (1, -u_j) / sqrt2, (1, u_j) / sqrt2 and (0, u_j-perp)
+    axes_f = np.stack([-normals / sqrt2, light_rays / sqrt2, axes_e[:, 2]],
+                      axis=1)
+    halves_f = np.tile([sqrt2 / 4, sqrt2 / 4, width / 2], (n, 1))
     return BoxFamily(
         family=family,
-        boxes_e=tuple(boxes_e),
-        boxes_f=tuple(boxes_f),
-        boxes_f_shifted=tuple(f.translated(family.shift * ntilde)
-                              for f, ntilde in zip(boxes_f, normals)),
+        e=BoxStack(centers, axes_e, np.tile([0.5, 0.5, width / 2], (n, 1))),
+        f=BoxStack(centers, axes_f, halves_f),
+        f_shifted=BoxStack(centers + family.shift * normals, axes_f,
+                           halves_f),
         light_rays=light_rays,
         normals=normals,
     )
@@ -425,19 +514,17 @@ def build_boxes(family):
 def box_geometry_check(boxes):
     """Verify the box-family invariants; returns a dict of named booleans."""
     n = boxes.n_boxes
-    shifts = (np.array([b.center for b in boxes.boxes_f_shifted])
-              - np.array([b.center for b in boxes.boxes_f]))
+    shifts = boxes.f_shifted.centers - boxes.f.centers
     are_shifts = bool(np.max(np.abs(shifts - SHIFT * boxes.normals)) <= 1e-12)
     lifted = _projections_match(boxes)
     report = {}
-    vol_f = np.array([b.volume() for b in boxes.boxes_f])
+    vol_f = boxes.f.volumes()
     report["volumes_f"] = bool(np.max(np.abs(vol_f - 1.0 / (2 * n))) <= 1e-12)
-    vol_ft = np.array([b.volume() for b in boxes.boxes_f_shifted])
+    vol_ft = boxes.f_shifted.volumes()
     report["total_translate_volume"] = bool(abs(vol_ft.sum() - 0.5) <= 1e-12)
-    report["f_inside_e"] = all(
-        bool(np.all(e.contains(f.vertices(), slack=1e-12)))
-        for e, f in zip(boxes.boxes_e, boxes.boxes_f)
-    )
+    e, verts_f = boxes.e, boxes.f.vertices()
+    report["f_inside_e"] = bool(np.all(_box_contains(
+        e.centers, e.axes, e.half_extents, verts_f, slack=1e-12)))
     # F_j + 5 ntilde_j lies in E_j + 5 ntilde_j = [-5,-4] x (R_j + 5 u_j), so
     # the box translates are disjoint where the family's translates are
     report["translates_disjoint"] = (report["f_inside_e"] and are_shifts
@@ -448,10 +535,8 @@ def box_geometry_check(boxes):
         <= 1e-12
     )
     report["translates_are_shifts"] = are_shifts
-    all_verts = np.concatenate(
-        [b.vertices() for b in boxes.boxes_f]
-        + [b.vertices() for b in boxes.boxes_f_shifted]
-    )
+    all_verts = np.concatenate([verts_f,
+                                boxes.f_shifted.vertices()]).reshape(-1, 3)
     max_norm = float(np.max(np.linalg.norm(all_verts, axis=1)))
     report["max_vertex_norm"] = max_norm
     report["inside_ball"] = bool(max_norm <= BALL_RADIUS_3D)
@@ -465,14 +550,12 @@ def box_geometry_check(boxes):
 def _projections_match(boxes):
     """Each E_j is [0,1] x R_j, the lift of its family's rectangle, and each
     ntilde_j is (-1, u_j)."""
-    centers, axes, halves = _frames(boxes.family.rects)
-    gaps = (np.array([b.center for b in boxes.boxes_e])
-            - np.insert(centers, 0, 0.5, axis=1),
-            np.array([b.axes for b in boxes.boxes_e]) - np.diag([1.0, 0, 0])
-            - np.pad(axes, ((0, 0), (1, 0), (1, 0))),
-            np.array([b.half_extents for b in boxes.boxes_e])
-            - np.insert(halves, 0, 0.5, axis=1),
-            boxes.normals - np.insert(axes[:, 0], 0, -1.0, axis=1))
+    family, e = boxes.family, boxes.e
+    gaps = (e.centers - np.insert(family.centers, 0, 0.5, axis=1),
+            e.axes - np.diag([1.0, 0, 0])
+            - np.pad(family.axes, ((0, 0), (1, 0), (1, 0))),
+            e.half_extents - np.insert(family.halves, 0, 0.5, axis=1),
+            boxes.normals - np.insert(family.axes[:, 0], 0, -1.0, axis=1))
     return all(np.max(np.abs(gap)) <= 1e-12 for gap in gaps)
 
 
@@ -490,12 +573,14 @@ def family_to_json(family):
         "shift": family.shift,
         "rects": [
             {
-                "center": rect.center.tolist(),
-                "direction": rect.direction.tolist(),
+                "center": center,
+                "direction": direction,
                 "length": rect.length,
                 "width": rect.width,
             }
-            for rect in family.rects
+            for center, direction, rect in zip(family.centers.tolist(),
+                                               family.axes[:, 0].tolist(),
+                                               family.rects)
         ],
     }
     return json.dumps(doc, indent=1, sort_keys=True)
@@ -504,12 +589,9 @@ def family_to_json(family):
 def family_to_svg(family):
     """SVG rendering of the rectangles and their translates, with a margin
     of 0.5 around them."""
-    groups = [
-        ("#1f77b4", family.rects),
-        ("#d62728", family.translates()),
-    ]
-    verts = np.concatenate([r.vertices() for _, rs in groups for r in rs])
-    lo, hi = verts.min(axis=0) - 0.5, verts.max(axis=0) + 0.5
+    verts = family.vertices()
+    lo = verts.reshape(-1, 2).min(axis=0) - 0.5
+    hi = verts.reshape(-1, 2).max(axis=0) + 0.5
     span = hi - lo
     scale = 800.0 / span.max()
     parts = [
@@ -517,11 +599,11 @@ def family_to_svg(family):
         f'width="{span[0] * scale:.0f}" height="{span[1] * scale:.0f}" '
         f'viewBox="0 0 {span[0] * scale:.2f} {span[1] * scale:.2f}">'
     ]
-    for color, rs in groups:
-        for rect in rs:
+    for color, group in zip(("#1f77b4", "#d62728"), verts):
+        for rect in group:
             pts = " ".join(
                 f"{(v[0] - lo[0]) * scale:.3f},{(hi[1] - v[1]) * scale:.3f}"
-                for v in rect.vertices()
+                for v in rect
             )
             parts.append(
                 f'<polygon points="{pts}" fill="{color}" fill-opacity="0.35" '

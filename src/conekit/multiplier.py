@@ -284,18 +284,29 @@ def halfline_projection_periodic(a, b, t, period):
 def box_axis_interval(box, n_tilde):
     """Index of the box axis parallel to n_tilde, its halfline sign, and the
     1D interval the box occupies along that axis."""
+    idx, sign, a, b, _ = _axis_intervals(box.center, box.axes,
+                                         box.half_extents, n_tilde)
+    return int(idx), int(sign), float(a), float(b)
+
+
+def _axis_intervals(centers, axes, half_extents, n_tilde):
+    """``box_axis_interval`` for one box or, row by row, for a stack of
+    boxes and normals, plus the axis rows themselves.  The stacked products
+    are one BLAS call per row, with the bits of the single-box products."""
     unit = np.asarray(n_tilde, dtype=float)
-    unit = unit / np.linalg.norm(unit)
-    dots = box.axes @ unit
-    idx = int(np.argmax(np.abs(dots)))
-    if abs(abs(dots[idx]) - 1.0) > 1e-12:
+    unit = unit / np.sqrt(unit[..., None, :] @ unit[..., :, None])[..., 0]
+    dots = (axes @ unit[..., :, None])[..., 0]
+    idx = np.argmax(np.abs(dots), axis=-1)
+    along = np.take_along_axis(dots, idx[..., None], -1)[..., 0]
+    if not np.all(np.abs(np.abs(along) - 1.0) <= 1e-12):
         raise ValueError("n_tilde is not parallel to a box axis")
     # <xi, n_tilde> < 0 keeps sign * xi > 0 along the axis coordinate, with
     # sign = -sign(axis . n_tilde)
-    sign = -int(np.sign(dots[idx]))
-    c = float(box.center @ box.axes[idx])
-    e = float(box.half_extents[idx])
-    return idx, sign, c - e, c + e
+    sign = -np.sign(along).astype(int)
+    row = np.take_along_axis(axes, idx[..., None, None], -2)[..., 0, :]
+    c = (centers[..., None, :] @ row[..., :, None])[..., 0, 0]
+    e = np.take_along_axis(half_extents, idx[..., None], -1)[..., 0]
+    return idx, sign, c - e, c + e, row
 
 
 def box_halfspace_image(box, n_tilde, x):
@@ -391,7 +402,10 @@ def cone_dilation_symbol_defect(lams):
 
 # --- the square-function experiment ---------------------------------------------
 
-def translate_image_integral(f_box, ntilde, tol=1e-8):
+LHS_TOL = 1e-8      # the rounding budget of each translate's closed form
+
+
+def translate_image_integral(f_box, ntilde, tol=LHS_TOL):
     """Integral of |H 1_F| over the translated box F + bs.SHIFT * ntilde.
 
     The translate sits along the half-line axis, so the integral is the
@@ -404,30 +418,8 @@ def translate_image_integral(f_box, ntilde, tol=1e-8):
     rounding of F(hi) - F(lo), with 4 eps |F(hi) - F(lo)| more for the
     scalings.  A rounding bound above ``tol`` raises BudgetExceededError.
     """
-    idx, sign, a, b = box_axis_interval(f_box, ntilde)
-    ntilde = np.asarray(ntilde, dtype=float)
-    axis_shift = float(bs.SHIFT * ntilde @ f_box.axes[idx])
-    lo, hi = a + axis_shift, b + axis_shift
-    if not (hi < a or lo > b):
-        raise ValueError("translate overlaps the box along the axis")
-    cross_area = 4.0 * float(
-        np.prod([f_box.half_extents[i] for i in range(3) if i != idx])
-    )
-    x = np.array([hi - a, hi - b, lo - a, lo - b])
-    logs = np.log(np.abs(x))
-    terms = x * logs
-    line = abs((terms[0] - terms[1]) - (terms[2] - terms[3]))
-    scale = cross_area / (2.0 * np.pi)
-    eps = np.finfo(float).eps
-    bound = scale * eps * (8.0 * np.sum(np.abs(x) * (np.abs(logs) + 1.0))
-                           + 4.0 * line)
-    value = float(scale * line)
-    if bound > tol:
-        raise BudgetExceededError(
-            "rounding bound of the closed form exceeds the tolerance",
-            partial=value, error_estimate=float(bound),
-        )
-    return value
+    return float(_translate_images(f_box.center, f_box.axes,
+                                   f_box.half_extents, ntilde, tol)[0])
 
 
 def translate_image_minimum(f_box, ntilde):
@@ -436,27 +428,62 @@ def translate_image_minimum(f_box, ntilde):
     The log tail decreases away from the interval, so the minimum sits at the
     translate end farthest from the box, at distance |bs.SHIFT * ntilde|
     along the axis from the near interval endpoint."""
-    idx, sign, a, b = box_axis_interval(f_box, ntilde)
-    far = abs(float(bs.SHIFT * np.asarray(ntilde) @ f_box.axes[idx]))
-    return float(np.log1p((b - a) / far) / (2.0 * np.pi))
+    return float(_translate_images(f_box.center, f_box.axes,
+                                   f_box.half_extents, ntilde, np.inf)[1])
 
 
-def _cover_counts(boxes, pts):
-    """How many of ``boxes`` contain each point.  ``Box3.contains`` decides
-    only the points within a margin of each box's thinnest slab.  The slab
-    coordinate ``pts @ a - center @ a`` and the one ``contains`` computes are
-    each within 2 sqrt(3) eps S of the exact value, S = max |pts| +
-    max |center|, so the margin 16 eps S drops no point ``contains`` keeps.
-    ``np.take`` gathers the same candidate rows as ``pts[cand]``, faster."""
+def _translate_images(centers, axes, half_extents, ntilde, tol):
+    """``translate_image_integral`` and ``translate_image_minimum`` for one
+    box or, row by row, for a stack of boxes and normals: (integrals,
+    minima).  The first row that fails a check raises."""
+    idx, _, a, b, row = _axis_intervals(centers, axes, half_extents, ntilde)
+    shift = bs.SHIFT * np.asarray(ntilde, dtype=float)
+    axis_shift = (shift[..., None, :] @ row[..., :, None])[..., 0, 0]
+    lo, hi = a + axis_shift, b + axis_shift
+    if not np.all((hi < a) | (lo > b)):
+        raise ValueError("translate overlaps the box along the axis")
+    # the product of the two other half extents, in axis order
+    cross_area = 4.0 * np.prod(
+        np.where(np.arange(3) == idx[..., None], 1.0, half_extents), axis=-1)
+    x = np.stack([hi - a, hi - b, lo - a, lo - b], axis=-1)
+    logs = np.log(np.abs(x))
+    terms = x * logs
+    line = np.abs((terms[..., 0] - terms[..., 1])
+                  - (terms[..., 2] - terms[..., 3]))
+    scale = cross_area / (2.0 * np.pi)
+    eps = np.finfo(float).eps
+    bound = scale * eps * (8.0 * np.sum(np.abs(x) * (np.abs(logs) + 1.0),
+                                        axis=-1) + 4.0 * line)
+    value = scale * line
+    over = np.flatnonzero(~(np.ravel(bound) <= tol))
+    if over.size:
+        raise BudgetExceededError(
+            "rounding bound of the closed form exceeds the tolerance",
+            partial=float(np.ravel(value)[over[0]]),
+            error_estimate=float(np.ravel(bound)[over[0]]),
+        )
+    return value, np.log1p((b - a) / np.abs(axis_shift)) / (2.0 * np.pi)
+
+
+def _cover_counts(stack, pts):
+    """How many boxes of the BoxStack ``stack`` contain each point.
+    ``Box3.contains``'s test decides only the points within a margin of each
+    box's thinnest slab.  The slab coordinate ``pts @ a - center @ a`` and
+    the one the test computes are each within 2 sqrt(3) eps S of the exact
+    value, S = max |pts| + max |center|, so the margin 16 eps S drops no
+    point the test keeps.  ``np.take`` gathers the same candidate rows as
+    ``pts[cand]``, faster."""
     counts = np.zeros(len(pts), dtype=np.int64)
     reach = np.max(np.abs(pts), initial=0.0)
-    for box in boxes:
-        thin = np.argmin(box.half_extents)
-        a, c = box.axes[thin], box.center
-        margin = 16.0 * np.finfo(float).eps * (reach + np.max(np.abs(c)))
-        cand = np.flatnonzero(
-            np.abs(pts @ a - c @ a) <= box.half_extents[thin] + margin)
-        counts[cand] += box.contains(np.take(pts, cand, axis=0))
+    thin = np.argmin(stack.half_extents, axis=1)
+    margins = 16.0 * np.finfo(float).eps * (
+        reach + np.max(np.abs(stack.centers), axis=1))
+    for c, axes, half, t, margin in zip(stack.centers, stack.axes,
+                                        stack.half_extents, thin, margins):
+        a = axes[t]
+        cand = np.flatnonzero(np.abs(pts @ a - c @ a) <= half[t] + margin)
+        counts[cand] += bs._box_contains(c, axes, half,
+                                         np.take(pts, cand, axis=0))
     return counts
 
 
@@ -502,18 +529,20 @@ def stratified_count_moment(boxes, power, n_samples, seed):
     cap = bs._BLOCK_VALUES // 16
     strata = max(1, cap // int(per_box[0]))
     stats = [[None] * n for _ in powers]     # per power and stratum
+    f = boxes.f
     for first in range(0, n, strata):
         group = range(first, min(first + strata, n))
         for start in range(0, per_box[first], cap):
             sizes = [min(cap, per_box[j] - start) for j in group]
             pts = np.concatenate([
-                f.center + (rng.uniform(-1.0, 1.0, (m, 3)) * f.half_extents)
-                @ f.axes for f, m in zip(boxes.boxes_f[first:], sizes)])
-            counts = _cover_counts(boxes.boxes_f, pts).astype(float)
+                c + (rng.uniform(-1.0, 1.0, (m, 3)) * half) @ axes
+                for c, axes, half, m in zip(f.centers[first:], f.axes[first:],
+                                            f.half_extents[first:], sizes)])
+            counts = _cover_counts(f, pts).astype(float)
             for j, c in zip(group, np.split(counts, np.cumsum(sizes)[:-1])):
                 for acc, s in zip(stats, powers):
                     acc[j] = _pooled(acc[j], c**s)
-    vols = [f.volume() for f in boxes.boxes_f]
+    vols = f.volumes().tolist()
     estimates = np.array([sum(v * mean for v, (_, mean, _) in zip(vols, acc))
                           for acc in stats])
     errors = np.sqrt([sum(v**2 * (m2 / (m - 1)) / m
@@ -573,13 +602,15 @@ def ratio_experiment_level(boxes, p_list, mc_samples, seed):
     check_cells(p_list, mc_samples)
     union, union_err = bs.union_measure(boxes, bs.UNION_RESOLUTION)
     eps_hat = float(union + union_err)
-    pairs = list(zip(boxes.boxes_f, boxes.normals))
-    lhs = float(sum(translate_image_integral(f, n) for f, n in pairs))
-    kappa = float(min(translate_image_minimum(f, n) for f, n in pairs))
+    f = boxes.f
+    integrals, minima = _translate_images(f.centers, f.axes, f.half_extents,
+                                          boxes.normals, LHS_TOL)
+    lhs = float(sum(integrals.tolist()))
+    kappa = float(np.min(minima))
     moments, moment_errs = stratified_count_moment(
         boxes, [p / 2.0 - 1.0 for p in p_list], mc_samples,
         np.random.SeedSequence(seed, spawn_key=(boxes.k,)))
-    total_volume = sum(b.volume() for b in boxes.boxes_f)
+    total_volume = sum(f.volumes().tolist())
     reports = []
     for p, moment, moment_err in zip(p_list, moments, moment_errs):
         rhs_exact = float(moment ** (1.0 / p))
@@ -602,7 +633,7 @@ def ratio_experiment_level(boxes, p_list, mc_samples, seed):
 # --- modulated cone images ------------------------------------------------------
 
 def _check_resolvable(boxes, grid):
-    min_extent = min(float(np.min(b.half_extents)) for b in boxes.boxes_f)
+    min_extent = float(np.min(boxes.f.half_extents))
     if 2.0 * min_extent < grid.spacing:
         raise ValueError(
             "boxes are thinner than the grid spacing; use k <= 2 or refine"

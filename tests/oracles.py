@@ -2,8 +2,8 @@
 of the half-space FFT path, the spatial dilation probe of the cone
 multiplier, the tensor check's slice-by-slice sum, the pairwise
 separating-axis predicate, row-major box membership, the Monte-Carlo and
-the exact rational union measure, and the Cayley Jacobian bounds on Shilov
-samples."""
+the exact rational union measure, the ratio level computed one box at a
+time, and the Cayley Jacobian bounds on Shilov samples."""
 
 from fractions import Fraction
 
@@ -199,10 +199,15 @@ def box_contains_row_major(box, points, slack=0.0):
     return np.all(np.abs(local) <= box.half_extents + slack, axis=1)
 
 
+def _rect_list(shapes):
+    """The Rect2 of a RectangleFamily, or of a sequence of them."""
+    return list(getattr(shapes, "rects", shapes))
+
+
 def mc_union_measure(shapes, n_samples, seed):
     """Monte-Carlo estimate of the union measure over the bounding box, with
     its standard error."""
-    rects = bs._as_rect_list(shapes)
+    rects = _rect_list(shapes)
     verts = np.concatenate([r.vertices() for r in rects])
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -228,7 +233,7 @@ def exact_union_measure(rects):
     clockwise).  An edge that lies on another rectangle's side line raises
     ValueError: the tie rule of ``union_measure`` is not modelled."""
     frames = []
-    for r in bs._as_rect_list(rects):
+    for r in _rect_list(rects):
         c = [Fraction(float(x)) for x in r.center]
         u = [Fraction(float(x)) for x in r.direction]
         n = [-u[1], u[0]]
@@ -268,6 +273,84 @@ def exact_union_measure(rects):
             cross = p0[0] * d[1] - p0[1] * d[0]
             area -= cross * (1 - covered) / 2
     return area
+
+
+# --- the level, one box at a time ---------------------------------------------
+
+def rect_vertices(rect):
+    """The four vertices of a Rect2, clockwise, by the per-rectangle formula
+    the stacked frames replaced."""
+    hl = 0.5 * rect.length * rect.direction
+    hw = 0.5 * rect.width * rect.normal
+    c = rect.center
+    return np.array([c + hl + hw, c + hl - hw, c - hl - hw, c - hl + hw])
+
+
+def lift_per_box(family):
+    """The boxes E_j, F_j and F_j + 5 ntilde_j as tuples of Box3, lifted one
+    rectangle at a time, and the normals ntilde_j: the lift before the boxes
+    were stacked."""
+    width, sqrt2 = 1.0 / family.n_rects, np.sqrt(2.0)
+    boxes_e, boxes_f, boxes_f_shifted = [], [], []
+    for rect in family.rects:
+        (u0, u1), (p0, p1) = rect.direction, rect.normal
+        center = [0.5, *rect.center]
+        boxes_e.append(bs.Box3(center, [[1.0, 0.0, 0.0], [0.0, u0, u1],
+                                        [0.0, p0, p1]], [0.5, 0.5, width / 2]))
+        f = bs.Box3(center, [np.array([1.0, -u0, -u1]) / sqrt2,
+                             np.array([1.0, u0, u1]) / sqrt2, [0.0, p0, p1]],
+                    [sqrt2 / 4, sqrt2 / 4, width / 2])
+        boxes_f.append(f)
+        ntilde = np.array([-1.0, u0, u1])
+        boxes_f_shifted.append(f.translated(family.shift * ntilde))
+    normals = np.column_stack([np.ones(family.n_rects),
+                               [r.direction for r in family.rects]])
+    normals *= [-1.0, 1.0, 1.0]
+    return tuple(boxes_e), tuple(boxes_f), tuple(boxes_f_shifted), normals
+
+
+def translate_image_per_box(f_box, ntilde):
+    """The integral and the least value of |H 1_F| over the translate
+    F + 5 ntilde, by the scalar formulas of one box at a time."""
+    unit = ntilde / np.linalg.norm(ntilde)
+    dots = f_box.axes @ unit
+    idx = int(np.argmax(np.abs(dots)))
+    c = float(f_box.center @ f_box.axes[idx])
+    a, b = c - f_box.half_extents[idx], c + f_box.half_extents[idx]
+    axis_shift = float(bs.SHIFT * ntilde @ f_box.axes[idx])
+    lo, hi = a + axis_shift, b + axis_shift
+    cross_area = 4.0 * float(
+        np.prod([f_box.half_extents[i] for i in range(3) if i != idx]))
+    x = np.array([hi - a, hi - b, lo - a, lo - b])
+    terms = x * np.log(np.abs(x))
+    line = abs((terms[0] - terms[1]) - (terms[2] - terms[3]))
+    integral = float(cross_area / (2.0 * np.pi) * line)
+    minimum = float(np.log1p((b - a) / abs(axis_shift)) / (2.0 * np.pi))
+    return integral, minimum
+
+
+def pair_loop_moment(boxes_f, powers, n_samples, seed):
+    """The count moment as first written, one ``contains`` call per pair of
+    stratum and box in the sequence of Box3 ``boxes_f``; one (estimate,
+    stderr) per power, from one draw."""
+    n = len(boxes_f)
+    per_box = np.full(n, n_samples // n)
+    per_box[: n_samples % n] += 1
+    rng = np.random.Generator(np.random.Philox(seed))
+    sums = [[0.0, 0.0] for _ in powers]
+    for j, f_box in enumerate(boxes_f):
+        m = int(per_box[j])
+        local = rng.uniform(-1.0, 1.0, size=(m, 3)) * f_box.half_extents
+        pts = f_box.center + local @ f_box.axes
+        counts = np.zeros(m, dtype=np.int64)
+        for other in boxes_f:
+            counts += other.contains(pts)
+        vol = f_box.volume()
+        for acc, power in zip(sums, powers):
+            g = counts.astype(float) ** power
+            acc[0] += vol * g.mean()
+            acc[1] += vol**2 * g.var(ddof=1) / m
+    return [(total, float(np.sqrt(var))) for total, var in sums]
 
 
 # --- Cayley Jacobian ---------------------------------------------------------

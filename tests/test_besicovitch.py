@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from scipy.optimize import linprog
 
 from conekit import besicovitch as bs
 from conekit.errors import ConstructionFailedError
-from oracles import boxes_intersect, exact_union_measure, mc_union_measure
+from oracles import (boxes_intersect, exact_union_measure, lift_per_box,
+                     mc_union_measure, rect_vertices)
 
 
 class TestRectangleFamilies:
@@ -71,6 +73,47 @@ class TestRectangleFamilies:
             bs.build_perron_rectangles(0)
         with pytest.raises(ValueError):
             bs.build_perron_rectangles(13)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, False, "3", None,
+                                   np.int64(3)])
+    def test_level_of_other_type_is_refused(self, k):
+        # 2.5 used to fail inside numpy, and True built a 2-rectangle family
+        # whose k was True
+        with pytest.raises(ValueError, match="integer in 1..12"):
+            bs.build_perron_rectangles(k)
+
+    @pytest.mark.parametrize("center, length, width, message", [
+        ([np.nan, 0.0], 1.0, 0.25, "center must be finite"),
+        ([0.0, np.inf], 1.0, 0.25, "center must be finite"),
+        ([0.0, 0.0], 1.0, -0.5, "positive and finite"),
+        ([0.0, 0.0], 0.0, 0.25, "positive and finite"),
+        ([0.0, 0.0], np.inf, 0.25, "positive and finite"),
+        ([0.0, 0.0], 1.0, np.nan, "positive and finite"),
+    ])
+    def test_rectangle_of_bad_fields_is_refused(self, center, length, width,
+                                                message):
+        # a width of -0.5 used to be accepted, and its union measured -0.5
+        with pytest.raises(ValueError, match=message):
+            bs.Rect2(center=center, direction=[0.0, 1.0], length=length,
+                     width=width)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_frames_and_vertices_match_each_rectangle(self, k):
+        family = bs.build_perron_rectangles(k)
+        rects, translates = family.rects, family.translates()
+        assert np.array_equal(family.centers, [r.center for r in rects])
+        assert np.array_equal(family.axes,
+                              [[r.direction, r.normal] for r in rects])
+        assert np.array_equal(family.halves,
+                              [[r.length / 2, r.width / 2] for r in rects])
+        assert np.array_equal(family.translate_centers(),
+                              [r.center for r in translates])
+        verts = family.vertices()
+        assert np.array_equal(verts[0], [rect_vertices(r) for r in rects])
+        assert np.array_equal(verts[1],
+                              [rect_vertices(r) for r in translates])
+        assert all(np.array_equal(r.vertices(), rect_vertices(r))
+                   for r in rects)
 
     def test_only_the_tested_shift_accepted(self):
         rects = bs.build_perron_rectangles(3).rects
@@ -351,6 +394,15 @@ class TestUnionMeasure:
         fam = bs.build_perron_rectangles(1)
         with pytest.raises(ValueError):
             bs.union_measure(fam, 0.0)
+        # NaN used to pass the guard
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            bs.union_measure(fam, np.nan)
+
+    def test_empty_union_measures_zero(self):
+        # used to raise numpy's "axes don't match array"
+        empty = bs.RectangleFamily(k=0, rects=())
+        for shapes in ([], (), empty):
+            assert bs.union_measure(shapes, 1.0) == (0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -418,11 +470,65 @@ class TestBoxFamilies:
         with pytest.raises(ValueError, match="rectangle 5 is 0.9 x 0.125;"):
             bs.build_boxes(dataclasses.replace(family, rects=tuple(rects)))
 
+    def test_empty_family_is_refused(self):
+        with pytest.raises(ValueError, match="family is empty"):
+            bs.build_boxes(bs.RectangleFamily(k=0, rects=()))
+
+    @pytest.mark.parametrize("k", [*range(1, 9), "shuffled 7"])
+    def test_stacks_match_per_box_lift(self, k):
+        if k == "shuffled 7":
+            # the box check's input in the geometry benchmark
+            family = bs.build_perron_rectangles(7)
+            order = list(range(family.n_rects))
+            random.Random(0).shuffle(order)
+            family = dataclasses.replace(
+                family, rects=tuple(family.rects[i] for i in order))
+        else:
+            family = bs.build_perron_rectangles(k)
+        boxes = bs.build_boxes(family)
+        *lifted, normals = lift_per_box(family)
+        for stack, per_box in zip((boxes.e, boxes.f, boxes.f_shifted),
+                                  lifted):
+            for name, field in (("centers", "center"), ("axes", "axes"),
+                                ("half_extents", "half_extents")):
+                assert np.array_equal(getattr(stack, name),
+                                      [getattr(b, field) for b in per_box])
+            assert np.array_equal(stack.volumes(),
+                                  [b.volume() for b in per_box])
+            assert np.array_equal(stack.vertices(),
+                                  [b.vertices() for b in per_box])
+        assert np.array_equal(boxes.normals, normals)
+        assert np.array_equal(boxes.light_rays, normals * [-1.0, 1.0, 1.0])
+        # the Box3 tuples, built on first access, are the same boxes
+        for built, per_box in zip((boxes.boxes_e, boxes.boxes_f,
+                                   boxes.boxes_f_shifted), lifted):
+            assert all(np.array_equal(a.center, b.center)
+                       and np.array_equal(a.axes, b.axes)
+                       and np.array_equal(a.half_extents, b.half_extents)
+                       for a, b in zip(built, per_box, strict=True))
+
+    @pytest.mark.parametrize("field, j, change, message", [
+        ("centers", 5, lambda row: row * np.nan, "center must be finite"),
+        ("axes", 3, lambda row: row * 1.001, "orthonormal"),
+        ("axes", 7, lambda row: row[[1, 1, 2]], "orthonormal"),
+        ("half_extents", 2, lambda row: row * 0.0, "positive"),
+        ("half_extents", 0, lambda row: row * np.inf, "finite"),
+    ])
+    def test_stack_with_one_bad_box_is_refused(self, boxes_k3, field, j,
+                                               change, message):
+        # the stack is checked once, as a whole, with Box3's invariants
+        stack = boxes_k3.f
+        values = getattr(stack, field).copy()
+        values[j] = change(values[j])
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(stack, **{field: values})
+
     def test_rectangle_of_nan_length_is_refused(self):
+        # Rect2 itself refuses the length, before any family or box is built
         family = bs.build_perron_rectangles(3)
-        rects = (dataclasses.replace(family.rects[0], length=np.nan),
-                 *family.rects[1:])
-        with pytest.raises(ValueError, match="rectangle 0 is nan x 0.125;"):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rects = (dataclasses.replace(family.rects[0], length=np.nan),
+                     *family.rects[1:])
             bs.build_boxes(dataclasses.replace(family, rects=rects))
 
     @pytest.mark.parametrize("axes, half_extents, message", [
@@ -455,11 +561,11 @@ class TestBoxFamilies:
                 dataclasses.replace(family, rects=tuple(rects)))
         else:
             boxes = bs.build_boxes(family)
-            shifted = list(boxes.boxes_f_shifted)
+            centers = boxes.f_shifted.centers.copy()
             # translate 5 moved onto the center of translate 2
-            shifted[5] = shifted[5].translated(
-                shifted[2].center - shifted[5].center)
-            boxes = dataclasses.replace(boxes, boxes_f_shifted=tuple(shifted))
+            centers[5] = centers[2]
+            boxes = dataclasses.replace(boxes, f_shifted=dataclasses.replace(
+                boxes.f_shifted, centers=centers))
         # the LP oracle sees two box translates overlapping
         assert _lp_margin(boxes.boxes_f_shifted[2],
                           boxes.boxes_f_shifted[5]) > 1e-3

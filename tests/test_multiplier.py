@@ -12,7 +12,8 @@ from conekit import besicovitch as bs
 from conekit import multiplier as mp
 from conekit.errors import BudgetExceededError, SingularPointError
 from oracles import (box_contains_row_major, cone_dilation_probe,
-                     gaussian_box_probe, tensor_defects_by_slices)
+                     gaussian_box_probe, lift_per_box, pair_loop_moment,
+                     tensor_defects_by_slices, translate_image_per_box)
 
 
 @pytest.fixture(scope="module")
@@ -532,8 +533,8 @@ class TestSquareFunction:
         count_moment = mp.stratified_count_moment
         monkeypatch.setattr(bs, "union_measure",
                             counting("union", bs.union_measure))
-        monkeypatch.setattr(mp, "translate_image_integral",
-                            counting("integral", mp.translate_image_integral))
+        monkeypatch.setattr(mp, "_translate_images",
+                            counting("integral", mp._translate_images))
         monkeypatch.setattr(mp, "stratified_count_moment", moment)
         for k in (3, 4):
             boxes = _family(k)
@@ -542,7 +543,7 @@ class TestSquareFunction:
                                                 15_000, seed=11)
             # one union and one left-side pass per level call
             assert calls == {"union": before["union"] + 1,
-                             "integral": before["integral"] + 2**k}
+                             "integral": before["integral"] + 1}
             assert [r.p for r in reports] == [1.0, 1.5, 2.0]
             for r in reports:
                 moment, err = count_moment(
@@ -551,9 +552,48 @@ class TestSquareFunction:
                 assert r.rhs_exact == float(moment ** (1.0 / r.p))
                 assert r.rhs_stderr == float(
                     (1.0 / r.p) * moment ** (1.0 / r.p - 1.0) * err)
-        assert calls == {"union": 2, "integral": 8 + 16}
+        assert calls == {"union": 2, "integral": 2}
         assert moments == [(k, [-0.5, -0.25, 0.0], 15_000, 11, (k,))
                            for k in (3, 4)]
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_level_bit_identical_to_per_box_path(self, k):
+        family = bs.build_perron_rectangles(k)
+        _, boxes_f, _, normals = lift_per_box(family)
+        p_list = [1.0, 1.5, 2.0]
+        powers = [p / 2.0 - 1.0 for p in p_list]
+        reports = mp.ratio_experiment_level(bs.build_boxes(family), p_list,
+                                            20_000, seed=5)
+        # the union of the rectangles taken one at a time
+        union, err = bs.union_measure(list(family.rects),
+                                      bs.UNION_RESOLUTION)
+        images = [translate_image_per_box(f, n)
+                  for f, n in zip(boxes_f, normals)]
+        lhs = float(sum(value for value, _ in images))
+        kappa = float(min(least for _, least in images))
+        moments = pair_loop_moment(
+            boxes_f, powers, 20_000, np.random.SeedSequence(5, spawn_key=(k,)))
+        for r, (moment, moment_err) in zip(reports, moments, strict=True):
+            assert r.eps_hat == float(union + err)
+            assert (r.lhs, r.kappa) == (lhs, kappa)
+            assert r.rhs_exact == float(moment ** (1.0 / r.p))
+            assert r.rhs_stderr == float(
+                (1.0 / r.p) * moment ** (1.0 / r.p - 1.0) * moment_err)
+
+    def test_level_constructs_no_box3(self, monkeypatch):
+        built = []
+        check = bs.Box3.__post_init__
+
+        def counted(box):
+            built.append(box)
+            check(box)
+
+        monkeypatch.setattr(bs.Box3, "__post_init__", counted)
+        boxes = bs.build_boxes(bs.build_perron_rectangles(5))
+        mp.ratio_experiment_level(boxes, [1.0, 1.5, 2.0], 20_000, seed=1)
+        assert built == []
+        # the Box3 tuples are built on first access, once
+        assert boxes.boxes_f is boxes.boxes_f and len(built) == 32
 
     def test_reports_carry_the_level_kappa(self, boxes_k3):
         kappa = min(mp.translate_image_minimum(f, n)
@@ -584,29 +624,6 @@ class TestSquareFunction:
 @lru_cache(maxsize=None)
 def _family(k):
     return bs.build_boxes(bs.build_perron_rectangles(k))
-
-
-def _pair_loop_moment(boxes, powers, n_samples, seed):
-    """The count moment as first written, one ``contains`` call per pair of
-    stratum and box; one (estimate, stderr) per power, from one draw."""
-    n = boxes.n_boxes
-    per_box = np.full(n, n_samples // n)
-    per_box[: n_samples % n] += 1
-    rng = np.random.Generator(np.random.Philox(seed))
-    sums = [[0.0, 0.0] for _ in powers]
-    for j, f_box in enumerate(boxes.boxes_f):
-        m = int(per_box[j])
-        local = rng.uniform(-1.0, 1.0, size=(m, 3)) * f_box.half_extents
-        pts = f_box.center + local @ f_box.axes
-        counts = np.zeros(m, dtype=np.int64)
-        for other in boxes.boxes_f:
-            counts += other.contains(pts)
-        vol = f_box.volume()
-        for acc, power in zip(sums, powers):
-            g = counts.astype(float) ** power
-            acc[0] += vol * g.mean()
-            acc[1] += vol**2 * g.var(ddof=1) / m
-    return [(total, float(np.sqrt(var))) for total, var in sums]
 
 
 def _face_points(boxes):
@@ -646,7 +663,8 @@ class TestCountMoment:
         boxes = _family(k)
         if n_samples == "2N":
             n_samples = 2 * boxes.n_boxes
-        expected = _pair_loop_moment(boxes, self.POWERS, n_samples, 2026 + k)
+        expected = pair_loop_moment(boxes.boxes_f, self.POWERS, n_samples,
+                                    2026 + k)
         got = mp.stratified_count_moment(boxes, self.POWERS, n_samples,
                                          2026 + k)
         assert [tuple(pair) for pair in zip(*got)] == expected
@@ -655,7 +673,7 @@ class TestCountMoment:
     def test_groups_of_strata_do_not_change_bits(self, monkeypatch, strata):
         # k = 4: 16 strata of 63 or 62 points, so the groups end unevenly
         boxes = _family(4)
-        expected = _pair_loop_moment(boxes, (-0.5,), 1003, 9)[0]
+        expected = pair_loop_moment(boxes.boxes_f, (-0.5,), 1003, 9)[0]
         monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * 63 * strata)
         assert mp.stratified_count_moment(boxes, -0.5, 1003, 9) == expected
 
@@ -663,7 +681,7 @@ class TestCountMoment:
     def test_split_strata_agree_with_pair_loop(self, monkeypatch, cap):
         # k = 4: strata of 63 or 62 points, drawn in chunks of at most cap
         boxes = _family(4)
-        expected = _pair_loop_moment(boxes, self.POWERS, 1003, 9)
+        expected = pair_loop_moment(boxes.boxes_f, self.POWERS, 1003, 9)
         monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * cap)
         got = mp.stratified_count_moment(boxes, self.POWERS, 1003, 9)
         for pair, ref in zip(zip(*got), expected):
@@ -675,31 +693,36 @@ class TestCountMoment:
         expected = np.zeros(len(pts), dtype=np.int64)
         for box in boxes:
             expected += box.contains(pts)
-        assert np.array_equal(mp._cover_counts(boxes, pts), expected)
+        assert np.array_equal(mp._cover_counts(_family(6).f, pts), expected)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_contains_matches_row_major_formula(self, k):
         boxes = _family(k)
-        for family in (boxes.boxes_e, boxes.boxes_f, boxes.boxes_f_shifted):
-            pts = _face_points(family)
-            for box in family:
-                for slack in (0.0, 1e-12):
-                    assert np.array_equal(
-                        box.contains(pts, slack),
-                        box_contains_row_major(box, pts, slack))
+        for stack in (boxes.e, boxes.f, boxes.f_shifted):
+            pts = _face_points(stack.boxes)
+            for slack in (0.0, 1e-12):
+                expected = [box_contains_row_major(box, pts, slack)
+                            for box in stack.boxes]
+                assert all(np.array_equal(box.contains(pts, slack), verdict)
+                           for box, verdict in zip(stack.boxes, expected))
+                # the stacked test, as box_geometry_check runs it
+                assert np.array_equal(bs._box_contains(
+                    stack.centers, stack.axes, stack.half_extents,
+                    np.broadcast_to(pts, (len(expected), *pts.shape)), slack),
+                    expected)
 
     def test_full_test_runs_on_thin_slab_candidates(self, monkeypatch):
         boxes = _family(7)
         seen = {"points": 0, "hits": 0}
-        contains = bs.Box3.contains
+        contains = bs._box_contains
 
-        def counted(box, points, slack=0.0):
-            inside = contains(box, points, slack)
+        def counted(*args, **kwargs):
+            inside = contains(*args, **kwargs)
             seen["points"] += len(inside)
             seen["hits"] += int(inside.sum())
             return inside
 
-        monkeypatch.setattr(bs.Box3, "contains", counted)
+        monkeypatch.setattr(bs, "_box_contains", counted)
         mp.stratified_count_moment(boxes, -0.5, 20_000, 1)
         # about 22% of the box x sample pairs, nearly all of them hits
         assert seen["points"] < 0.25 * boxes.n_boxes * 20_000
@@ -737,18 +760,18 @@ class TestCountMoment:
     def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, power,
                                                      n_samples, error):
         calls = {"draws": 0, "contains": 0}
-        generator, contains = np.random.Generator, bs.Box3.contains
+        generator, contains = np.random.Generator, bs._box_contains
 
         def drawn(*args, **kwargs):
             calls["draws"] += 1
             return generator(*args, **kwargs)
 
-        def counted(box, points, slack=0.0):
+        def counted(*args, **kwargs):
             calls["contains"] += 1
-            return contains(box, points, slack)
+            return contains(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Generator", drawn)
-        monkeypatch.setattr(bs.Box3, "contains", counted)
+        monkeypatch.setattr(bs, "_box_contains", counted)
         with pytest.raises(error):
             mp.stratified_count_moment(_family(3), power, n_samples, 0)
         assert calls == {"draws": 0, "contains": 0}
