@@ -10,8 +10,9 @@ heights are staggered across clusters, so different height bands absorb the
 overlap of different dyadic scales and the measure of the union keeps
 shrinking as k grows, while the translated copies R_j + 5 u_j stay pairwise
 disjoint (their center lines would only meet far below the translated band).
-Disjointness (by exact separating-axis tests) and the ball bound are
-verified once per build.
+Disjointness and the ball bound are verified once per build: a sweep over
+the translates' x-extents keeps the pairs that may meet, about 9% of them,
+and exact separating-axis tests rule on those.
 
 ``build_boxes`` lifts a family to the 3D boxes: E_j = [0,1] x R_j and the
 rotated box F_j spanned by (1,-u_j), (1,u_j), (0,u_j-perp) with side 1/sqrt2
@@ -318,13 +319,18 @@ def _family_in_ball(family, radius=BALL_RADIUS_2D):
 # values live at once in one block of pair work or of edge work: memory stays
 # flat in k
 _BLOCK_VALUES = 2**22
+_EPS = np.finfo(float).eps
 
 
 def translates_disjoint(family):
-    """Exact pairwise disjointness of a RectangleFamily's translates."""
+    """Exact pairwise disjointness of a RectangleFamily's translates: a
+    sweep over their x-extents, widened by a rounding margin, keeps the
+    pairs that may meet (3,008 of 32,640 at k = 8), and the separating-axis
+    test rules on those, so rectangles that only touch count as disjoint."""
+    frames = family.translate_centers(), family.axes, family.halves
     # any() stops at the first block holding an overlapping pair
-    return not any(overlap.any() for _, _, overlap in _sat_blocks(
-        family.translate_centers(), family.axes, family.halves))
+    return not any(_sat_overlap(*frames, i, j).any()
+                   for i, j in _sat_candidates(*frames))
 
 
 def _frames(rects):
@@ -335,34 +341,54 @@ def _frames(rects):
             0.5 * np.reshape([[r.length, r.width] for r in rects], (-1, 2)))
 
 
-def _sat_blocks(centers, axes, halves):
-    """Separating-axis verdicts for every pair i < j of n rectangles, one
-    block of rows i at a time: yields (i, j, overlap).
+def _sat_candidates(centers, axes, halves):
+    """Blocks (i, j), i < j, of the pairs of rectangles whose x-extents
+    c_x +- sum_q half_q |axes_q[0]| meet, at most _BLOCK_VALUES live values
+    of ``_sat_overlap`` a block.
 
-    A rectangle's radius along a unit axis x is sum_q half_q |axes_q . x|.
-    The candidate axes are both rectangles' own rows.  A pair is separated
-    when |x . (c_j - c_i)| >= r_i + r_j on some candidate, so rectangles
-    that only touch count as disjoint.
-    """
-    n = len(centers)
+    Sorted by low end, an extent meets the ones after it whose low end is
+    at most its high end, so extents that touch are kept.  Each is widened
+    by m = 32 eps S, S = max |c| + max sum_q half_q: its ends round by at
+    most 4 eps S and ``_sat_overlap``'s verdict by 21 eps S.  A pruned
+    pair's x-extents are then over 2m - 8 eps S = 56 eps S apart, and as
+    the Minkowski difference of two rectangles turns by at most 90 degrees
+    at a vertex, over 39 eps S apart along one of its own axes: the pair
+    reads disjoint exactly and rounded."""
+    reach = np.sum(halves * np.abs(axes[..., 0]), axis=1)
+    margin = 32.0 * _EPS * (np.abs(centers).max(initial=0.0)
+                            + halves.sum(axis=1).max(initial=0.0))
+    lo, hi = centers[:, 0] - reach - margin, centers[:, 0] + reach + margin
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    # sorted extent a meets the extents a + 1 .. a + counts[a]
+    counts = np.searchsorted(lo, hi, side="right") - np.arange(1, len(lo) + 1)
+    starts, total = np.cumsum(counts) - counts, int(counts.sum())
     # per pair, all live values stay below 3x the 4 x 4 product of own rows
-    rows = max(1, _BLOCK_VALUES // (n * 3 * 4 * 4))
-    index = np.arange(n)
-    for first in range(0, n - 1, rows):
-        i, j = np.nonzero(index[first:first + rows, None] < index)
-        i += first
-        own = np.concatenate([axes[i], axes[j]], axis=1)
-        dist = np.abs(own @ (centers[j] - centers[i])[:, :, None])
-        # r_i + r_j in one product: all four own rows against both extents
-        proj = own @ own.transpose(0, 2, 1)
-        radii = (np.abs(proj, out=proj)
-                 @ np.hstack([halves[i], halves[j]])[:, :, None])
-        yield i, j, ~(dist >= radii).any(axis=(1, 2))
+    pairs = max(1, _BLOCK_VALUES // (3 * 4 * 4))
+    for first in range(0, total, pairs):
+        flat = np.arange(first, min(first + pairs, total))
+        a = np.searchsorted(starts, flat, side="right") - 1
+        i, j = order[a], order[a + 1 + flat - starts[a]]
+        yield np.minimum(i, j), np.maximum(i, j)
+
+
+def _sat_overlap(centers, axes, halves, i, j):
+    """True where the interiors of the rectangle pairs (i, j), index arrays,
+    overlap.  A rectangle's radius along a unit axis x is sum_q half_q
+    |axes_q . x|; the candidate axes are both rectangles' own rows.  A pair
+    is separated when |x . (c_j - c_i)| >= r_i + r_j on some candidate, so
+    rectangles that only touch count as disjoint."""
+    own = np.concatenate([axes[i], axes[j]], axis=1)
+    dist = np.abs(own @ (centers[j] - centers[i])[:, :, None])
+    # r_i + r_j in one product: all four own rows against both extents
+    proj = own @ own.transpose(0, 2, 1)
+    radii = (np.abs(proj, out=proj)
+             @ np.hstack([halves[i], halves[j]])[:, :, None])
+    return ~(dist >= radii).any(axis=(1, 2))
 
 
 # --- union measure -----------------------------------------------------------
 
-_EPS = np.finfo(float).eps
 # union_measure is exact: the resolution it requires changes nothing (stats.csv
 # keeps the column at the old default)
 UNION_RESOLUTION = 2.0**-14

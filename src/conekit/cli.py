@@ -125,8 +125,6 @@ def cmd_besicovitch(args):
     bs.check_level(args.k)
     if not args.out:
         raise ValueError("--out must be a non-empty path")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
     t0 = time.perf_counter()
     family = bs.build_perron_rectangles(args.k)
@@ -136,6 +134,9 @@ def cmd_besicovitch(args):
     measure, err = bs.union_measure(family, bs.UNION_RESOLUTION)
     timings["union_measure"] = 1e3 * (time.perf_counter() - t0)
 
+    # a run that fails above leaves no --out directory, as a usage error does
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "family.json").write_text(bs.family_to_json(family) + "\n")
     (out_dir / "family.svg").write_text(bs.family_to_svg(family) + "\n")
     row = {

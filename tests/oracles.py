@@ -189,7 +189,7 @@ def tensor_defects_by_slices(phi, k, normal_lasts, samples_3d=64):
 
 def boxes_intersect(r1, r2):
     """True iff the interiors of two Rect2 overlap (separating-axis test)."""
-    return bool(next(bs._sat_blocks(*bs._frames((r1, r2))))[2][0])
+    return bool(bs._sat_overlap(*bs._frames((r1, r2)), [0], [1])[0])
 
 
 def box_contains_row_major(box, points, slack=0.0):

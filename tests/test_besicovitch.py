@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conekit import besicovitch as bs
@@ -192,18 +194,14 @@ class TestIntersectionPredicates:
 
     @pytest.mark.parametrize("lift", [False, True])
     def test_overlap_found_in_every_block(self, monkeypatch, lift):
-        # small blocks, so a k = 8 family spans many of them; lifted, the
-        # box check must read the same verdict
+        # small blocks, so the k = 8 candidate pairs span several of them;
+        # lifted, the box check must read the same verdict
         monkeypatch.setattr(bs, "_BLOCK_VALUES", 2**16)
         family = bs.build_perron_rectangles(8)
-        n = family.n_rects
-        blocks = list(bs._sat_blocks(*bs._frames(family.translates())))
+        blocks = list(bs._sat_candidates(*_translate_frames(family)))
         assert len(blocks) > 2
-        pairs = [np.concatenate(p) for p in zip(*(b[:2] for b in blocks))]
-        np.testing.assert_array_equal(pairs, np.triu_indices(n, 1))
-        boundary = blocks[1][0][0]           # first row of the second block
-        for i, j in ((boundary - 1, boundary), (boundary, boundary + 1),
-                     (n - 2, n - 1)):
+        for i, j in ((block[0][p], block[1][p]) for block in blocks
+                     for p in (0, -1)):
             # rectangle j becomes a copy of rectangle i: the only overlapping
             # pair
             rects = list(family.rects)
@@ -220,13 +218,172 @@ class TestIntersectionPredicates:
         outcomes = set()
         for k in range(1, 7):
             rects = bs.build_perron_rectangles(k).rects
-            batched = np.concatenate(
-                [b[2] for b in bs._sat_blocks(*bs._frames(rects))])
+            batched = bs._sat_overlap(*bs._frames(rects),
+                                      *np.triu_indices(len(rects), 1))
             expected = [boxes_intersect(a, b)
                         for a, b in itertools.combinations(rects, 2)]
             assert batched.tolist() == expected
             outcomes.update(expected)
         assert outcomes == {True, False}
+
+
+def _translate_frames(family):
+    return family.translate_centers(), family.axes, family.halves
+
+
+def _all_pairs_overlap(family):
+    """The separating-axis kernel on every pair i < j of the family's
+    translates, in triu order, 2^16 pairs at a time."""
+    i, j = np.triu_indices(family.n_rects, 1)
+    frames = _translate_frames(family)
+    return np.concatenate([
+        bs._sat_overlap(*frames, i[s:s + 2**16], j[s:s + 2**16])
+        for s in range(0, len(i), 2**16)])
+
+
+def _pruned_matches_all_pairs(family):
+    """Assert that the sweep keeps every pair the all-pairs kernel calls
+    overlapping, each as (i, j) with i < j, and that translates_disjoint
+    reads the all-pairs verdict; returns the all-pairs verdicts."""
+    overlap = _all_pairs_overlap(family)
+    blocks = list(bs._sat_candidates(*_translate_frames(family)))
+    candidates = {pair for i, j in blocks for pair in zip(i.tolist(),
+                                                          j.tolist())}
+    assert all(i < j for i, j in candidates)
+    assert sum(len(i) for i, _ in blocks) == len(candidates)
+    i, j = np.triu_indices(family.n_rects, 1)
+    assert set(zip(i[overlap].tolist(), j[overlap].tolist())) <= candidates
+    assert bs.translates_disjoint(family) == (not overlap.any())
+    return overlap
+
+
+@st.composite
+def _borderline_families(draw):
+    """2..6 rectangles of any orientation, with dyadic centers and sides,
+    and maybe a neighbour of one of them: a copy, or a copy moved by one of
+    its sides along that side's axis, so that it touches (exactly when the
+    rectangle is axis-parallel, whose x-extents then touch) or overlaps by
+    one ulp of the center.  Returns the planted kind, the index of the
+    rectangle it neighbours and the family."""
+    rects = []
+    for _ in range(draw(st.integers(2, 6))):
+        direction = draw(st.one_of(
+            st.sampled_from([(0.0, 1.0), (1.0, 0.0)]),
+            st.floats(0.0, 2 * np.pi).map(lambda t: (np.sin(t), np.cos(t)))))
+        rects.append(bs.Rect2(
+            center=[draw(st.integers(-32, 32)) / 64 for _ in range(2)],
+            direction=direction, length=draw(st.integers(8, 64)) / 32,
+            width=draw(st.integers(1, 32)) / 32))
+    plant = draw(st.sampled_from(["touch", "ulp", "copy", None]))
+    source = draw(st.integers(0, len(rects) - 1))
+    if plant:
+        r = rects[source]
+        axis, side = draw(st.sampled_from([(r.direction, r.length),
+                                           (r.normal, r.width)]))
+        center = r.center + (plant != "copy") * side * axis
+        if plant == "ulp":
+            center = np.nextafter(center, r.center)
+        rects.append(dataclasses.replace(r, center=center))
+    return plant, source, bs.RectangleFamily(k=1, rects=tuple(rects))
+
+
+class TestSweepAndPrune:
+    """translates_disjoint tests only the pairs whose x-extents meet; its
+    verdict must be the all-pairs verdict of the same kernel."""
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_perron_families_match_all_pairs(self, k):
+        family = bs.build_perron_rectangles(k)
+        assert not _pruned_matches_all_pairs(family).any()
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_borderline_families())
+    def test_drawn_families_match_all_pairs(self, drawn):
+        plant, source, family = drawn
+        overlap = _pruned_matches_all_pairs(family)
+        if plant is None:
+            return
+        # the borderline draws against the independent LP oracle: verdicts
+        # clear of the border agree, and the planted pair is on the border
+        # unless it is a copy
+        translates, last = family.translates(), family.n_rects - 1
+        for i, j, got in zip(*np.triu_indices(family.n_rects, 1), overlap):
+            margin = _lp_margin(translates[i], translates[j])
+            if abs(margin) >= 1e-9:
+                assert got == (margin > 0), (i, j, margin)
+            if (i, j) == (source, last):
+                assert margin > 1e-3 if plant == "copy" else (
+                    abs(margin) <= 1e-9), (plant, margin)
+
+    @pytest.mark.parametrize("ends", [(0, 1), (-2, -1), (0, -1)])
+    def test_planted_overlap_at_the_ends_of_the_sweep(self, ends):
+        # the translate first, last or both in the sweep's order is copied
+        family = bs.build_perron_rectangles(8)
+        reach = np.sum(family.halves * np.abs(family.axes[..., 0]), axis=1)
+        order = np.argsort(family.translate_centers()[:, 0] - reach,
+                           kind="stable")
+        i, j = order[list(ends)]
+        rects = list(family.rects)
+        rects[j] = rects[i]
+        planted = dataclasses.replace(family, rects=tuple(rects))
+        assert _pruned_matches_all_pairs(planted).sum() == 1
+        assert not bs.translates_disjoint(planted)
+
+    @pytest.mark.parametrize("nudge, disjoint", [(0, True), (-1, False)])
+    def test_translates_whose_x_extents_touch(self, nudge, disjoint):
+        # axis-parallel neighbours a width apart touch, in x and in the
+        # plane; one ulp closer they overlap
+        left = _square(0.25, 0.5, width=0.125)
+        x = 0.375 if nudge == 0 else np.nextafter(0.375, 0.0)
+        family = bs.RectangleFamily(k=1, rects=(
+            left, dataclasses.replace(left, center=np.array([x, 0.5]))))
+        assert bs.translates_disjoint(family) is disjoint
+        assert _pruned_matches_all_pairs(family).tolist() == [not disjoint]
+
+    def test_margin_keeps_a_pair_one_ulp_apart_in_x(self):
+        # mirror images meeting at a vertex: their x-extents round one ulp
+        # apart, yet the kernel, within its own rounding, reads an overlap;
+        # pruned without the margin, the pair would read disjoint
+        u = np.array([0.06395631828030929, 0.99795269895523])
+        a = bs.Rect2(center=[0.0, 0.0], direction=u, length=1.0, width=0.5)
+        b = bs.Rect2(center=[1.2024958505610173, 0.0], direction=u * [-1, 1],
+                     length=1.0, width=0.5)
+        family = bs.RectangleFamily(k=1, rects=(a, b))
+        centers, axes, halves = _translate_frames(family)
+        reach = np.sum(halves * np.abs(axes[..., 0]), axis=1)
+        assert centers[1, 0] - reach[1] == np.nextafter(
+            centers[0, 0] + reach[0], np.inf)
+        assert _pruned_matches_all_pairs(family).tolist() == [True]
+
+    def test_k8_tests_a_tenth_of_the_pairs(self, monkeypatch):
+        # a silent fallback to all pairs would hand the kernel 32,640
+        family = bs.build_perron_rectangles(8)
+        kernel, tested = bs._sat_overlap, []
+
+        def counted(centers, axes, halves, i, j):
+            tested.append(len(i))
+            return kernel(centers, axes, halves, i, j)
+
+        monkeypatch.setattr(bs, "_sat_overlap", counted)
+        assert bs.translates_disjoint(family)
+        n = family.n_rects
+        assert 0 < sum(tested) <= 0.1 * n * (n - 1) // 2
+
+    @pytest.mark.parametrize("block_values", [None, 2**18])
+    def test_pair_blocks_bound_memory(self, monkeypatch, block_values):
+        # a block holds at most _BLOCK_VALUES live values, so the peak stays
+        # near 2 _BLOCK_VALUES doubles however many candidates there are
+        if block_values:
+            monkeypatch.setattr(bs, "_BLOCK_VALUES", block_values)
+        family = bs.build_perron_rectangles(10)
+        tracemalloc.start()
+        try:
+            assert bs.translates_disjoint(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * bs._BLOCK_VALUES * 8
 
 
 def _lp_margin(shape1, shape2):

@@ -12,6 +12,7 @@ import pytest
 from conekit import besicovitch as bs
 from conekit import cli
 from conekit import multiplier as mp
+from conekit.errors import BudgetExceededError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,6 +98,10 @@ def test_empty_output_path_is_usage_error_writing_nothing(
     assert list(tmp_path.iterdir()) == [path]
 
 
+def _union_over_budget(shapes, resolution):
+    raise BudgetExceededError("union bound above tolerance")
+
+
 class TestBesicovitchCommand:
     def test_outputs_and_stats(self, tmp_path):
         out = tmp_path / "fam"
@@ -119,6 +124,20 @@ class TestBesicovitchCommand:
         out = tmp_path / "fam"
         assert run_main(["besicovitch", "--k", k, "--out", str(out)]) == 2
         assert "1..12" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, fake, code, message", [
+        # the family fails its verification: an internal failure
+        ("translates_disjoint", lambda family: False, 3, "k=3"),
+        ("union_measure", _union_over_budget, 1, "union bound"),
+    ])
+    def test_failed_build_or_union_leaves_no_output(
+            self, tmp_path, monkeypatch, capsys, name, fake, code, message):
+        # --out used to be created before the family was built
+        monkeypatch.setattr(bs, name, fake)
+        out = tmp_path / "fam"
+        assert run_main(["besicovitch", "--k", "3", "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_runs_byte_identical(self, tmp_path):
