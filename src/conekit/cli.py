@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -410,6 +411,12 @@ def _engine_checks(fast):
     rng = np.random.default_rng(4048)
     checks = []
 
+    @functools.cache
+    def level3():
+        # built by the first check that runs, so a failing build fails the
+        # checks that need it, not the suite
+        return bs.build_boxes(bs.build_perron_rectangles(3))
+
     def identity_symbol():
         g = mp.indicator_interval(32.0, 2**13, -0.5, 0.5)
         plus = mp.fft_multiplier_apply(g, mp.HalfSpace((-1.0,)))
@@ -439,15 +446,29 @@ def _engine_checks(fast):
     checks.append(("FFT matches the closed-form half-line image",
                    halfline_oracle))
 
-    def dilation():
-        return mp.cone_dilation_symbol_defect([2, 4]) < 1e-6
+    def translate_integrals():
+        # each translate's closed form against 16 Gauss-Legendre nodes of
+        # the pointwise image along its axis; the half-length times the
+        # cross-section area is 4 times the product of the half extents
+        boxes = level3()
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        for box, moved, ntilde in zip(boxes.boxes_f, boxes.boxes_f_shifted,
+                                      boxes.normals):
+            i = mp.box_axis_interval(box, ntilde)[0]
+            half = moved.half_extents
+            image = mp.box_halfspace_image(box, ntilde, moved.center + (
+                np.outer(half[i] * nodes, moved.axes[i])))
+            quad = 4.0 * np.prod(half) * (weights @ np.abs(image))
+            closed = mp.translate_image_integral(box, ntilde)
+            if not abs(quad - closed) <= 1e-12 * closed:
+                return False
+        return True
 
-    checks.append(("cone symbol is dilation invariant on the lattice",
-                   dilation))
+    checks.append(("translate integrals match a Gauss-Legendre rule",
+                   translate_integrals))
 
     def square_function():
-        res, = mp.ratio_experiment_level(
-            bs.build_boxes(bs.build_perron_rectangles(3)), [1.0], mc, seed=77)
+        res, = mp.ratio_experiment_level(level3(), [1.0], mc, seed=77)
         lhs_expected = 0.05 / (2.0 * np.pi)
         return bool(
             res.lhs >= lhs_expected
@@ -456,15 +477,18 @@ def _engine_checks(fast):
 
     checks.append(("square-function sides and Holder chain", square_function))
 
-    def tensor():
-        grid = mp.GridFunction(np.zeros(32), 4.0)
-        x = grid.axis()
-        phi = grid.with_values(np.exp(-4.0 * x**2).astype(complex),
-                               support_radius=2.0)
-        good, broken = mp.tensor_extension_check(phi, 1, [0.0, 0.5])
-        return good < 1e-6 and broken > 1e-3
+    def union():
+        # listing each rectangle twice leaves the union as it is, through
+        # the coincident-edge tie rule; the disjoint translates add up
+        family = level3().family
+        (once, once_err), (twice, twice_err), (moved, moved_err) = (
+            bs.union_measure(shapes, bs.UNION_RESOLUTION)
+            for shapes in (family, family.rects * 2, family.translates()))
+        return bool(abs(twice - once) <= once_err + twice_err
+                    and abs(moved - family.total_area()) <= moved_err)
 
-    checks.append(("tensor extension separability", tensor))
+    checks.append(("union measure ignores duplicates and adds disjoint "
+                   "translates", union))
     return checks
 
 

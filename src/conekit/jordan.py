@@ -340,7 +340,7 @@ def spin_frame(u):
     """Frame {(1, u)/2, (1, -u)/2} of the spin factor from a unit vector u."""
     u = np.asarray(u, dtype=float)
     nrm = np.linalg.norm(u)
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError("spin frame direction must be a unit vector")
     a = spin_factor(u.shape[0] + 1)
     c1 = Element(a, np.concatenate(([1.0], u)) / 2)

@@ -56,6 +56,9 @@ class GridFunction:
             raise ValueError("samples per axis must be a power of two")
         if not 0.0 < self.extent < np.inf:
             raise ValueError("extent must be finite and positive")
+        if not (self.support_radius is None
+                or 0.0 <= self.support_radius < np.inf):
+            raise ValueError("support radius must be finite and non-negative")
         object.__setattr__(self, "values", np.asarray(v, dtype=complex))
 
     @property
@@ -174,7 +177,7 @@ def _spectrum(f, out=None):
     in place along axes 0, 1, 2, the first two only over the index spans that
     hold a nonzero (an all-zero line transforms to exact zeros); only the
     axis order differs from numpy's, which takes the strided axis 0 last."""
-    if f.support_radius is not None and f.support_radius > f.extent / 2:
+    if not (f.support_radius is None or f.support_radius <= f.extent / 2):
         raise ValueError(
             "grid support exceeds half the extent; pad the grid to control "
             "periodization"
@@ -210,6 +213,8 @@ def fft_multiplier_apply(f, symbol, shift=None):
 
 def indicator_interval(extent, samples, a, b):
     """Grid samples of 1_[a,b] with one-cell box-filter antialiasing."""
+    if not -np.inf < a < b < np.inf:
+        raise ValueError("need finite a < b")
     g = GridFunction(np.zeros(samples), extent, support_radius=max(abs(a), abs(b)))
     x = g.axis()
     h = g.spacing
@@ -378,26 +383,6 @@ def box_image_grid(box, n_tilde, grid):
     vals[cells] = box_halfspace_image(
         box, n_tilde, np.stack([x[i] for i in cells], axis=-1))
     return grid.with_values(vals)
-
-
-# --- dilation covariance -------------------------------------------------------
-
-def cone_dilation_symbol_defect(lams):
-    """Largest sup defect over the scales ``lams`` of the lattice identity
-    cone(xi) = cone(lam * xi) on the 64^3 frequency lattice of [-8, 8)^3.
-
-    This is the exact content of the homogeneity of the cone symbol; the
-    defect is zero unless a lattice point falls inside the boundary
-    tolerance band for one scale but not the other.
-    """
-    lams = list(lams)
-    if not lams or not all(0.0 < lam < np.inf for lam in lams):
-        raise ValueError("scales must be a non-empty list of finite positive "
-                         "numbers")
-    freqs = [GridFunction(np.zeros(64), 8.0).freqs()] * 3
-    base = sample_symbol(Cone(), freqs)
-    scaled = (sample_symbol(Cone(), [lam * f for f in freqs]) for lam in lams)
-    return max(float(np.max(np.abs(base - s))) for s in scaled)
 
 
 # --- the square-function experiment ---------------------------------------------
@@ -632,14 +617,6 @@ def ratio_experiment_level(boxes, p_list, mc_samples, seed):
 
 # --- modulated cone images ------------------------------------------------------
 
-def _check_resolvable(boxes, grid):
-    min_extent = float(np.min(boxes.f.half_extents))
-    if 2.0 * min_extent < grid.spacing:
-        raise ValueError(
-            "boxes are thinner than the grid spacing; use k <= 2 or refine"
-        )
-
-
 def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     """Per-box closed-form distances for a sweep of modulation parameters:
     row i holds, for every box F_j, the relative L2 distance between the
@@ -660,7 +637,9 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     if not all(1.0 <= r_mod < np.inf for r_mod in r_list):
         raise ValueError("modulation parameter must be finite and >= 1")
     grid = GridFunction(np.zeros(samples_per_axis), extent)
-    _check_resolvable(boxes, grid)
+    if 2.0 * float(np.min(boxes.f.half_extents)) < grid.spacing:
+        raise ValueError(
+            "boxes are thinner than the grid spacing; use k <= 2 or refine")
     if not r_list:
         return []
     freqs = grid.freqs()
@@ -691,58 +670,3 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
         del oracle, dens, ind, fhat    # before the next box's grids
     return rows
 
-
-# --- tensor extension -------------------------------------------------------------
-
-def tensor_extension_check(phi, k, normal_lasts, samples_3d=64):
-    """Relative L2 defects of the separability identity
-
-        H(1_F ⊗ phi) = H^(3)(1_F) ⊗ phi
-
-    for the half-spaces with normal (-1, u_1, u_2, c), one per entry c of
-    ``normal_lasts``.  With c = 0 the symbol ignores the fourth frequency
-    and the identity is exact; a nonzero c is the negative control.
-
-    The spectrum of 1_F ⊗ phi is fhat ⊗ phihat, so by Parseval the squared
-    defect is  sum_xi4 |phihat(xi4)|^2 |fhat (m4(., xi4) - m3)|^2  over
-    |phihat|^2 |fhat m3|^2: one 3D and one 1D transform on [-4, 4), with no
-    4D grid and no slice of the 4D symbol built.  m3 = rule(g3) and each
-    m4 = rule(g3 + xi4 * -c) read 0, BOUNDARY_VALUE and 1 on three runs of
-    the sorted 3D linear form g3 (``_rule_counts``), so a slice sums at most
-    five runs of constant (m4 - m3)^2 by prefix sums of |fhat|^2 in that
-    order.  A slice with xi4 * c == 0 has m4 = m3 bit for bit and is skipped.
-    """
-    normal_lasts = list(normal_lasts)
-    if not all(-np.inf < c < np.inf for c in normal_lasts):
-        raise ValueError("normal components must be finite")
-    if phi.dims != 1:
-        raise ValueError("phi must live on a 1D grid")
-    boxes = bs.build_boxes(bs.build_perron_rectangles(k))
-    grid = GridFunction(np.zeros(samples_3d), 4.0)
-    _check_resolvable(boxes, grid)
-
-    power = np.abs(_spectrum(phi)) ** 2
-    weight = np.abs(_spectrum(indicator_box(boxes.boxes_f[0], grid.extent,
-                                            samples_3d))) ** 2
-    g3 = _linear_form(-boxes.normals[0], np.zeros(3), [grid.freqs()] * 3)
-    order = np.argsort(g3, axis=None)
-    g3 = g3.ravel()[order]
-    mass = np.zeros(g3.size + 1)        # mass[n]: weight of the first n
-    np.take(weight, order, out=mass[1:])
-    del weight, order
-    np.cumsum(mass, out=mass)
-
-    offsets = np.multiply.outer(normal_lasts, phi.freqs())
-    lo3, hi3 = _rule_counts(g3, 0.0)
-    lo4, hi4 = _rule_counts(g3, offsets)     # m4 = rule(g3 - offset)
-    cuts = np.sort(np.broadcast_arrays(0, lo3, hi3, lo4, hi4, g3.size), axis=0)
-    start, stop = cuts[:-1], cuts[1:]
-    level = np.array([0.0, BOUNDARY_VALUE, 1.0])
-    jump = (level[(start >= lo4).astype(np.intp) + (start >= hi4)]
-            - level[(start >= lo3).astype(np.intp) + (start >= hi3)])
-    slices = np.sum((mass[stop] - mass[start]) * jump**2, axis=0)
-    slices[offsets == 0.0] = 0.0        # xi4 * c == 0: skipped, m4 = m3
-    m3_mass = (BOUNDARY_VALUE**2 * (mass[hi3] - mass[lo3])
-               + mass[-1] - mass[hi3])
-    whole = max(np.sum(power) * m3_mass, 1e-300)
-    return [float(np.sqrt(s / whole)) for s in slices @ power]

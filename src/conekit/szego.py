@@ -100,10 +100,12 @@ def cayley_inverse(z):
 
 
 def _guarded_quotient(num, denom, x, message):
-    """num * denom^(-1), refused with NearSingularityError(message) when
-    |det(denom)| <= DOM_PHI_MARGIN (1 + |x|^rank) on any row of x."""
+    """num * denom^(-1), refused with NearSingularityError(message) unless
+    |det(denom)| > DOM_PHI_MARGIN (1 + |x|^rank) on every row of x, so a
+    NaN row is refused too."""
     det = np.abs(jd.determinant(denom))
-    if np.any(det <= DOM_PHI_MARGIN * (1.0 + jd.norm(x) ** x.algebra.rank)):
+    if not np.all(det > DOM_PHI_MARGIN
+                  * (1.0 + jd.norm(x) ** x.algebra.rank)):
         raise NearSingularityError(message)
     return jd.jordan_product(num, jd.jordan_inverse(denom))
 
@@ -306,7 +308,7 @@ def fit_kernel_relation_constant(z, zprime, tol=1e-6):
     w = lie_to_spin(pair)
     image = cayley(w).coords
     u = image[1].real
-    if np.max(np.abs(image[1].imag)) > 1e-8 * (1 + np.max(np.abs(u))):
+    if not np.max(np.abs(image[1].imag)) <= 1e-8 * (1 + np.max(np.abs(u))):
         raise ValueError("z' must come from the Shilov boundary")
     kernel = szego_kernel_quadrature(jd.Element(w.algebra, image[0]), u,
                                      tol=tol)

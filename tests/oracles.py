@@ -164,27 +164,6 @@ def cone_dilation_probe(lam, samples=128, extent=8.0, order=3,
     )
 
 
-# --- tensor extension -----------------------------------------------------------
-
-def tensor_defects_by_slices(phi, k, normal_lasts, samples_3d=64):
-    """``mp.tensor_extension_check`` as first written: each nonzero xi4
-    slice builds its 4D half-space symbol m4 = rule(g3 + xi4 * -c) on the
-    full 3D grid and sums |fhat|^2 (m4 - m3)^2 against it."""
-    boxes = bs.build_boxes(bs.build_perron_rectangles(k))
-    grid = mp.GridFunction(np.zeros(samples_3d), 4.0)
-    mp._check_resolvable(boxes, grid)
-    power = np.abs(mp._spectrum(phi)) ** 2
-    weight = np.abs(mp._spectrum(mp.indicator_box(
-        boxes.boxes_f[0], grid.extent, samples_3d))) ** 2
-    g3 = mp._linear_form(-boxes.normals[0], np.zeros(3), [grid.freqs()] * 3)
-    m3 = mp._boundary_rule(g3.copy())
-    whole = max(np.sum(power) * np.vdot(weight, m3**2), 1e-300)
-    return [float(np.sqrt(sum(
-        p * np.vdot(weight, (mp._boundary_rule(g3 + xi * -c) - m3) ** 2)
-        for p, xi in zip(power, phi.freqs()) if xi * c != 0.0) / whole))
-        for c in normal_lasts]
-
-
 # --- intersection and union measure --------------------------------------------
 
 def boxes_intersect(r1, r2):

@@ -12,7 +12,7 @@ import pytest
 from conekit import besicovitch as bs
 from conekit import cli
 from conekit import multiplier as mp
-from conekit.errors import BudgetExceededError
+from conekit.errors import BudgetExceededError, ConstructionFailedError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -286,11 +286,12 @@ class TestValidateCommand:
         assert "not ok" in capsys.readouterr().out
 
     def test_engine_suite_builds_shared_grids_once(self, monkeypatch):
-        # the tensor check builds its box grid once for both normals, and
-        # the dilation check samples the unscaled cone symbol once
+        # no check builds a 3D grid or samples the cone symbol, and the
+        # checks share one build of the k = 3 boxes
         built = []
         for module, name in ((mp, "indicator_box"),
                              (bs, "build_perron_rectangles"),
+                             (bs, "build_boxes"),
                              (mp, "sample_symbol")):
             def counting(*args, _name=name, _func=getattr(module, name),
                          **kwargs):
@@ -301,8 +302,60 @@ class TestValidateCommand:
         counts = collections.Counter(
             name for name, first in built
             if name != "sample_symbol" or isinstance(first, mp.Cone))
-        assert counts == {"indicator_box": 1, "build_perron_rectangles": 2,
-                          "sample_symbol": 3}
+        assert counts == {"build_perron_rectangles": 1, "build_boxes": 1}
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_engine_lines_on_the_paper_path(self, capsys, fast):
+        argv = ["validate", "--suite", "engine"] + ["--fast"] * fast
+        assert run_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "ok 4 - engine: translate integrals match a Gauss-Legendre " \
+               "rule\n" in out
+        assert "ok 6 - engine: union measure ignores duplicates and adds " \
+               "disjoint translates\n" in out
+        assert "not ok" not in out
+
+    def _failed_lines(self, capsys):
+        assert run_main(["validate", "--suite", "engine", "--fast"]) == 1
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("not ok")]
+
+    def test_translate_integral_line_fails_on_scaled_closed_form(
+            self, monkeypatch, capsys):
+        images = mp._translate_images
+
+        def scaled(*args):
+            integrals, minima = images(*args)
+            return integrals * (1.0 + 1e-9), minima
+
+        monkeypatch.setattr(mp, "_translate_images", scaled)
+        assert self._failed_lines(capsys) == [
+            "not ok 4 - engine: translate integrals match a Gauss-Legendre "
+            "rule"]
+
+    def test_union_line_fails_on_shifted_duplicate_measure(self, monkeypatch,
+                                                           capsys):
+        union_measure = bs.union_measure
+
+        def shifted(shapes, resolution):
+            measure, bound = union_measure(shapes, resolution)
+            duplicated = (isinstance(shapes, tuple)
+                          and len(set(map(id, shapes))) < len(shapes))
+            return measure + 10.0 * bound * duplicated, bound
+
+        monkeypatch.setattr(bs, "union_measure", shifted)
+        assert self._failed_lines(capsys) == [
+            "not ok 6 - engine: union measure ignores duplicates and adds "
+            "disjoint translates"]
+
+    def test_failed_box_build_fails_only_its_lines(self, monkeypatch, capsys):
+        # the boxes are built inside the checks, so the suite runs on
+        def failing(k):
+            raise ConstructionFailedError("planted")
+
+        monkeypatch.setattr(bs, "build_perron_rectangles", failing)
+        assert [line.split(" - ")[0] for line in self._failed_lines(capsys)] \
+            == ["not ok 4", "not ok 5", "not ok 6"]
 
     def test_usage_error_for_unknown_suite(self):
         with pytest.raises(SystemExit) as err:

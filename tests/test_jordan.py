@@ -326,6 +326,13 @@ class TestFrames:
         with pytest.raises(ValueError):
             jd.JordanFrame(a, tuple(cs))
 
+    @pytest.mark.parametrize("u", [[np.nan, 0.0], [np.nan, np.nan],
+                                   [0.6, 0.7]])
+    def test_spin_frame_needs_a_unit_vector(self, u):
+        # NaN fails every comparison, so the guard must require |u| = 1
+        with pytest.raises(ValueError, match="unit vector"):
+            jd.spin_frame(np.array(u))
+
     def test_frame_validated_once(self, monkeypatch):
         calls = []
         validate = jd.JordanFrame.validate

@@ -13,7 +13,7 @@ from conekit import multiplier as mp
 from conekit.errors import BudgetExceededError, SingularPointError
 from oracles import (box_contains_row_major, cone_dilation_probe,
                      gaussian_box_probe, lift_per_box, pair_loop_moment,
-                     tensor_defects_by_slices, translate_image_per_box)
+                     translate_image_per_box)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +194,20 @@ class TestFFTPath:
     def test_nonfinite_extent_rejected(self, extent):
         with pytest.raises(ValueError, match="extent"):
             mp.GridFunction(np.zeros(8), extent)
+
+    @pytest.mark.parametrize("radius", [np.nan, -1.0, np.inf])
+    def test_meaningless_support_radius_rejected(self, radius):
+        # NaN passed the aliasing guard, which only refused radius > L / 2
+        with pytest.raises(ValueError, match="support radius"):
+            mp.GridFunction(np.zeros(8), 1.0, support_radius=radius)
+
+    @pytest.mark.parametrize("a, b", [(np.nan, 0.5), (-0.5, np.nan),
+                                      (0.5, -0.5), (0.5, 0.5),
+                                      (-np.inf, 0.5)])
+    def test_interval_needs_finite_ordered_endpoints(self, a, b):
+        # a NaN endpoint gave NaN samples and a NaN support radius
+        with pytest.raises(ValueError, match="finite a < b"):
+            mp.indicator_interval(32.0, 16, a, b)
 
     def test_zero_extent_sweep_rejected(self, boxes_k1):
         # a zero spacing would divide the resolvability check by zero
@@ -439,23 +453,6 @@ class TestBoxImage:
 
 
 class TestDilationCovariance:
-    def test_symbol_scale_invariance_on_lattice(self):
-        assert mp.cone_dilation_symbol_defect([2, 4]) == 0.0
-
-    @pytest.mark.parametrize("lams", [[], [np.nan], [-1.0], [0.0], [np.inf],
-                                      [2.0, np.nan]])
-    def test_meaningless_scales_rejected(self, lams, monkeypatch):
-        # homogeneity holds only for finite lam > 0, and a defect needs a scale
-        sampled = []
-        sample_symbol = mp.sample_symbol
-        monkeypatch.setattr(mp, "sample_symbol",
-                            lambda *a, **kw: sampled.append(a)
-                            or sample_symbol(*a, **kw))
-        with pytest.raises(ValueError, match="non-empty list of finite "
-                                             "positive"):
-            mp.cone_dilation_symbol_defect(lams)
-        assert sampled == []
-
     def test_spatial_probe(self):
         err = cone_dilation_probe(2, samples=128, spectral_width=0.35)
         assert err < 1e-5
@@ -927,19 +924,14 @@ def _gaussian_profile(samples):
 NORMAL_LASTS = [0.0, 0.5, -0.25, 1e-3]
 
 
-@lru_cache(maxsize=None)
-def _tensor_defects(phi_samples, k):
-    """One check per (profile, level), with every entry of NORMAL_LASTS."""
-    return mp.tensor_extension_check(_gaussian_profile(phi_samples), k,
-                                     NORMAL_LASTS, samples_3d=32)
-
-
-def _tensor_defect_4d(phi, k, samples_3d, extent_3d=4.0, normal_last=0.0):
-    """The separability defect as first written: the 4D grid 1_F ⊗ phi,
-    its full transform and inverse, against the 3D image ⊗ phi."""
+def _tensor_defect_4d(phi, k, normal_last):
+    """The separability defect of H(1_F ⊗ phi) = H^(3)(1_F) ⊗ phi for the
+    half-space with normal (-1, u_1, u_2, c): the 4D grid 1_F ⊗ phi, with
+    1_F on 32^3 samples of [-4, 4)^3, its full transform and inverse,
+    against the 3D image ⊗ phi."""
     boxes = bs.build_boxes(bs.build_perron_rectangles(k))
     ntilde3 = boxes.normals[0]
-    ind3 = mp.indicator_box(boxes.boxes_f[0], extent_3d, samples_3d)
+    ind3 = mp.indicator_box(boxes.boxes_f[0], 4.0, 32)
     fhat = np.fft.fftn(np.multiply.outer(ind3.values, phi.values))
     normal4 = np.concatenate([ntilde3, [normal_last]])
     symbol = mp.sample_symbol(mp.HalfSpace(tuple(normal4)),
@@ -955,64 +947,23 @@ class TestTensorExtension:
     def phi(self):
         return _gaussian_profile(32)
 
-    def test_zero_profile(self, phi):
-        zero = phi.with_values(np.zeros_like(phi.values))
-        assert mp.tensor_extension_check(zero, 1, [0.0]) == [0.0]
-
-    def test_separability_is_exact(self, phi):
-        assert mp.tensor_extension_check(phi, 1, [0.0]) == [0.0]
-
-    def test_negative_control_breaks_separability(self, phi):
-        err, = mp.tensor_extension_check(phi, 1, [0.5])
-        assert err > 1e-3
-
     @pytest.mark.parametrize("normal_last", NORMAL_LASTS)
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("phi_samples", [16, 8])
     def test_matches_4d_transform(self, phi_samples, k, normal_last):
-        # the check sums Parseval slices instead of transforming the 4D grid,
-        # so rounding differs from the reference (measured below 1.4e-14
-        # relative at 32^3); one check serves the four normal components
-        got = _tensor_defects(phi_samples, k)[NORMAL_LASTS.index(normal_last)]
-        expected = _tensor_defect_4d(_gaussian_profile(phi_samples), k, 32,
-                                     normal_last=normal_last)
-        np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-15)
-
-    def test_memory_holds_no_4d_grid(self, phi):
-        # a handful of 3D grids; the 4D grid alone would be 32 of them
-        tracemalloc.start()
-        try:
-            mp.tensor_extension_check(phi, 1, [0.5])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 64**3 * 16
-
-    def test_memory_is_five_float_grids(self, phi):
-        # the indicator's spectrum sets the peak; the sort, its permutation
-        # and the prefix sums are freed as they are used (5.07 measured)
-        tracemalloc.start()
-        try:
-            mp.tensor_extension_check(phi, 1, [0.0, 0.5])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5.5 * 64**3 * 8
-
-    @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("phi_samples", [32, 8])
-    def test_matches_slice_by_slice_sum(self, phi_samples, k):
-        # only the order of summation differs; 5e-13 puts every shift
-        # xi4 * c inside BOUNDARY_TOL, 1e-11 just outside it
-        normal_lasts = [0.0, 0.5, -0.25, 1e-3, 1e-11, 5e-13, 3.0]
-        phi = _gaussian_profile(phi_samples)
-        got = mp.tensor_extension_check(phi, k, normal_lasts)
-        expected = tensor_defects_by_slices(phi, k, normal_lasts)
-        assert got[0] == 0.0
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        # with c = 0 the symbol ignores the fourth frequency, so the 3D image
+        # tensored with phi is the 4D transform up to rounding (measured
+        # below 4.1e-16); any c != 0 is a negative control (measured at
+        # least 0.021, at c = 1e-3)
+        err = _tensor_defect_4d(_gaussian_profile(phi_samples), k,
+                                normal_last)
+        if normal_last == 0.0:
+            assert err < 1e-12
+        else:
+            assert err > 1e-3
 
     def test_rule_counts_match_each_slice(self, phi):
-        # validate's profile: every xi4 slice of c = 0.5, and c = 0 (m3)
+        # every xi4 slice of c = 0.5, and c = 0 (m3), of the 4D symbol
         boxes = bs.build_boxes(bs.build_perron_rectangles(1))
         grid = mp.GridFunction(np.zeros(64), 4.0)
         g3 = mp._linear_form(-boxes.normals[0], np.zeros(3),
@@ -1025,17 +976,8 @@ class TestTensorExtension:
             assert hi[index] == np.count_nonzero(m4 < 1.0)
         assert np.any(hi[1] > lo[1]) and np.any(lo[1] != lo[0])
 
-    @pytest.mark.parametrize("normal_last", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_normal_rejected(self, phi, monkeypatch, normal_last):
-        built = []
-        indicator_box = mp.indicator_box
-        monkeypatch.setattr(mp, "indicator_box",
-                            lambda *a: built.append(a) or indicator_box(*a))
-        with pytest.raises(ValueError, match="finite"):
-            mp.tensor_extension_check(phi, 1, [0.0, normal_last])
-        assert built == []
-
     def test_profile_support_guard(self, phi):
+        # periodization would alias a profile wider than half the extent
         wide = phi.with_values(phi.values, support_radius=2.5)
         with pytest.raises(ValueError, match="half the extent"):
-            mp.tensor_extension_check(wide, 1, [0.0])
+            mp.fft_multiplier_apply(wide, mp.HalfSpace((-1.0,)))

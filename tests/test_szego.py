@@ -298,6 +298,16 @@ class TestKernelRelation:
             fd = np.array([fd_jacobian_modulus(z) for z in zs])
             assert np.max(np.abs(fd / exact - 1.0)) <= 1e-9, n
 
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_nan_point_rejected(self, fitted, bad):
+        # a NaN z' passed the Shilov check and ended in the quadrature; a
+        # NaN point is refused as outside Dom Phi, a ValueError
+        interior, boundary, _ = fitted
+        pair = [interior[1], boundary[1]]
+        pair[bad] = pair[bad] * np.array([np.nan, 1.0, 1.0])
+        with pytest.raises(ValueError, match="Dom Phi"):
+            sz.fit_kernel_relation_constant(*pair)
+
     def test_near_singular_boundary_rejected(self, fitted):
         interior, _, _ = fitted
         singular = np.array([1.0 + 0.0j, 0.0, 0.0])
@@ -311,6 +321,13 @@ class TestErrorPaths:
                               np.array([1.0, 0.0, 0.0], dtype=complex))
         with pytest.raises(NearSingularityError, match="Dom Phi"):
             sz.cayley(singular)
+
+    def test_nan_point_outside_dom_phi(self):
+        # NaN fails every comparison, so the guard must require det > margin
+        nan = jd.Element(jd.spin_factor(3),
+                         np.array([np.nan, 0.0, 0.0], dtype=complex))
+        with pytest.raises(NearSingularityError, match="Dom Phi"):
+            sz.cayley(nan)
 
     def test_budget_exceeded_carries_partial(self):
         from conekit.errors import BudgetExceededError
