@@ -947,6 +947,13 @@ class TestTensorExtension:
     def phi(self):
         return _gaussian_profile(32)
 
+    def test_separability_is_exact(self, phi):
+        # the profile as long as the box grid's axis
+        assert _tensor_defect_4d(phi, 1, 0.0) < 1e-12
+
+    def test_negative_control_breaks_separability(self, phi):
+        assert _tensor_defect_4d(phi, 1, 0.5) > 1e-3
+
     @pytest.mark.parametrize("normal_last", NORMAL_LASTS)
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("phi_samples", [16, 8])
