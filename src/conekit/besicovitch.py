@@ -17,8 +17,9 @@ and exact separating-axis tests rule on those.
 ``build_boxes`` lifts a family to the 3D boxes: E_j = [0,1] x R_j and the
 rotated box F_j spanned by (1,-u_j), (1,u_j), (0,u_j-perp) with side 1/sqrt2
 along the light-ray direction, plus the translates F_j + 5*(-1, u_j).  A
-family and its boxes are stacked arrays, built and checked once; the Box3
-objects of a BoxFamily are built only when they are read.
+family and its boxes are stacked arrays, built and checked once: each of
+a BoxFamily's three stacks is one Box3, whose one-box rows are built only
+when they are read.
 
 ``union_measure`` is exact: a closed-form boundary integral over the parts
 of the edges no other rectangle covers; its bound covers only rounding.
@@ -130,24 +131,6 @@ _SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
                    for sz in (-1, 1)], dtype=float)
 
 
-def _check_boxes(centers, axes, half_extents):
-    """ValueError unless every box of a stack, or the one box, has a finite
-    center, orthonormal axis rows and positive finite half extents."""
-    if not np.all(np.isfinite(centers)):
-        raise ValueError("box center must be finite")
-    gram = axes @ np.swapaxes(axes, -1, -2)
-    if not np.max(np.abs(gram - np.eye(3))) <= 1e-12:
-        raise ValueError("box axes must be orthonormal")
-    if not np.all((half_extents > 0) & (half_extents < np.inf)):
-        raise ValueError("half extents must be positive and finite")
-
-
-def _box_vertices(centers, axes, half_extents):
-    """The 8 vertices (..., 8, 3) of one box or of a stack of boxes."""
-    return (centers[..., None, :]
-            + (_SIGNS * half_extents[..., None, :]) @ axes)
-
-
 def _box_contains(center, axes, half_extents, points, slack=0.0):
     """True where a point lies within the extents of its box: one box and
     points (m, 3), or a stack of boxes and points (N, m, 3) each.
@@ -166,7 +149,9 @@ def _box_contains(center, axes, half_extents, points, slack=0.0):
 
 @dataclass(frozen=True)
 class Box3:
-    """Box given by center, orthonormal axis rows and half extents."""
+    """One box, or a stack of boxes along a leading axis: center (..., 3),
+    orthonormal axis rows (..., 3, 3) and half extents (..., 3), float
+    arrays checked once, when the box or the stack is built."""
 
     center: np.ndarray
     axes: np.ndarray
@@ -176,54 +161,40 @@ class Box3:
         for name in ("center", "axes", "half_extents"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
-        _check_boxes(self.center, self.axes, self.half_extents)
-
-    def volume(self):
-        return float(8.0 * np.prod(self.half_extents))
-
-    def vertices(self):
-        return _box_vertices(self.center, self.axes, self.half_extents)
-
-    def contains(self, points, slack=0.0):
-        """True where all box-frame coordinates are within the extents."""
-        return _box_contains(self.center, self.axes, self.half_extents,
-                             np.atleast_2d(points), slack)
-
-    def translated(self, shift):
-        return Box3(self.center + np.asarray(shift), self.axes, self.half_extents)
-
-
-@dataclass(frozen=True)
-class BoxStack:
-    """N boxes as stacked arrays: centers (N, 3), orthonormal axis rows
-    (N, 3, 3) and half extents (N, 3), float arrays checked once for the
-    whole stack, as ``Box3`` checks one box."""
-
-    centers: np.ndarray
-    axes: np.ndarray
-    half_extents: np.ndarray
-
-    def __post_init__(self):
-        _check_boxes(self.centers, self.axes, self.half_extents)
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("box center must be finite")
+        gram = self.axes @ np.swapaxes(self.axes, -1, -2)
+        if not np.max(np.abs(gram - np.eye(3))) <= 1e-12:
+            raise ValueError("box axes must be orthonormal")
+        if not np.all((self.half_extents > 0) & (self.half_extents < np.inf)):
+            raise ValueError("half extents must be positive and finite")
 
     @functools.cached_property
     def boxes(self):
-        """The stack as a tuple of Box3, built on first access."""
-        return tuple(map(Box3, self.centers, self.axes, self.half_extents))
+        """A stack's rows as one-box Box3s, built on first access."""
+        return tuple(map(Box3, self.center, self.axes, self.half_extents))
 
-    def volumes(self):
-        return 8.0 * np.prod(self.half_extents, axis=1)
+    def volume(self):
+        return 8.0 * np.prod(self.half_extents, axis=-1)
 
     def vertices(self):
-        return _box_vertices(self.centers, self.axes, self.half_extents)
+        """The 8 vertices (..., 8, 3)."""
+        return (self.center[..., None, :]
+                + (_SIGNS * self.half_extents[..., None, :]) @ self.axes)
+
+    def contains(self, points, slack=0.0):
+        """True where a point lies within the extents: points (m, 3) for one
+        box, (N, m, 3) for a stack of N."""
+        return _box_contains(self.center, self.axes, self.half_extents,
+                             np.atleast_2d(points), slack)
 
 
 @dataclass(frozen=True)
 class BoxFamily:
     family: RectangleFamily       # the R_j that the E_j = [0,1] x R_j lift
-    e: BoxStack                   # E_j = [0,1] x R_j
-    f: BoxStack                   # the rotated inner boxes F_j
-    f_shifted: BoxStack           # their translates F_j + SHIFT * ntilde_j
+    e: Box3                       # stack of E_j = [0,1] x R_j
+    f: Box3                       # stack of the rotated inner boxes F_j
+    f_shifted: Box3               # their translates F_j + SHIFT * ntilde_j
     light_rays: np.ndarray        # rows n_j = (1, u_j)
     normals: np.ndarray           # rows ntilde_j = (-1, u_j)
 
@@ -233,7 +204,7 @@ class BoxFamily:
 
     @property
     def n_boxes(self):
-        return len(self.f.centers)
+        return len(self.f.center)
 
     @property
     def boxes_e(self):
@@ -528,10 +499,9 @@ def build_boxes(family):
     halves_f = np.tile([sqrt2 / 4, sqrt2 / 4, width / 2], (n, 1))
     return BoxFamily(
         family=family,
-        e=BoxStack(centers, axes_e, np.tile([0.5, 0.5, width / 2], (n, 1))),
-        f=BoxStack(centers, axes_f, halves_f),
-        f_shifted=BoxStack(centers + family.shift * normals, axes_f,
-                           halves_f),
+        e=Box3(centers, axes_e, np.tile([0.5, 0.5, width / 2], (n, 1))),
+        f=Box3(centers, axes_f, halves_f),
+        f_shifted=Box3(centers + family.shift * normals, axes_f, halves_f),
         light_rays=light_rays,
         normals=normals,
     )
@@ -540,17 +510,17 @@ def build_boxes(family):
 def box_geometry_check(boxes):
     """Verify the box-family invariants; returns a dict of named booleans."""
     n = boxes.n_boxes
-    shifts = boxes.f_shifted.centers - boxes.f.centers
+    shifts = boxes.f_shifted.center - boxes.f.center
     are_shifts = bool(np.max(np.abs(shifts - SHIFT * boxes.normals)) <= 1e-12)
     lifted = _projections_match(boxes)
     report = {}
-    vol_f = boxes.f.volumes()
+    vol_f = boxes.f.volume()
     report["volumes_f"] = bool(np.max(np.abs(vol_f - 1.0 / (2 * n))) <= 1e-12)
-    vol_ft = boxes.f_shifted.volumes()
+    vol_ft = boxes.f_shifted.volume()
     report["total_translate_volume"] = bool(abs(vol_ft.sum() - 0.5) <= 1e-12)
-    e, verts_f = boxes.e, boxes.f.vertices()
-    report["f_inside_e"] = bool(np.all(_box_contains(
-        e.centers, e.axes, e.half_extents, verts_f, slack=1e-12)))
+    verts_f = boxes.f.vertices()
+    report["f_inside_e"] = bool(np.all(boxes.e.contains(verts_f,
+                                                        slack=1e-12)))
     # F_j + 5 ntilde_j lies in E_j + 5 ntilde_j = [-5,-4] x (R_j + 5 u_j), so
     # the box translates are disjoint where the family's translates are
     report["translates_disjoint"] = (report["f_inside_e"] and are_shifts
@@ -577,7 +547,7 @@ def _projections_match(boxes):
     """Each E_j is [0,1] x R_j, the lift of its family's rectangle, and each
     ntilde_j is (-1, u_j)."""
     family, e = boxes.family, boxes.e
-    gaps = (e.centers - np.insert(family.centers, 0, 0.5, axis=1),
+    gaps = (e.center - np.insert(family.centers, 0, 0.5, axis=1),
             e.axes - np.diag([1.0, 0, 0])
             - np.pad(family.axes, ((0, 0), (1, 0), (1, 0))),
             e.half_extents - np.insert(family.halves, 0, 0.5, axis=1),

@@ -47,6 +47,8 @@ class Algebra:
     size: int          # n for the spin factor, r for Sym(r)
 
     def __post_init__(self):
+        if not type(self.size) is int:
+            raise ValueError("algebra size must be an int")
         if self.kind == "spin":
             if self.size < 3:
                 raise ValueError("spin factor needs dimension >= 3")

@@ -270,10 +270,8 @@ def halfline_projection_periodic(a, b, t, period):
 
         (1/2 pi) log | sin(pi (t-a)/P) / sin(pi (t-b)/P) |.
     """
-    if not a < b:
-        raise ValueError("need a < b")
-    if b - a >= period:
-        raise ValueError("interval longer than the period")
+    if not 0.0 < b - a < period < np.inf:
+        raise ValueError("need 0 < b - a < period < inf")
     t = np.asarray(t, dtype=float)
     sa = np.sin(np.pi * (t - a) / period)
     sb = np.sin(np.pi * (t - b) / period)
@@ -289,17 +287,17 @@ def halfline_projection_periodic(a, b, t, period):
 def box_axis_interval(box, n_tilde):
     """Index of the box axis parallel to n_tilde, its halfline sign, and the
     1D interval the box occupies along that axis."""
-    idx, sign, a, b, _ = _axis_intervals(box.center, box.axes,
-                                         box.half_extents, n_tilde)
+    idx, sign, a, b, _ = _axis_intervals(box, n_tilde)
     return int(idx), int(sign), float(a), float(b)
 
 
-def _axis_intervals(centers, axes, half_extents, n_tilde):
+def _axis_intervals(box, n_tilde):
     """``box_axis_interval`` for one box or, row by row, for a stack of
     boxes and normals, plus the axis rows themselves.  The stacked products
     are one BLAS call per row, with the bits of the single-box products."""
     unit = np.asarray(n_tilde, dtype=float)
     unit = unit / np.sqrt(unit[..., None, :] @ unit[..., :, None])[..., 0]
+    axes = box.axes
     dots = (axes @ unit[..., :, None])[..., 0]
     idx = np.argmax(np.abs(dots), axis=-1)
     along = np.take_along_axis(dots, idx[..., None], -1)[..., 0]
@@ -309,8 +307,8 @@ def _axis_intervals(centers, axes, half_extents, n_tilde):
     # sign = -sign(axis . n_tilde)
     sign = -np.sign(along).astype(int)
     row = np.take_along_axis(axes, idx[..., None, None], -2)[..., 0, :]
-    c = (centers[..., None, :] @ row[..., :, None])[..., 0, 0]
-    e = np.take_along_axis(half_extents, idx[..., None], -1)[..., 0]
+    c = (box.center[..., None, :] @ row[..., :, None])[..., 0, 0]
+    e = np.take_along_axis(box.half_extents, idx[..., None], -1)[..., 0]
     return idx, sign, c - e, c + e, row
 
 
@@ -403,25 +401,17 @@ def translate_image_integral(f_box, ntilde, tol=LHS_TOL):
     rounding of F(hi) - F(lo), with 4 eps |F(hi) - F(lo)| more for the
     scalings.  A rounding bound above ``tol`` raises BudgetExceededError.
     """
-    return float(_translate_images(f_box.center, f_box.axes,
-                                   f_box.half_extents, ntilde, tol)[0])
+    return float(_translate_images(f_box, ntilde, tol)[0])
 
 
-def translate_image_minimum(f_box, ntilde):
-    """Uniform lower bound of |H 1_F| over the translate F + bs.SHIFT * ntilde.
-
-    The log tail decreases away from the interval, so the minimum sits at the
-    translate end farthest from the box, at distance |bs.SHIFT * ntilde|
-    along the axis from the near interval endpoint."""
-    return float(_translate_images(f_box.center, f_box.axes,
-                                   f_box.half_extents, ntilde, np.inf)[1])
-
-
-def _translate_images(centers, axes, half_extents, ntilde, tol):
-    """``translate_image_integral`` and ``translate_image_minimum`` for one
-    box or, row by row, for a stack of boxes and normals: (integrals,
-    minima).  The first row that fails a check raises."""
-    idx, _, a, b, row = _axis_intervals(centers, axes, half_extents, ntilde)
+def _translate_images(box, ntilde, tol):
+    """``translate_image_integral`` and the least value of |H 1_F| over the
+    translate, for one box or, row by row, for a stack of boxes and
+    normals: (integrals, minima).  The log tail decreases away from the
+    interval, so the least value sits at the translate end farthest from
+    the box, |bs.SHIFT * ntilde| along the axis from the near interval
+    endpoint.  The first row that fails a check raises."""
+    idx, _, a, b, row = _axis_intervals(box, ntilde)
     shift = bs.SHIFT * np.asarray(ntilde, dtype=float)
     axis_shift = (shift[..., None, :] @ row[..., :, None])[..., 0, 0]
     lo, hi = a + axis_shift, b + axis_shift
@@ -429,7 +419,8 @@ def _translate_images(centers, axes, half_extents, ntilde, tol):
         raise ValueError("translate overlaps the box along the axis")
     # the product of the two other half extents, in axis order
     cross_area = 4.0 * np.prod(
-        np.where(np.arange(3) == idx[..., None], 1.0, half_extents), axis=-1)
+        np.where(np.arange(3) == idx[..., None], 1.0, box.half_extents),
+        axis=-1)
     x = np.stack([hi - a, hi - b, lo - a, lo - b], axis=-1)
     logs = np.log(np.abs(x))
     terms = x * logs
@@ -451,7 +442,7 @@ def _translate_images(centers, axes, half_extents, ntilde, tol):
 
 
 def _cover_counts(stack, pts):
-    """How many boxes of the BoxStack ``stack`` contain each point.
+    """How many boxes of the Box3 stack ``stack`` contain each point.
     ``Box3.contains``'s test decides only the points within a margin of each
     box's thinnest slab.  The slab coordinate ``pts @ a - center @ a`` and
     the one the test computes are each within 2 sqrt(3) eps S of the exact
@@ -462,8 +453,8 @@ def _cover_counts(stack, pts):
     reach = np.max(np.abs(pts), initial=0.0)
     thin = np.argmin(stack.half_extents, axis=1)
     margins = 16.0 * np.finfo(float).eps * (
-        reach + np.max(np.abs(stack.centers), axis=1))
-    for c, axes, half, t, margin in zip(stack.centers, stack.axes,
+        reach + np.max(np.abs(stack.center), axis=1))
+    for c, axes, half, t, margin in zip(stack.center, stack.axes,
                                         stack.half_extents, thin, margins):
         a = axes[t]
         cand = np.flatnonzero(np.abs(pts @ a - c @ a) <= half[t] + margin)
@@ -521,13 +512,13 @@ def stratified_count_moment(boxes, power, n_samples, seed):
             sizes = [min(cap, per_box[j] - start) for j in group]
             pts = np.concatenate([
                 c + (rng.uniform(-1.0, 1.0, (m, 3)) * half) @ axes
-                for c, axes, half, m in zip(f.centers[first:], f.axes[first:],
+                for c, axes, half, m in zip(f.center[first:], f.axes[first:],
                                             f.half_extents[first:], sizes)])
             counts = _cover_counts(f, pts).astype(float)
             for j, c in zip(group, np.split(counts, np.cumsum(sizes)[:-1])):
                 for acc, s in zip(stats, powers):
                     acc[j] = _pooled(acc[j], c**s)
-    vols = f.volumes().tolist()
+    vols = f.volume().tolist()
     estimates = np.array([sum(v * mean for v, (_, mean, _) in zip(vols, acc))
                           for acc in stats])
     errors = np.sqrt([sum(v**2 * (m2 / (m - 1)) / m
@@ -564,7 +555,7 @@ def check_cells(p_list, mc_samples):
     if not all(1.0 <= p < 2.0 or p == 2.0 for p in p_list):
         raise ValueError("p_list entries must lie in [1, 2) or be the "
                          "p = 2 control")
-    if mc_samples < 10_000:
+    if not mc_samples >= 10_000:
         raise ValueError("mc_samples must be at least 10^4")
 
 
@@ -587,15 +578,13 @@ def ratio_experiment_level(boxes, p_list, mc_samples, seed):
     check_cells(p_list, mc_samples)
     union, union_err = bs.union_measure(boxes, bs.UNION_RESOLUTION)
     eps_hat = float(union + union_err)
-    f = boxes.f
-    integrals, minima = _translate_images(f.centers, f.axes, f.half_extents,
-                                          boxes.normals, LHS_TOL)
+    integrals, minima = _translate_images(boxes.f, boxes.normals, LHS_TOL)
     lhs = float(sum(integrals.tolist()))
     kappa = float(np.min(minima))
     moments, moment_errs = stratified_count_moment(
         boxes, [p / 2.0 - 1.0 for p in p_list], mc_samples,
         np.random.SeedSequence(seed, spawn_key=(boxes.k,)))
-    total_volume = sum(f.volumes().tolist())
+    total_volume = sum(boxes.f.volume().tolist())
     reports = []
     for p, moment, moment_err in zip(p_list, moments, moment_errs):
         rhs_exact = float(moment ** (1.0 / p))

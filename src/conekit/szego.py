@@ -113,7 +113,10 @@ def _guarded_quotient(num, denom, x, message):
 def _accepted_rows(count, draw):
     """The first ``count`` accepted rows, in draw order.  ``draw(m)`` returns
     m candidate rows and their acceptance mask; m follows the acceptance
-    seen so far and is capped at _BLOCK_ROWS."""
+    seen so far and is capped at _BLOCK_ROWS.  A negative ``count`` raises
+    ValueError before any draw."""
+    if not count >= 0:
+        raise ValueError("sample count must be non-negative")
     blocks, have, drawn = [], 0, 0
     while not blocks or have < count:
         need = count - have
@@ -156,8 +159,10 @@ def conformal_consistency_check(n, samples, seed):
     Lie-ball samples must map into the tube (imaginary part in the cone) and
     tube samples must pull back into the Lie ball, in chunks of _BLOCK_ROWS
     points.  Returns a dict with the failure count (contract: zero) and the
-    worst cone margin observed.
+    worst cone margin observed.  ``samples`` must be a positive int.
     """
+    if not (type(samples) is int and samples > 0):
+        raise ValueError("samples must be a positive integer")
     rng = np.random.default_rng(seed)
     chunks = [min(_BLOCK_ROWS, samples - start)
               for start in range(0, samples, _BLOCK_ROWS)]

@@ -281,7 +281,8 @@ def lift_per_box(family):
                     [sqrt2 / 4, sqrt2 / 4, width / 2])
         boxes_f.append(f)
         ntilde = np.array([-1.0, u0, u1])
-        boxes_f_shifted.append(f.translated(family.shift * ntilde))
+        boxes_f_shifted.append(bs.Box3(f.center + family.shift * ntilde,
+                                       f.axes, f.half_extents))
     normals = np.column_stack([np.ones(family.n_rects),
                                [r.direction for r in family.rects]])
     normals *= [-1.0, 1.0, 1.0]

@@ -646,11 +646,10 @@ class TestBoxFamilies:
         *lifted, normals = lift_per_box(family)
         for stack, per_box in zip((boxes.e, boxes.f, boxes.f_shifted),
                                   lifted):
-            for name, field in (("centers", "center"), ("axes", "axes"),
-                                ("half_extents", "half_extents")):
+            for name in ("center", "axes", "half_extents"):
                 assert np.array_equal(getattr(stack, name),
-                                      [getattr(b, field) for b in per_box])
-            assert np.array_equal(stack.volumes(),
+                                      [getattr(b, name) for b in per_box])
+            assert np.array_equal(stack.volume(),
                                   [b.volume() for b in per_box])
             assert np.array_equal(stack.vertices(),
                                   [b.vertices() for b in per_box])
@@ -664,8 +663,32 @@ class TestBoxFamilies:
                        and np.array_equal(a.half_extents, b.half_extents)
                        for a, b in zip(built, per_box, strict=True))
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_stack_rows_match_their_boxes(self, k):
+        # a stack and its one-box rows run the same methods to the same bits
+        boxes = bs.build_boxes(bs.build_perron_rectangles(k))
+        for stack, rows in zip((boxes.e, boxes.f, boxes.f_shifted),
+                               (boxes.boxes_e, boxes.boxes_f,
+                                boxes.boxes_f_shifted)):
+            verts = stack.vertices()
+            # every vertex, one ulp inside and one ulp outside its box
+            centers = stack.center[:, None, :]
+            pts = np.concatenate([verts, np.nextafter(verts, centers),
+                                  np.nextafter(verts, 2.0 * verts - centers),
+                                  centers], axis=1).reshape(-1, 3)
+            stacked = np.broadcast_to(pts, (len(rows), *pts.shape))
+            inside = {slack: stack.contains(stacked, slack)
+                      for slack in (0.0, 1e-12)}
+            assert inside[0.0].any() and not inside[0.0].all()
+            for j, box in enumerate(rows):
+                assert stack.volume()[j] == box.volume()
+                assert np.array_equal(verts[j], box.vertices())
+                for slack, verdict in inside.items():
+                    assert np.array_equal(verdict[j],
+                                          box.contains(pts, slack))
+
     @pytest.mark.parametrize("field, j, change, message", [
-        ("centers", 5, lambda row: row * np.nan, "center must be finite"),
+        ("center", 5, lambda row: row * np.nan, "center must be finite"),
         ("axes", 3, lambda row: row * 1.001, "orthonormal"),
         ("axes", 7, lambda row: row[[1, 1, 2]], "orthonormal"),
         ("half_extents", 2, lambda row: row * 0.0, "positive"),
@@ -718,11 +741,11 @@ class TestBoxFamilies:
                 dataclasses.replace(family, rects=tuple(rects)))
         else:
             boxes = bs.build_boxes(family)
-            centers = boxes.f_shifted.centers.copy()
+            centers = boxes.f_shifted.center.copy()
             # translate 5 moved onto the center of translate 2
             centers[5] = centers[2]
             boxes = dataclasses.replace(boxes, f_shifted=dataclasses.replace(
-                boxes.f_shifted, centers=centers))
+                boxes.f_shifted, center=centers))
         # the LP oracle sees two box translates overlapping
         assert _lp_margin(boxes.boxes_f_shifted[2],
                           boxes.boxes_f_shifted[5]) > 1e-3

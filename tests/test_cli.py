@@ -182,7 +182,7 @@ class TestRatioCommand:
         boxes = {k: bs.build_boxes(bs.build_perron_rectangles(k))
                  for k in (3, 4)}
         assert manifest["kappa"] == {
-            f"k{k}": min(mp.translate_image_minimum(f, n)
+            f"k{k}": min(mp._translate_images(f, n, mp.LHS_TOL)[1]
                          for f, n in zip(b.boxes_f, b.normals))
             for k, b in boxes.items()}
 

@@ -13,6 +13,16 @@ def spin3(x1, x2, x3):
     return jd.Element(jd.spin_factor(3), np.array([x1, x2, x3], dtype=float))
 
 
+class TestAlgebra:
+    @pytest.mark.parametrize("kind, size", [
+        ("sym", 2.5), ("sym", 3.0), ("spin", True), ("spin", np.int64(3)),
+        ("spin", "3")])
+    def test_size_must_be_an_int(self, kind, size):
+        # Algebra("sym", 2.5) used to have dim 4.0 and fail inside numpy
+        with pytest.raises(ValueError, match="must be an int"):
+            jd.Algebra(kind, size)
+
+
 class TestProduct:
     def test_identity_acts_trivially(self):
         e = jd.identity(jd.spin_factor(3))

@@ -80,6 +80,16 @@ class TestHalflineClosedForm:
         per = mp.halfline_projection_periodic(-0.5, 0.5, t, 1e6)
         assert np.max(np.abs(line - per)) < 1e-5
 
+    @pytest.mark.parametrize("a, b, period", [
+        (-0.5, 0.5, np.nan), (-0.5, 0.5, np.inf), (-0.5, 0.5, 1.0),
+        (0.5, -0.5, 64.0), (np.nan, 0.5, 64.0)])
+    def test_periodic_form_refuses_bad_interval_or_period(self, a, b, period):
+        # a NaN period used to return NaN samples, an infinite one to raise
+        # SingularPointError
+        with pytest.raises(ValueError, match="period < inf"):
+            mp.halfline_projection_periodic(a, b, np.array([1.0, 2.0]),
+                                            period)
+
 
 class TestFFTPath:
     def test_identity_symbol(self):
@@ -308,7 +318,7 @@ class TestBoxImage:
     def test_translate_lower_bound(self, boxes_k1):
         fb, nt = boxes_k1.boxes_f[0], boxes_k1.normals[0]
         ft = boxes_k1.boxes_f_shifted[0]
-        kappa = mp.translate_image_minimum(fb, nt)
+        kappa = mp._translate_images(fb, nt, mp.LHS_TOL)[1]
         rng = np.random.default_rng(73)
         local = rng.uniform(-1, 1, size=(500, 3)) * ft.half_extents
         pts = ft.center + local @ ft.axes
@@ -505,6 +515,12 @@ class TestSquareFunction:
         oracle = step**3 * np.sum(np.sqrt(counts[counts > 0]))
         assert moment == pytest.approx(oracle, rel=0.02)
 
+    @pytest.mark.parametrize("mc_samples", [np.nan, 9_999, -np.inf])
+    def test_too_few_cell_samples_rejected(self, mc_samples):
+        # NaN used to pass the guard
+        with pytest.raises(ValueError, match="mc_samples"):
+            mp.check_cells([1.0], mc_samples)
+
     def test_invalid_p_rejected(self, boxes_k3):
         for p in (0.5, 2.5):
             with pytest.raises(ValueError):
@@ -587,13 +603,16 @@ class TestSquareFunction:
 
         monkeypatch.setattr(bs.Box3, "__post_init__", counted)
         boxes = bs.build_boxes(bs.build_perron_rectangles(5))
+        # build_boxes builds exactly its three stacks
+        assert [box.center.shape for box in built] == [(32, 3)] * 3
         mp.ratio_experiment_level(boxes, [1.0, 1.5, 2.0], 20_000, seed=1)
-        assert built == []
-        # the Box3 tuples are built on first access, once
-        assert boxes.boxes_f is boxes.boxes_f and len(built) == 32
+        assert len(built) == 3
+        # the one-box rows are built on first access, once
+        assert boxes.boxes_f is boxes.boxes_f and len(built) == 3 + 32
+        assert all(box.center.shape == (3,) for box in built[3:])
 
     def test_reports_carry_the_level_kappa(self, boxes_k3):
-        kappa = min(mp.translate_image_minimum(f, n)
+        kappa = min(mp._translate_images(f, n, mp.LHS_TOL)[1]
                     for f, n in zip(boxes_k3.boxes_f, boxes_k3.normals))
         reports = mp.ratio_experiment_level(boxes_k3, [1.0, 1.5, 2.0],
                                             10_000, seed=0)
@@ -703,8 +722,7 @@ class TestCountMoment:
                 assert all(np.array_equal(box.contains(pts, slack), verdict)
                            for box, verdict in zip(stack.boxes, expected))
                 # the stacked test, as box_geometry_check runs it
-                assert np.array_equal(bs._box_contains(
-                    stack.centers, stack.axes, stack.half_extents,
+                assert np.array_equal(stack.contains(
                     np.broadcast_to(pts, (len(expected), *pts.shape)), slack),
                     expected)
 

@@ -95,6 +95,13 @@ class TestConformalConsistency:
             report = sz.conformal_consistency_check(n, 1000, seed=n)
             assert report["failures"] == 0
 
+    @pytest.mark.parametrize("samples", [0, -5, 2.0, True, None])
+    def test_samples_must_be_a_positive_int(self, samples):
+        # 0 used to report an infinite worst margin, -5 to report -10
+        # samples
+        with pytest.raises(ValueError, match="positive integer"):
+            sz.conformal_consistency_check(3, samples, seed=1)
+
     def test_counts_every_failure(self, monkeypatch):
         # both maps broken: each Lie-ball image leaves the tube (its
         # imaginary part lies in -Omega) and each pull-back leaves the ball
@@ -415,6 +422,13 @@ class TestSamplers:
         assert z.shape == (300, 4)
         w = sz.lie_to_spin(z)
         assert np.all(np.abs(jd.determinant(jd.identity(w.algebra) - w)) >= 1.5)
+
+    @pytest.mark.parametrize("sample", [sz.sample_lie_ball,
+                                        sz.sample_shilov_boundary])
+    def test_negative_count_refused_before_any_draw(self, sample):
+        # used to draw and then return a (0, 3) array
+        with pytest.raises(ValueError, match="non-negative"):
+            sample(3, -3, _NoDraws())
 
     @pytest.mark.parametrize("margin", [-0.1, 1.0, 2.5])
     def test_lie_ball_margin_out_of_range(self, margin):
