@@ -68,10 +68,6 @@ class Rect2:
         u = self.direction
         return np.array([-u[1], u[0]])
 
-    def vertices(self):
-        return _corners(self.center, np.array([self.direction, self.normal]),
-                        0.5 * np.array([self.length, self.width]))
-
     def translated(self, shift):
         return Rect2(self.center + shift, self.direction, self.length, self.width)
 

@@ -229,13 +229,14 @@ def _kernel_points(n, count, rng):
 def _kernel_relation(n, n_held_out, rng, tol):
     """Fit |c0| on one (Lie-ball interior, Shilov boundary) pair and return
     it with the relation residuals on ``n_held_out`` further pairs."""
+    a = jd.spin_factor(n)
     interior = sz.sample_lie_ball(n, n_held_out + 1, rng, margin=0.05)
     boundary = sz.sample_shilov_boundary(n, n_held_out + 1, rng, margin=0.15)
-    c0 = sz.fit_kernel_relation_constant(interior[0], boundary[0], tol=tol)
-    residuals = [
-        abs(c0 / sz.fit_kernel_relation_constant(z, zp, tol=tol) - 1.0)
-        for z, zp in zip(interior[1:], boundary[1:])
-    ]
+    c0, *others = (
+        sz.fit_kernel_relation_constant(jd.Element(a, w), jd.Element(a, wp),
+                                        tol=tol)
+        for w, wp in zip(interior, boundary))
+    residuals = [abs(c0 / c - 1.0) for c in others]
     return c0, residuals
 
 
@@ -500,7 +501,7 @@ def _szego_checks(fast):
     checks = []
 
     def round_trip():
-        w = sz.lie_to_spin(sz.sample_lie_ball(3, n_round, rng))
+        w = jd.Element(jd.spin_factor(3), sz.sample_lie_ball(3, n_round, rng))
         back = sz.cayley_inverse(sz.cayley(w))
         return bool(np.max(np.abs(back.coords - w.coords)) <= 1e-10)
 

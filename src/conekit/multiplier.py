@@ -576,7 +576,7 @@ def ratio_experiment_level(boxes, p_list, mc_samples, seed):
     of ``p_list``.
     """
     check_cells(p_list, mc_samples)
-    union, union_err = bs.union_measure(boxes, bs.UNION_RESOLUTION)
+    union, union_err = bs.union_measure(boxes.family, bs.UNION_RESOLUTION)
     eps_hat = float(union + union_err)
     integrals, minima = _translate_images(boxes.f, boxes.normals, LHS_TOL)
     lhs = float(sum(integrals.tolist()))

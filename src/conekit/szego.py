@@ -2,13 +2,12 @@
 the boundary-measure density, and numerical evaluation of the tube-domain
 Cauchy-Szego kernel.
 
-Coordinates: the Lie ball lives in the classical quadratic-form coordinates
-(|sum z_j^2|^2 < 1 and 2|z|^2 - 1 < |sum z_j^2|^2).  The Jordan-algebra
-Cayley transform w -> i(e + w)(e - w)^(-1) acts on spin-factor coordinates,
-where the same domain is cut out by the Lorentz determinant.  The two charts
-differ by the twist (z_1, z') -> (z_1, i z'), which maps one quadratic form
-onto the other; all public functions take Lie-ball coordinates and twist
-internally.  The maps, tests and samplers take an (m, n) batch in one pass.
+Coordinates: Lie-ball points are stored in spin-factor (Jordan)
+coordinates w, on which the Cayley transform w -> i(e + w)(e - w)^(-1)
+acts and the ball is |det w|^2 < 1, 2|w|^2 - 1 < |det w|^2.  The samplers
+draw in the classical chart (the same inequalities with q(z) = sum z_j^2)
+and apply the twist (z_1, z') -> (z_1, i z') once, as they draw; every other
+function takes Jordan coordinates, in (m, n) batches.
 
 The kernel integral over the light cone factorizes in the coordinates
 (t, rho, phi) with xi_1 = rho + t, xi' = rho (cos phi, sin phi): on rotated
@@ -16,8 +15,8 @@ rays the t and rho factors are exp(-s) and s exp(-s), whose integrals
 Gamma(1) = Gamma(2) = 1 are exact, and only the angle is refined, by the
 periodic trapezoid rule.  This checks the closed form
 c Delta((z - conj w)/i)^(-n/r) of Faraut & Koranyi (1994) independently.
-The Cayley Jacobian is the closed form |J_Phi(w)| = 2^n |det(e - w)|^(-n)
-(ibid., ch. X).
+The Cayley Jacobian is the closed form |J_Phi(w)| = 2^n |det(e - w)|^(-2n/r)
+on every Euclidean Jordan algebra of dimension n and rank r (ibid., ch. X).
 """
 
 from __future__ import annotations
@@ -58,27 +57,23 @@ class KernelSample:
 
 # --- membership predicates ------------------------------------------------------
 
-def lie_ball_contains(z, margin=0.0):
-    """Both strict inequalities |q(z)|^2 < 1 - margin and
-    2|z|^2 - 1 < |q(z)|^2 - margin, with q(z) = sum z_j^2, row by row."""
-    z = np.asarray(z, dtype=complex)
-    qq = np.abs(np.sum(z * z, axis=-1)) ** 2
-    inside = (qq < 1.0 - margin) & (
-        2.0 * np.sum(np.abs(z) ** 2, axis=-1) - 1.0 < qq - margin)
+def lie_ball_contains(w, margin=0.0):
+    """Both strict inequalities |det w|^2 < 1 - margin and
+    2|w|^2 - 1 < |det w|^2 - margin at spin-factor coordinates ``w``, with
+    det w = w_1^2 - sum_{j>1} w_j^2, row by row."""
+    w = np.asarray(w, dtype=complex)
+    sq = w * w
+    dd = np.abs(sq[..., 0] - np.sum(sq[..., 1:], axis=-1)) ** 2
+    inside = (dd < 1.0 - margin) & (
+        2.0 * np.sum(np.abs(w) ** 2, axis=-1) - 1.0 < dd - margin)
     return bool(inside) if inside.ndim == 0 else inside
 
 
-def lie_to_spin(z):
-    """Twist Lie-ball coordinates into spin-factor coordinates."""
-    z = np.asarray(z, dtype=complex)
-    coords = np.concatenate((z[..., :1], 1j * z[..., 1:]), axis=-1)
-    return jd.Element(jd.spin_factor(z.shape[-1]), coords)
-
-
-def spin_to_lie(w):
-    """Inverse twist: spin-factor coordinates to Lie-ball coordinates."""
-    coords = w.coords
-    return np.concatenate((coords[..., :1], -1j * coords[..., 1:]), axis=-1)
+def _twist(z):
+    """(z_1, z') -> (z_1, i z'): a fresh draw in the classical Lie-ball chart
+    to spin-factor coordinates, in place."""
+    z[..., 1:] *= 1j
+    return z
 
 
 # --- the Cayley transform ---------------------------------------------------------
@@ -128,16 +123,17 @@ def _accepted_rows(count, draw):
 
 
 def sample_lie_ball(n, count, rng, margin=0.0):
-    """``count`` Lie-ball points, rejection-sampled from the complex unit
-    ball with both inequalities held at ``margin``, as a (count, n) array."""
+    """``count`` Lie-ball points in spin-factor coordinates, as a (count, n)
+    array: draws from the complex unit ball, twisted and rejection-sampled
+    with both inequalities held at ``margin``."""
     if not 0.0 <= margin < 1.0:
         raise ValueError("Lie-ball margin must lie in [0, 1)")
 
     def draw(m):
         z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
         radius = rng.uniform(size=m) ** (1.0 / (2 * n))
-        z *= (radius / np.linalg.norm(z, axis=-1))[:, None]
-        return z, lie_ball_contains(z, margin)
+        w = _twist(z * (radius / np.linalg.norm(z, axis=-1))[:, None])
+        return w, lie_ball_contains(w, margin)
 
     return _accepted_rows(count, draw)
 
@@ -163,18 +159,19 @@ def conformal_consistency_check(n, samples, seed):
     """
     if not (type(samples) is int and samples > 0):
         raise ValueError("samples must be a positive integer")
+    a = jd.spin_factor(n)
     rng = np.random.default_rng(seed)
     chunks = [min(_BLOCK_ROWS, samples - start)
               for start in range(0, samples, _BLOCK_ROWS)]
     failures = 0
     worst_margin = np.inf
     for size in chunks:
-        tube = TubePoint(cayley(lie_to_spin(sample_lie_ball(n, size, rng))))
+        tube = TubePoint(cayley(jd.Element(a, sample_lie_ball(n, size, rng))))
         margin = tube.margin()
         worst_margin = min(worst_margin, np.min(margin))
         failures += size - np.count_nonzero(margin > 0.0)
     for size in chunks:
-        back = spin_to_lie(cayley_inverse(sample_tube(n, size, rng)))
+        back = cayley_inverse(sample_tube(n, size, rng)).coords
         failures += size - np.count_nonzero(lie_ball_contains(back))
     return {
         "samples": 2 * samples,
@@ -192,18 +189,19 @@ def jacobian_density(x):
 
 
 def sample_shilov_boundary(n, count, rng, margin=1e-3):
-    """Points exp(i theta) x with x on the real unit sphere, avoiding the
-    singular set of the Cayley transform by the given margin, as a
-    (count, n) array.  |det(e - w)| <= 4 there, so margin lies in [0, 4)."""
+    """Twisted points exp(i theta) x, x on the real unit sphere, as a
+    (count, n) array, at least ``margin`` from the singular set of the
+    Cayley transform.  |det(e - w)| <= 4 there, so margin lies in [0, 4)."""
     if not 0.0 <= margin < 4.0:
         raise ValueError("Shilov-boundary margin must lie in [0, 4)")
+    e = jd.identity(jd.spin_factor(n))
 
     def draw(m):
         x = rng.normal(size=(m, n))
         x /= np.linalg.norm(x, axis=-1)[:, None]
         z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))[:, None] * x
-        w = lie_to_spin(z)
-        return z, np.abs(jd.determinant(jd.identity(w.algebra) - w)) >= margin
+        w = jd.Element(e.algebra, _twist(z))
+        return w.coords, np.abs(jd.determinant(e - w)) >= margin
 
     return _accepted_rows(count, draw)
 
@@ -290,34 +288,29 @@ def kernel_power_law_products(samples):
 
 # --- kernel relation between the ball and the tube ------------------------------------
 
-def cayley_jacobian_modulus(z):
-    """|J_Phi| = 2^n |det(e - w)|^(-n) at Lie-ball coordinates ``z``, with w
-    the spin-factor twist of z, row by row over a (..., n) batch.
-
-    This is |det(e - w)|^(-2n/r) at rank r = 2 (Faraut & Koranyi 1994,
-    ch. X); the twist is unitary, so it leaves the modulus unchanged.
-    """
-    w = lie_to_spin(z)
-    n = w.algebra.dim
-    det = np.abs(jd.determinant(jd.identity(w.algebra) - w))
+def cayley_jacobian_modulus(w):
+    """|J_Phi(w)| = 2^n |det(e - w)|^(-2n/r), with n and r the dimension
+    and rank of the element's algebra (Faraut & Koranyi 1994, ch. X), row
+    by row over a batched element."""
+    a = w.algebra
+    det = np.abs(jd.determinant(jd.identity(a) - w))
     # the ufunc, not **: a numpy scalar's ** rounds apart from the array
     # loop, and a batch must equal its per-row calls bit for bit
-    return 2.0 ** n * np.power(det, -n)
+    return 2.0 ** a.dim * np.power(det, -2 * a.dim / a.rank)
 
 
-def fit_kernel_relation_constant(z, zprime, tol=1e-6):
-    """|c0| = |det(w - w')|^(-n/r) / (|S_T(Phi z, Phi z')| |J|^(1/2) |J'|^(1/2))
-    at one (interior, Shilov boundary) pair: the constant that makes the
-    transported tube kernel match the closed-form ball kernel modulus."""
-    pair = np.array([z, zprime], dtype=complex)
-    w = lie_to_spin(pair)
-    image = cayley(w).coords
+def fit_kernel_relation_constant(w, wprime, tol=1e-6):
+    """|c0| = |det(w - w')|^(-n/r) / (|S_T(Phi w, Phi w')| |J|^(1/2) |J'|^(1/2))
+    at one (interior, Shilov boundary) pair of elements: the constant that
+    makes the transported tube kernel match the closed-form ball kernel
+    modulus."""
+    a = w.algebra
+    pair = jd.Element(a, np.array([w.coords, wprime.coords], dtype=complex))
+    image = cayley(pair).coords
     u = image[1].real
     if not np.max(np.abs(image[1].imag)) <= 1e-8 * (1 + np.max(np.abs(u))):
-        raise ValueError("z' must come from the Shilov boundary")
-    kernel = szego_kernel_quadrature(jd.Element(w.algebra, image[0]), u,
-                                     tol=tol)
+        raise ValueError("w' must come from the Shilov boundary")
+    kernel = szego_kernel_quadrature(jd.Element(a, image[0]), u, tol=tol)
     jz, jp = cayley_jacobian_modulus(pair)
-    diff = jd.Element(w.algebra, w.coords[0] - w.coords[1])
-    ball = np.abs(jd.determinant(diff)) ** (-w.algebra.dim / w.algebra.rank)
+    ball = np.abs(jd.determinant(w - wprime)) ** (-a.dim / a.rank)
     return float(ball / (abs(kernel.value) * np.sqrt(jz) * np.sqrt(jp)))

@@ -187,7 +187,7 @@ def mc_union_measure(shapes, n_samples, seed):
     """Monte-Carlo estimate of the union measure over the bounding box, with
     its standard error."""
     rects = _rect_list(shapes)
-    verts = np.concatenate([r.vertices() for r in rects])
+    verts = np.concatenate([rect_vertices(r) for r in rects])
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.uniform(lo, hi, size=(n_samples, 2))
@@ -336,19 +336,32 @@ def pair_loop_moment(boxes_f, powers, n_samples, seed):
 # --- Cayley Jacobian ---------------------------------------------------------
 
 def compact_jacobian_bounds(boundary_samples, margin=1e-3):
-    """Min and max of det(e + x^2)^(n/r) at x = Phi(w) over Shilov samples.
+    """Min and max of det(e + x^2)^(n/r) at x = Phi(w) over Shilov samples
+    in spin-factor coordinates.
 
-    On the Shilov boundary (|sum z_j^2| = sum |z_j|^2 = 1) this is
+    On the Shilov boundary (|det w| = |w|^2 = 1) this is
     2^n cayley_jacobian_modulus; samples closer than ``margin`` to the
     singular set det(e - w) = 0, or off the boundary by more than 1e-8, are
     rejected.
     """
-    z = np.asarray(boundary_samples, dtype=complex)
-    w = sz.lie_to_spin(z)
+    coords = np.asarray(boundary_samples, dtype=complex)
+    w = jd.Element(jd.spin_factor(coords.shape[-1]), coords)
     if np.any(np.abs(jd.determinant(jd.identity(w.algebra) - w)) < margin):
         raise ValueError("sample violates the Dom Phi margin")
-    if (np.any(np.abs(np.abs(np.sum(z * z, axis=-1)) - 1.0) > 1e-8)
-            or np.any(np.abs(np.sum(np.abs(z) ** 2, axis=-1) - 1.0) > 1e-8)):
+    if (np.any(np.abs(np.abs(jd.determinant(w)) - 1.0) > 1e-8)
+            or np.any(np.abs(jd.norm(w) ** 2 - 1.0) > 1e-8)):
         raise ValueError("sample is not on the Shilov boundary")
-    values = 2.0 ** w.algebra.dim * sz.cayley_jacobian_modulus(z)
+    values = 2.0 ** w.algebra.dim * sz.cayley_jacobian_modulus(w)
     return float(np.min(values)), float(np.max(values))
+
+
+# --- Lie ball ------------------------------------------------------------------
+
+def classical_lie_ball_contains(z, margin=0.0):
+    """Lie-ball membership in the classical chart, row by row: both strict
+    inequalities |q(z)|^2 < 1 - margin and 2|z|^2 - 1 < |q(z)|^2 - margin,
+    with q(z) = sum z_j^2."""
+    z = np.asarray(z, dtype=complex)
+    qq = np.abs(np.sum(z * z, axis=-1)) ** 2
+    return (qq < 1.0 - margin) & (
+        2.0 * np.sum(np.abs(z) ** 2, axis=-1) - 1.0 < qq - margin)

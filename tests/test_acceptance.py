@@ -237,7 +237,7 @@ def test_criterion_6_cayley_tube_suite():
     rng = np.random.default_rng(616)
     ok = True
 
-    w = sz.lie_to_spin(sz.sample_lie_ball(3, 500, rng))
+    w = jd.Element(jd.spin_factor(3), sz.sample_lie_ball(3, 500, rng))
     back = sz.cayley_inverse(sz.cayley(w))
     worst_rt = float(np.max(np.abs(back.coords - w.coords)))
     a_sym = jd.sym_matrix(3)
@@ -287,8 +287,11 @@ def test_criterion_6_cayley_tube_suite():
     cv = float(products.std() / products.mean())
     ok &= cv < 1e-3
 
-    interior = sz.sample_lie_ball(3, 11, rng, margin=0.05)
-    boundary = sz.sample_shilov_boundary(3, 11, rng, margin=0.15)
+    spin3 = jd.spin_factor(3)
+    interior = [jd.Element(spin3, w)
+                for w in sz.sample_lie_ball(3, 11, rng, margin=0.05)]
+    boundary = [jd.Element(spin3, w)
+                for w in sz.sample_shilov_boundary(3, 11, rng, margin=0.15)]
     c0 = sz.fit_kernel_relation_constant(interior[0], boundary[0])
     max_res = max(
         abs(c0 / sz.fit_kernel_relation_constant(zz, zp) - 1.0)

@@ -48,8 +48,8 @@ class TestRectangleFamilies:
     def test_family_inside_ball(self):
         fam = bs.build_perron_rectangles(6)
         verts = np.concatenate(
-            [r.vertices() for r in fam.rects]
-            + [r.vertices() for r in fam.translates()]
+            [rect_vertices(r) for r in fam.rects]
+            + [rect_vertices(r) for r in fam.translates()]
         )
         assert np.max(np.linalg.norm(verts, axis=1)) <= 10.0
 
@@ -114,8 +114,6 @@ class TestRectangleFamilies:
         assert np.array_equal(verts[0], [rect_vertices(r) for r in rects])
         assert np.array_equal(verts[1],
                               [rect_vertices(r) for r in translates])
-        assert all(np.array_equal(r.vertices(), rect_vertices(r))
-                   for r in rects)
 
     def test_only_the_tested_shift_accepted(self):
         rects = bs.build_perron_rectangles(3).rects
@@ -151,7 +149,6 @@ class TestIntersectionPredicates:
             r2 = bs.Rect2(center=c2, direction=[np.sin(t2), np.cos(t2)],
                           length=1.0, width=0.3)
             pts = rng.uniform(-1.5, 1.5, size=(4000, 2))
-            in1 = r1.contains(pts) if hasattr(r1, "contains") else None
             d1 = pts - r1.center
             in1 = (np.abs(d1 @ r1.direction) < r1.length / 2) & (
                 np.abs(d1 @ r1.normal) < r1.width / 2

@@ -569,6 +569,21 @@ class TestSquareFunction:
         assert moments == [(k, [-0.5, -0.25, 0.0], 15_000, 11, (k,))
                            for k in (3, 4)]
 
+    def test_level_unions_the_rectangle_family(self, monkeypatch):
+        # the level passes the rectangle family itself, so a hook on
+        # union_measure needs none of the BoxFamily's one-box rows
+        seen = []
+        union_measure = bs.union_measure
+
+        def recording(shapes, resolution):
+            seen.append(shapes)
+            return union_measure(shapes, resolution)
+
+        monkeypatch.setattr(bs, "union_measure", recording)
+        boxes = _family(3)
+        mp.ratio_experiment_level(boxes, [1.0], 10_000, seed=3)
+        assert len(seen) == 1 and seen[0] is boxes.family
+
     @pytest.mark.parametrize("k", range(3, 7))
     def test_level_bit_identical_to_per_box_path(self, k):
         family = bs.build_perron_rectangles(k)

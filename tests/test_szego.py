@@ -8,23 +8,28 @@ from conekit import cli
 from conekit import jordan as jd
 from conekit import szego as sz
 from conekit.errors import NearSingularityError
-from oracles import compact_jacobian_bounds
+from oracles import classical_lie_ball_contains, compact_jacobian_bounds
 
 
 def spin_elem(*coords):
     return jd.Element(jd.spin_factor(len(coords)), np.array(coords, dtype=complex))
 
 
-def fd_jacobian_modulus(z, step=1e-5):
-    """|J_Phi| at one Lie-ball point by central differences of the Cayley
+def spin_batch(coords):
+    """A batched spin element of the (m, n) coordinate rows ``coords``."""
+    return jd.Element(jd.spin_factor(coords.shape[-1]), coords)
+
+
+def fd_jacobian_modulus(w, step=1e-5):
+    """|J_Phi| at one Jordan element by central differences of the Cayley
     map (4n maps).  The transform is holomorphic, so the determinant of the
     real 2n x 2n differential equals |J_Phi|^2."""
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    base = np.concatenate([z.real, z.imag])
+    n = w.algebra.dim
+    base = np.concatenate([w.coords.real, w.coords.imag])
     bumps = step * np.eye(2 * n)
     points = np.concatenate([base + bumps, base - bumps])
-    image = sz.cayley(sz.lie_to_spin(points[:, :n] + 1j * points[:, n:])).coords
+    image = sz.cayley(
+        jd.Element(w.algebra, points[:, :n] + 1j * points[:, n:])).coords
     image = np.concatenate([image.real, image.imag], axis=-1)
     jac = (image[: 2 * n] - image[2 * n:]).T / (2.0 * step)
     return float(np.sqrt(abs(np.linalg.det(jac))))
@@ -46,8 +51,8 @@ class TestCayley:
 
     def test_round_trip_on_lie_ball_samples(self):
         rng = np.random.default_rng(101)
-        for z in sz.sample_lie_ball(3, 300, rng):
-            w = sz.lie_to_spin(z)
+        for row in sz.sample_lie_ball(3, 300, rng):
+            w = spin_elem(*row)
             back = sz.cayley_inverse(sz.cayley(w))
             assert np.max(np.abs(back.coords - w.coords)) < 1e-10
 
@@ -86,7 +91,24 @@ class TestLieBall:
 
     def test_needs_dimension_three(self):
         with pytest.raises(ValueError, match="dimension >= 3"):
-            sz.lie_to_spin(np.zeros(2))
+            sz.conformal_consistency_check(2, 10, seed=1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_agrees_with_the_classical_chart(self, n):
+        # the twist (z_1, z') -> (z_1, i z') carries the classical
+        # inequalities at z onto the spin-factor ones at w; few points of
+        # the cube lie in the ball at n = 5, so the test also scales them
+        # to |w|^2 ~ 2/3, near its boundary
+        rng = np.random.default_rng(430 + n)
+        re, im = rng.uniform(-1.0, 1.0, size=(2, 10_000, n))
+        for w in (re + 1j * im, (re + 1j * im) / np.sqrt(n)):
+            z = w.copy()
+            z[:, 1:] *= -1j                             # the untwisted rows
+            for margin in (0.0, 0.05):
+                inside = sz.lie_ball_contains(w, margin)
+                assert np.array_equal(inside,
+                                      classical_lie_ball_contains(z, margin))
+                assert inside.any() and not inside.all()
 
 
 class TestConformalConsistency:
@@ -119,14 +141,14 @@ class TestConformalConsistency:
     def test_boundary_margin_points_still_map_inside(self):
         rng = np.random.default_rng(109)
         hits = 0
-        for z in sz.sample_lie_ball(3, 5000, rng):
-            q = np.sum(z * z)
-            slack = min(1.0 - abs(q) ** 2,
-                        abs(q) ** 2 - (2 * np.sum(np.abs(z) ** 2) - 1))
+        for row in sz.sample_lie_ball(3, 5000, rng):
+            w = spin_elem(*row)
+            dd = abs(jd.determinant(w)) ** 2
+            slack = min(1.0 - dd, dd - (2 * jd.norm(w) ** 2 - 1))
             if slack > 2e-3:
                 continue
             hits += 1
-            tube = sz.TubePoint(sz.cayley(sz.lie_to_spin(z)))
+            tube = sz.TubePoint(sz.cayley(w))
             assert jd.in_cone(tube.y) and tube.margin() > 0
         assert hits > 0
 
@@ -199,7 +221,7 @@ class TestCompactJacobianBounds:
         rng = np.random.default_rng(160 + n)
         zs = sz.sample_shilov_boundary(n, 200, rng, margin=0.2)
         lo, hi = compact_jacobian_bounds(zs, margin=0.1)
-        image = sz.cayley(sz.lie_to_spin(zs)).coords
+        image = sz.cayley(spin_batch(zs)).coords
         assert np.max(np.abs(image.imag)) <= 1e-8 * (1 + np.max(np.abs(image)))
         values = 1.0 / sz.jacobian_density(
             jd.Element(jd.spin_factor(n), image.real))
@@ -208,7 +230,7 @@ class TestCompactJacobianBounds:
 
     @pytest.mark.parametrize("bad", [
         1.01 * np.exp(1.0j) * np.array([1.0, 0.0, 0.0]),  # off |z| = 1
-        np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0),        # sum z_j^2 = 0
+        np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),        # det w = 0
     ])
     def test_sample_off_shilov_boundary_rejected(self, bad):
         rng = np.random.default_rng(167)
@@ -271,8 +293,11 @@ class TestKernelQuadrature:
 @pytest.fixture(scope="module")
 def fitted():
     rng = np.random.default_rng(151)
-    interior = sz.sample_lie_ball(3, 12, rng, margin=0.05)
-    boundary = sz.sample_shilov_boundary(3, 12, rng, margin=0.15)
+    a = jd.spin_factor(3)
+    interior = [jd.Element(a, w)
+                for w in sz.sample_lie_ball(3, 12, rng, margin=0.05)]
+    boundary = [jd.Element(a, w)
+                for w in sz.sample_shilov_boundary(3, 12, rng, margin=0.15)]
     c0 = sz.fit_kernel_relation_constant(interior[0], boundary[0])
     return interior, boundary, c0
 
@@ -297,13 +322,23 @@ class TestKernelRelation:
         assert abs(c0 - 4.0 * np.pi**2) <= 1e-12
 
     def test_fd_jacobian_matches_determinant_power(self):
-        # the finite-difference oracle against |J_Phi| = 2^n |det(e - w)|^(-n)
+        # the finite-difference oracle against
+        # |J_Phi| = 2^n |det(e - w)|^(-2n/r): 2n/r = n on the spin factors,
+        # and 3, 4 and 5 on complex Sym(2), Sym(3) and Sym(4)
+        batches = []
         for n in (3, 4, 5, 7):
             rng = np.random.default_rng(157 + n)
-            zs = sz.sample_lie_ball(n, 50, rng, margin=0.1)
-            exact = sz.cayley_jacobian_modulus(zs)
-            fd = np.array([fd_jacobian_modulus(z) for z in zs])
-            assert np.max(np.abs(fd / exact - 1.0)) <= 1e-9, n
+            batches.append(spin_batch(sz.sample_lie_ball(n, 50, rng,
+                                                         margin=0.1)))
+        for r in (2, 3, 4):
+            rng = np.random.default_rng(170 + r)
+            m = rng.normal(size=(50, r, r)) + 1j * rng.normal(size=(50, r, r))
+            batches.append(jd.from_matrix(0.15 * m))
+        for w in batches:
+            exact = sz.cayley_jacobian_modulus(w)
+            fd = np.array([fd_jacobian_modulus(jd.Element(w.algebra, row))
+                           for row in w.coords])
+            assert np.max(np.abs(fd / exact - 1.0)) <= 1e-9, w.algebra
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_nan_point_rejected(self, fitted, bad):
@@ -317,7 +352,7 @@ class TestKernelRelation:
 
     def test_near_singular_boundary_rejected(self, fitted):
         interior, _, _ = fitted
-        singular = np.array([1.0 + 0.0j, 0.0, 0.0])
+        singular = spin_elem(1.0, 0.0, 0.0)            # w' = e
         with pytest.raises((ValueError, NearSingularityError)):
             sz.fit_kernel_relation_constant(interior[1], singular)
 
@@ -360,13 +395,12 @@ class TestBatchedCayley:
     def test_batch_equals_per_row_calls(self, n):
         rng = np.random.default_rng(400 + n)
         z = sz.sample_lie_ball(n, 150, rng)
-        w = sz.lie_to_spin(z)
-        image = sz.cayley(w)
+        image = sz.cayley(spin_batch(z))
         tube = sz.sample_tube(n, 150, rng)
         extra = 0.3 * (rng.normal(size=(150, n))
                        + 1j * rng.normal(size=(150, n)))
         for batch, rows in (
-            (image.coords, [sz.cayley(sz.lie_to_spin(r)).coords for r in z]),
+            (image.coords, [sz.cayley(spin_elem(*r)).coords for r in z]),
             (sz.cayley_inverse(tube).coords,
              [sz.cayley_inverse(jd.Element(tube.algebra, r)).coords
               for r in tube.coords]),
@@ -380,7 +414,7 @@ class TestBatchedCayley:
 
     def test_one_near_singular_row_raises(self):
         rng = np.random.default_rng(419)
-        w = sz.lie_to_spin(sz.sample_lie_ball(3, 20, rng))
+        w = spin_batch(sz.sample_lie_ball(3, 20, rng))
         coords = w.coords.copy()
         coords[7] = [1.0, 0.0, 0.0]              # w = e: det(e - w) = 0
         with pytest.raises(NearSingularityError, match="Dom Phi"):
@@ -400,10 +434,10 @@ class TestBatchedCayley:
             raise AssertionError("cayley_jacobian_modulus called cayley")
 
         monkeypatch.setattr(sz, "cayley", refuse)
-        batch = sz.cayley_jacobian_modulus(z)
+        batch = sz.cayley_jacobian_modulus(spin_batch(z))
         assert batch.shape == (100,)
-        assert np.array_equal(batch,
-                              [sz.cayley_jacobian_modulus(r) for r in z])
+        assert np.array_equal(
+            batch, [sz.cayley_jacobian_modulus(spin_elem(*r)) for r in z])
 
 
 class TestSamplers:
@@ -412,15 +446,16 @@ class TestSamplers:
         rng = np.random.default_rng(500 + n)
         z = sz.sample_lie_ball(n, 777, rng, margin=margin)
         assert z.shape == (777, n)
-        qq = np.abs(np.sum(z * z, axis=-1)) ** 2
-        assert np.all(qq < 1.0 - margin)
-        assert np.all(2.0 * np.sum(np.abs(z) ** 2, axis=-1) - 1.0 < qq - margin)
+        w = spin_batch(z)
+        dd = np.abs(jd.determinant(w)) ** 2
+        assert np.all(dd < 1.0 - margin)
+        assert np.all(2.0 * jd.norm(w) ** 2 - 1.0 < dd - margin)
 
     def test_shilov_boundary_count_and_margin(self):
         rng = np.random.default_rng(511)
         z = sz.sample_shilov_boundary(4, 300, rng, margin=1.5)
         assert z.shape == (300, 4)
-        w = sz.lie_to_spin(z)
+        w = spin_batch(z)
         assert np.all(np.abs(jd.determinant(jd.identity(w.algebra) - w)) >= 1.5)
 
     @pytest.mark.parametrize("sample", [sz.sample_lie_ball,
