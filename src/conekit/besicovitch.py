@@ -283,8 +283,7 @@ def _family_in_ball(family, radius=BALL_RADIUS_2D):
 
 # --- exact intersection predicates -------------------------------------------
 
-# values live at once in one block of pair work or of edge work: memory stays
-# flat in k
+# values live at once in one block of pair work: memory stays flat in k
 _BLOCK_VALUES = 2**22
 _EPS = np.finfo(float).eps
 
@@ -359,6 +358,7 @@ def _sat_overlap(centers, axes, halves, i, j):
 # union_measure is exact: the resolution it requires changes nothing (stats.csv
 # keeps the column at the old default)
 UNION_RESOLUTION = 2.0**-14
+_UNION_VALUES = 2**18
 
 
 def union_measure(shapes, resolution):
@@ -373,6 +373,10 @@ def union_measure(shapes, resolution):
     endpoints on near-parallel edges.  ``resolution`` must be positive but
     has no effect.  Accepts a RectangleFamily, a BoxFamily (the family its
     E_j lift) or a sequence of Rect2; an empty union measures (0.0, 0.0).
+    Edges go in blocks of max(1, _UNION_VALUES // (64 N)) whole rectangles,
+    about _UNION_VALUES live values, sized for a core's L2 cache; with four
+    edges or more, no block's product takes BLAS's matrix-vector path, which
+    rounds differently, so the result does not depend on the block.
     """
     if not resolution > 0:
         raise ValueError("resolution must be positive")
@@ -393,8 +397,7 @@ def union_measure(shapes, resolution):
     vectors = (np.roll(verts, -1, axis=1) - verts).reshape(-1, 2)
     # bounds the rounding of every vertex, edge and slab coordinate
     err = 16.0 * _EPS * float(np.abs(verts).max())
-    # _edge_coverage holds up to nine (edges, 2, rects) arrays at once
-    block = max(1, _BLOCK_VALUES // (9 * 2 * len(centers)))
+    block = 4 * max(1, _UNION_VALUES // (64 * len(centers)))
     covered, frac_err, bands = np.concatenate([
         _edge_coverage(axes, offsets, halves, starts[e0:e0 + block],
                        vectors[e0:e0 + block], e0, err)
@@ -418,21 +421,24 @@ def union_measure(shapes, resolution):
 def _edge_coverage(axes, offsets, halves, starts, vectors, first, err):
     """For the edges first, first + 1, ...: the fraction covered by the other
     rectangles, a first-order bound on its rounding, and the number of
-    slab-boundary bands met."""
+    slab-boundary bands met.  Works in place on six (edges, 2, rects) arrays
+    and a mask, indexed [edge, k, j]; its sweep adds five (edges, rects)."""
     n, rows = axes.shape[1], np.arange(len(starts))
     owner = (first + rows) // 4
+    s0, s1, t1, t2, dt, near = scratch = np.empty((6, len(starts), 2, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         # edge point t lies inside slab k of rectangle j if |s0 + t s1| <
-        # half; arrays are indexed [edge, k, j]
-        flat = axes.reshape(-1, 2).T
-        s0 = (starts @ flat).reshape(-1, 2, n) - offsets
-        s1 = (vectors @ flat).reshape(-1, 2, n)
-        t1, t2 = (-halves - s0) / s1, (halves - s0) / s1
+        # half: between t1 = (-half - s0) / s1 and t2 = (half - s0) / s1
+        np.matmul([starts, vectors], axes.reshape(-1, 2).T,
+                  out=scratch[:2].reshape(2, -1, 2 * n))
+        s0 -= offsets
+        np.subtract([[-halves], [halves]], s0, out=scratch[2:4])
+        scratch[2:4] /= s1
         # an edge parallel to the slab up to rounding is inside it for all t
         # or for none; within 3 err of the slab boundary (a band, whose
         # sliver of area 3 err |d| enters the bound) the tie rule compares
         # the side with the outward normal (-d_y, d_x)
-        i, k, j = np.nonzero(np.abs(s1) <= err)
+        i, k, j = np.nonzero(np.abs(s1, out=s1) <= err)
         side, half = s0[i, k, j], halves[k, j]
         band = np.abs(np.abs(side) - half) <= 3.0 * err
         normal = vectors[i, 0] * axes[k, j, 1] - vectors[i, 1] * axes[k, j, 0]
@@ -442,21 +448,24 @@ def _edge_coverage(axes, offsets, halves, starts, vectors, first, err):
         t1[i, k, j], t2[i, k, j] = np.where(inside, -np.inf, np.inf), np.inf
         t1[rows, :, owner] = t2[rows, :, owner] = np.inf   # not by itself
         # an endpoint that may land in [0, 1] is off by up to
-        # (err / |s1| + 2 eps)(1 + |t|); the sweep adds n eps
-        scale = err / np.abs(s1) + 2.0 * _EPS
+        # dt = (err / |s1| + 2 eps)(1 + |t|); the sweep adds n eps
+        scale = np.add(np.divide(err, s1, out=s1), 2.0 * _EPS, out=s1)
         frac_err = n * _EPS
         for t in (t1, t2):
-            dt = scale * (1.0 + np.abs(t))
-            frac_err = frac_err + np.where(
-                np.abs(t - 0.5) < 0.5 + dt, dt, 0.0).sum(axis=(1, 2))
-        lo = np.clip(np.minimum(t1, t2).max(axis=1), 0.0, 1.0)
-        hi = np.clip(np.maximum(t1, t2).min(axis=1), lo, 1.0)
+            np.abs(t, out=dt)
+            dt += 1.0
+            dt *= scale
+            np.abs(np.subtract(t, 0.5, out=near), out=near)
+            np.copyto(dt, 0.0, where=~(near < np.add(dt, 0.5, out=s0)))
+            frac_err = frac_err + dt.sum(axis=(1, 2))
+        lo = np.clip(np.minimum(t1, t2, out=near).max(axis=1), 0.0, 1.0)
+        hi = np.clip(np.maximum(t1, t2, out=near).min(axis=1), lo, 1.0)
 
     # measure of the union of the intervals: sort, then a running maximum;
     # covered = (last run - first lo) - gaps between run_(k-1) and lo_k
-    order = np.argsort(lo, axis=1)
-    lo = np.take_along_axis(lo, order, axis=1)
-    run = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
+    order = np.argsort(lo, axis=1) + n * rows[:, None]
+    lo, run = lo.take(order), hi.take(order)
+    np.maximum.accumulate(run, axis=1, out=run)
     gaps = np.clip(lo[:, 1:] - run[:, :-1], 0.0, None).sum(axis=1)
     bands = np.bincount(i[band], minlength=len(starts))
     return np.array([run[:, -1] - lo[:, 0] - gaps, frac_err, bands])

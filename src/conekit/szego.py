@@ -128,6 +128,7 @@ def sample_lie_ball(n, count, rng, margin=0.0):
     with both inequalities held at ``margin``."""
     if not 0.0 <= margin < 1.0:
         raise ValueError("Lie-ball margin must lie in [0, 1)")
+    jd.spin_factor(n)                   # refuses n < 3 before any draw
 
     def draw(m):
         z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))

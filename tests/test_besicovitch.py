@@ -404,6 +404,21 @@ def _lp_margin(shape1, shape2):
     return -res.fun
 
 
+# float.hex of union_measure's (measure, bound) on build_perron_rectangles(k)
+UNION_HEX = {
+    1: ("0x1.2574eb60abff0p-1", "0x1.3fc0000000000p-43"),
+    2: ("0x1.5f31b2c8ac9e0p-2", "0x1.2430000000000p-41"),
+    3: ("0x1.c702c909a4af2p-3", "0x1.023e000000000p-39"),
+    4: ("0x1.41072adb717c6p-3", "0x1.7f92800000000p-38"),
+    5: ("0x1.f0eac15f5bffdp-4", "0x1.1af5400000000p-36"),
+    6: ("0x1.9ec9da3c19337p-4", "0x1.7994000000000p-35"),
+    7: ("0x1.685424c46f12cp-4", "0x1.5589740000000p-33"),
+    8: ("0x1.412e3c867db9cp-4", "0x1.56f99b8000000p-31"),
+    9: ("0x1.239e57d8d1c3ep-4", "0x1.5ff9ae4000000p-29"),
+    10: ("0x1.0c9dde36a893ap-4", "0x1.5fe49fc000000p-27"),
+}
+
+
 def _square(cx, cy, direction=(0.0, 1.0), length=1.0, width=1.0):
     return bs.Rect2(center=[cx, cy], direction=list(direction),
                     length=length, width=width)
@@ -503,8 +518,8 @@ class TestUnionMeasure:
         assert (m + err) - m == err      # eps_hat = m + err is exact
 
     def test_edge_blocks_bound_memory(self):
-        # a block holds about _BLOCK_VALUES live values in all, so the peak
-        # stays near 32 MB however many edges there are
+        # a block holds about _UNION_VALUES live values in all, so the peak
+        # stays near 2 MB however many edges there are
         fam = bs.build_perron_rectangles(9)
         tracemalloc.start()
         try:
@@ -512,7 +527,39 @@ class TestUnionMeasure:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * bs._BLOCK_VALUES * 8
+        assert peak <= 2 * bs._UNION_VALUES * 8
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_union_bits_are_pinned(self, k):
+        m, err = bs.union_measure(bs.build_perron_rectangles(k),
+                                  bs.UNION_RESOLUTION)
+        assert (m.hex(), err.hex()) == UNION_HEX[k]
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_union_bits_do_not_depend_on_the_block(self, monkeypatch, k):
+        # a block is r whole rectangles, 4r edges: every r at k = 6, and at
+        # k = 7, 8 the one-rectangle block, odd blocks with a remainder, the
+        # default block and one block of every edge
+        fam = bs.build_perron_rectangles(k)
+        n = fam.n_rects
+        default = bs._UNION_VALUES // (64 * n)
+        expected = bs.union_measure(fam, bs.UNION_RESOLUTION)
+        sizes = set()
+        coverage = bs._edge_coverage
+
+        def recording(axes, offsets, halves, starts, *rest):
+            sizes.add(len(starts))
+            return coverage(axes, offsets, halves, starts, *rest)
+
+        monkeypatch.setattr(bs, "_edge_coverage", recording)
+        for r in (range(1, n + 1) if k == 6
+                  else (1, 3, 5, default, n - 1, n)):
+            monkeypatch.setattr(bs, "_UNION_VALUES", 64 * n * r)
+            assert bs.union_measure(fam, bs.UNION_RESOLUTION) == expected, r
+        # every block size the kernel can produce is a multiple of 4
+        assert sizes <= set(range(4, 4 * n + 1, 4))
+        if k == 6:
+            assert sizes == set(range(4, 4 * n + 1, 4))
 
     def test_eps_hat_exact_across_a_power_of_two(self):
         # measure just below 1, measure + bound above it

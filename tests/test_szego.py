@@ -465,6 +465,17 @@ class TestSamplers:
         with pytest.raises(ValueError, match="non-negative"):
             sample(3, -3, _NoDraws())
 
+    @pytest.mark.parametrize("sample", [sz.sample_lie_ball,
+                                        sz.sample_shilov_boundary])
+    def test_dimension_below_three_refused_before_any_draw(self, sample):
+        # jordan has no spin factor below dimension 3, so neither sampler
+        # may draw for one
+        rng = np.random.default_rng(512)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="dimension >= 3"):
+            sample(2, 5, rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("margin", [-0.1, 1.0, 2.5])
     def test_lie_ball_margin_out_of_range(self, margin):
         with pytest.raises(ValueError, match="margin"):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -51,3 +52,15 @@ def test_drawn_families_within_bound_of_exact(rects):
     measure, bound, exact = result
     assert np.isfinite(measure) and bound > 0
     assert abs(Fraction(measure) - exact) <= Fraction(bound)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(rectangles(), min_size=2, max_size=6))
+def test_drawn_families_do_not_depend_on_the_block(rects):
+    # a block is r whole rectangles, from one rectangle to all of them
+    expected = bs.union_measure(rects, bs.UNION_RESOLUTION)
+    with pytest.MonkeyPatch.context() as patch:
+        for r in range(1, len(rects) + 1):
+            patch.setattr(bs, "_UNION_VALUES", 64 * len(rects) * r)
+            assert bs.union_measure(rects, bs.UNION_RESOLUTION) == expected
