@@ -29,6 +29,8 @@ BOUNDARY_TOL = 1e-12
 # symbol value assigned on frequency-lattice points that fall on the symbol
 # boundary; 1/2 is the symmetrized convention
 BOUNDARY_VALUE = 0.5
+# complex values in one tile of the modulation sweep, chosen by measurement
+_TILE_VALUES = 2**16
 
 
 # --- grids -------------------------------------------------------------------
@@ -171,35 +173,44 @@ def _boundary_rule(g):
     return out
 
 
-def _spectrum(f, out=None):
-    """DFT of a grid, into ``out`` if given, refused when its support would
-    alias under the periodization the DFT implies.  A 3D grid is transformed
-    in place along axes 0, 1, 2, the first two only over the index spans that
-    hold a nonzero (an all-zero line transforms to exact zeros); only the
-    axis order differs from numpy's, which takes the strided axis 0 last."""
+def _spectrum(f):
+    """DFT of a grid, refused when its support would alias under the
+    periodization the DFT implies.  A 3D grid is copied once and transformed
+    in place along axes 0, 1, 2; only the axis order differs from numpy's,
+    which takes the strided axis 0 last."""
     if not (f.support_radius is None or f.support_radius <= f.extent / 2):
         raise ValueError(
             "grid support exceeds half the extent; pad the grid to control "
             "periodization"
         )
     if f.dims == 1:
-        return np.fft.fft(f.values, out=out)
-    if out is None:
-        out = f.values.copy()
-    elif out is not f.values:
-        out[...] = f.values
-    live = np.zeros(out.shape[1:], dtype=bool)    # columns (i1, i2)
-    for plane in out:
-        live |= plane != 0
-    for i1 in np.flatnonzero(live.any(axis=1)):
-        i2 = np.flatnonzero(live[i1])
-        span = out[:, i1, i2[0]:i2[-1] + 1]
-        np.fft.fft(span, axis=0, out=span)
-    i2 = np.flatnonzero(live.any(axis=0))
-    if i2.size:
-        span = out[:, :, i2[0]:i2[-1] + 1]
-        np.fft.fft(span, axis=1, out=span)
-    return np.fft.fft(out, axis=2, out=out)
+        return np.fft.fft(f.values)
+    out = f.values.copy()
+    for axis in range(3):
+        np.fft.fft(out, axis=axis, out=out)
+    return out
+
+
+def _spectrum_tiles(block, m):
+    """DFT of the m^3 grid that holds a builder's ``(index, values)`` block
+    and zeros elsewhere, as (columns, tile) pairs, ``tile[c, i0, i1]`` at
+    xi_3 index columns.start + c.  The block's (i0, i1) lines, each at its
+    offset in a line of length m, take axis 2 once; each tile then takes
+    axis 0 on the block's i1 rows and axis 1 on all.  All-zero lines
+    transform to exact zeros, so only the axis order differs from
+    ``_spectrum``."""
+    index, values = block
+    lines = np.zeros(values.shape[:2] + (m,), dtype=complex)
+    lines[..., index[2]] = values
+    np.fft.fft(lines, axis=2, out=lines)
+    width = max(1, _TILE_VALUES // m**2)
+    for first in range(0, m, width):
+        cols = slice(first, min(first + width, m))
+        tile = np.zeros((cols.stop - first, m, m), dtype=complex)
+        tile[:, index[0], index[1]] = np.moveaxis(lines[..., cols], 2, 0)
+        live = tile[..., index[1]]
+        np.fft.fft(live, axis=1, out=live)
+        yield cols, np.fft.fft(tile, axis=2, out=tile)
 
 
 def fft_multiplier_apply(f, symbol, shift=None):
@@ -223,9 +234,9 @@ def indicator_interval(extent, samples, a, b):
 
 
 def indicator_box(box, extent, samples):
-    """3D grid samples of a box indicator, antialiased per box axis.  The
-    coverage vanishes half a cell outside the box, so it is evaluated only on
-    the index block that holds the box dilated by one cell."""
+    """3D grid samples of a box indicator, antialiased per box axis, as
+    ``(index, values)`` on the index block that holds the box dilated by one
+    cell; the coverage vanishes half a cell outside the box."""
     g = GridFunction(np.zeros(samples), extent)
     h = g.spacing
     x = g.axis()
@@ -236,10 +247,7 @@ def indicator_box(box, extent, samples):
     for a, e in zip(box.axes, box.half_extents):
         local = _linear_form(a, box.center, [x[b] for b in block])
         cov = cov * np.clip((e - np.abs(local)) / h + 0.5, 0.0, 1.0)
-    vals = np.zeros((samples,) * 3, dtype=complex)
-    vals[block] = cov
-    radius = float(np.max(np.abs(box.vertices()))) + h
-    return g.with_values(vals, support_radius=radius)
+    return block, cov
 
 
 # --- closed forms --------------------------------------------------------------
@@ -334,9 +342,10 @@ def box_halfspace_image(box, n_tilde, x):
 
 
 def box_image_grid(box, n_tilde, grid):
-    """Closed-form image sampled on a 3D grid: ``box_halfspace_image`` runs
-    only at the points that pass the two cross-section inequalities with a
-    rounding margin, and the image is an exact zero everywhere else.
+    """Closed-form image sampled on a 3D grid, as ``(index, values)`` on
+    the block that bounds the points passing the two cross-section
+    inequalities with a rounding margin: ``box_halfspace_image`` runs only
+    at those points, and the image is an exact zero everywhere else.
 
     Those points lie in the prism of the two cross-section slabs around the
     n_tilde axis.  Each plane x_i = t, on the grid axis i where that axis
@@ -377,10 +386,13 @@ def box_image_grid(box, n_tilde, grid):
         near = near & (np.abs(_linear_form(a, box.center, [x] * 3, at)) <= e)
     cells = np.unravel_index(
         np.sort(np.ravel_multi_index(at, (m,) * 3)[near]), (m,) * 3)
-    vals = np.zeros((m,) * 3, dtype=complex)
-    vals[cells] = box_halfspace_image(
-        box, n_tilde, np.stack([x[i] for i in cells], axis=-1))
-    return grid.with_values(vals)
+    block = tuple(slice(i.min(), i.max() + 1) if i.size else slice(0, 0)
+                  for i in cells)
+    vals = np.zeros([b.stop - b.start for b in block], dtype=complex)
+    vals[tuple(i - b.start for i, b in zip(cells, block))] = (
+        box_halfspace_image(box, n_tilde,
+                            np.stack([x[i] for i in cells], axis=-1)))
+    return block, vals
 
 
 # --- the square-function experiment ---------------------------------------------
@@ -614,13 +626,16 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     The shifted symbol realizes the modulation exactly on the lattice, with
     no aliasing no matter how large R is.  The distances are taken between
     spectra; by Parseval they equal the relative distances between grids.
-    Each box costs two in-place forward transforms, and prefix sums along
-    xi_1 of the densities in |m fhat - ohat|^2 = m^2 |fhat|^2 - 2 m Re(fhat
-    conj(ohat)) + |ohat|^2; each modulation step reads them at the symbol's
-    two thresholds per column (``_cone_thresholds``), in O(M^2).  Memory
-    holds one box's grids however many boxes there are.  The translated
-    cones grow with the modulation (Omega - R1 n is contained in
-    Omega - R2 n for R1 < R2), so the distances decrease monotonically.
+    The builders return support blocks and both spectra come one tile of
+    xi_3 columns at a time (``_spectrum_tiles``), so no M^3 array exists.
+    Per tile, prefix sums along ascending xi_1 of the densities in
+    |m fhat - ohat|^2 = m^2 |fhat|^2 - 2 m Re(fhat conj(ohat)) + |ohat|^2
+    are read at the symbol's two thresholds per column for every R
+    (``_cone_thresholds``); per-column (M, M) arrays are summed once per
+    box, so the rows do not depend on the tile width.  Memory holds one
+    box's blocks and O(M^2) per R.  The translated cones grow with the
+    modulation (Omega - R1 n is in Omega - R2 n for R1 < R2), so the
+    distances decrease monotonically.
     """
     r_list = list(r_list)
     if not all(1.0 <= r_mod < np.inf for r_mod in r_list):
@@ -629,33 +644,43 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     if 2.0 * float(np.min(boxes.f.half_extents)) < grid.spacing:
         raise ValueError(
             "boxes are thinner than the grid spacing; use k <= 2 or refine")
+    # the indicators' support radius, as _spectrum would refuse it
+    if float(np.max(np.abs(boxes.f.vertices()))) + grid.spacing > extent / 2:
+        raise ValueError("grid support exceeds half the extent; pad the "
+                         "grid to control periodization")
     if not r_list:
         return []
+    m = samples_per_axis
     freqs = grid.freqs()
     order = np.argsort(freqs)
     rows = [[] for _ in r_list]
     for f_box, ntilde, ray in zip(boxes.boxes_f, boxes.normals,
                                   boxes.light_rays):
-        oracle = box_image_grid(f_box, ntilde, grid)
-        dens = _spectrum(oracle, out=oracle.values)
-        ind = indicator_box(f_box, extent, samples_per_axis)
-        fhat = _spectrum(ind, out=ind.values)
-        nrm2 = np.vdot(dens, dens).real
-        # the oracle's spectrum becomes Re(fhat conj(ohat)) + i |fhat|^2
-        np.conjugate(dens, out=dens)
-        dens *= fhat
-        np.square(np.abs(fhat, out=dens.imag), out=dens.imag)
-        for prev, cur in zip(order[:-1], order[1:]):    # prefix sums
-            dens[cur] += dens[prev]
-        for row, r_mod in zip(rows, r_list):
-            n = _cone_thresholds(freqs, r_mod * ray)
-            sums = np.take_along_axis(dens, order[n - 1], 0)
-            lo, hi = np.where(n > 0, sums, 0.0)
+        counts = [np.moveaxis(_cone_thresholds(freqs, r_mod * ray), 2, 0)
+                  for r_mod in r_list]
+        reads = [np.empty((m, 2, m), dtype=complex) for _ in r_list]
+        total = np.empty((m, m), dtype=complex)
+        nrm = np.empty((m, m))
+        for (cols, fhat), (_, dens) in zip(
+                _spectrum_tiles(indicator_box(f_box, extent, m), m),
+                _spectrum_tiles(box_image_grid(f_box, ntilde, grid), m)):
+            nrm[cols] = np.sum(dens.real**2 + dens.imag**2, axis=1)
+            # the oracle's spectrum becomes Re(fhat conj(ohat)) + i |fhat|^2
+            np.conjugate(dens, out=dens)
+            dens *= fhat
+            np.square(np.abs(fhat, out=dens.imag), out=dens.imag)
+            sums = np.take(dens, order, axis=1)         # ascending xi_1
+            np.cumsum(sums, axis=1, out=sums)
+            total[cols] = sums[:, -1]
+            for read, n in zip(reads, counts):
+                n = n[cols]
+                read[cols] = np.where(
+                    n > 0, np.take_along_axis(sums, n - 1, 1), 0.0)
+        nrm2 = float(np.sum(nrm))
+        for row, read in zip(rows, reads):
             # m: 0 on a column's first lo, BOUNDARY_VALUE up to hi, 1 after
-            above, mid = dens[order[-1]] - hi, hi - lo
+            above, mid = total - read[:, 1], read[:, 1] - read[:, 0]
             d2 = (np.sum(above.imag + BOUNDARY_VALUE**2 * mid.imag) + nrm2
                   - 2.0 * np.sum(above.real + BOUNDARY_VALUE * mid.real))
             row.append(float(np.sqrt(max(d2, 0.0) / nrm2)))
-        del oracle, dens, ind, fhat    # before the next box's grids
     return rows
-

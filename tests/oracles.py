@@ -3,7 +3,8 @@ of the half-space FFT path, the spatial dilation probe of the cone
 multiplier, the tensor check's slice-by-slice sum, the pairwise
 separating-axis predicate, row-major box membership, the Monte-Carlo and
 the exact rational union measure, the ratio level computed one box at a
-time, and the Cayley Jacobian bounds on Shilov samples."""
+time, the Cayley Jacobian bounds on Shilov samples, and the full grid of a
+grid builder's support block."""
 
 from fractions import Fraction
 
@@ -17,6 +18,16 @@ from conekit import szego as sz
 
 SLAB_ROWS = 32             # first-axis rows per slab of the full probe grid
 SHIFT_WEIGHT_FLOOR = 1e-12  # transverse weight below which a copy is dropped
+
+
+def embed(block, samples, extent):
+    """The full 3D grid of a builder's ``(index, values)`` block: the values
+    placed at their index slices of a zero grid of ``samples``^3 points on
+    [-extent, extent)^3."""
+    index, values = block
+    grid = np.zeros((samples,) * 3, dtype=complex)
+    grid[index] = values
+    return mp.GridFunction(grid, extent)
 
 
 # --- the half-space probe ------------------------------------------------------

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from conekit import besicovitch as bs
 from conekit import multiplier as mp
 from conekit.errors import BudgetExceededError, SingularPointError
-from oracles import (box_contains_row_major, cone_dilation_probe,
+from oracles import (box_contains_row_major, cone_dilation_probe, embed,
                      gaussian_box_probe, lift_per_box, pair_loop_moment,
                      translate_image_per_box)
 
@@ -119,7 +119,7 @@ class TestFFTPath:
     def test_peak_memory_is_spectrum_and_symbol(self, boxes_k1):
         # beside the input, the complex spectrum and the float symbol: 2.06
         # grids measured at 64^3, with the product and inverse in place
-        f = mp.indicator_box(boxes_k1.boxes_f[0], 12.0, 64)
+        f = embed(mp.indicator_box(boxes_k1.boxes_f[0], 12.0, 64), 64, 12.0)
         tracemalloc.start()
         try:
             mp.fft_multiplier_apply(f, mp.HalfSpace(tuple(boxes_k1.normals[0])))
@@ -229,84 +229,107 @@ def _box_grids(samples, extent=6.0):
     """The k = 1 indicators and closed-form oracles of both boxes."""
     boxes = bs.build_boxes(bs.build_perron_rectangles(1))
     grid = mp.GridFunction(np.zeros(samples), extent)
-    return [g for f_box, ntilde in zip(boxes.boxes_f, boxes.normals)
-            for g in (mp.indicator_box(f_box, extent, samples),
+    return [embed(b, samples, extent)
+            for f_box, ntilde in zip(boxes.boxes_f, boxes.normals)
+            for b in (mp.indicator_box(f_box, extent, samples),
                       mp.box_image_grid(f_box, ntilde, grid))]
 
 
-def _sparse_grid(samples, points):
-    """A 3D grid with value 1 + index sum at each index triple of ``points``."""
-    vals = np.zeros((samples,) * 3, dtype=complex)
+def _sparse_block(points):
+    """The bounding block of the index triples ``points``, with value
+    1 + index sum at each and zeros elsewhere in it."""
+    first = np.min(points, axis=0)
+    index = tuple(slice(lo, hi + 1)
+                  for lo, hi in zip(first, np.max(points, axis=0)))
+    values = np.zeros([i.stop - i.start for i in index], dtype=complex)
     for p in points:
-        vals[p] = 1.0 + sum(p)
-    return mp.GridFunction(vals, 1.0)
+        values[tuple(np.subtract(p, first))] = 1.0 + sum(p)
+    return index, values
+
+
+def _tiled_spectrum(block, samples):
+    """The full spectrum assembled from ``_spectrum_tiles``' tiles."""
+    out = np.full((samples,) * 3, np.nan, dtype=complex)
+    for cols, tile in mp._spectrum_tiles(block, samples):
+        out[..., cols] = np.moveaxis(tile, 0, 2)
+    return out
 
 
 class TestSpectrum:
-    """``_spectrum`` transforms only the index spans that hold a nonzero, in
-    another axis order than ``np.fft.fftn``; each line keeps its arithmetic,
-    so the two agree to rounding."""
+    """``_spectrum`` and the sweep's tiles transform in another axis order
+    than ``np.fft.fftn``; each line keeps its arithmetic, so they agree
+    with it to rounding.  The tiles transform only the lines of a block,
+    each at its index offsets."""
 
     @staticmethod
-    def _assert_matches_fftn(f):
-        ref = np.fft.fftn(f.values)
-        got = mp._spectrum(f)
+    def _assert_near(got, ref):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def _assert_tiles_match_fftn(self, block, samples, monkeypatch):
+        # tiles of 1, 3 (the last one narrower) and all columns
+        ref = np.fft.fftn(embed(block, samples, 1.0).values)
+        for width in (1, 3, samples):
+            monkeypatch.setattr(mp, "_TILE_VALUES", width * samples**2)
+            self._assert_near(_tiled_spectrum(block, samples), ref)
 
     @pytest.mark.parametrize("samples", [32, 64])
     def test_box_grids(self, samples):
         # 4.2e-16 max|fhat| measured on these grids at 64^3 and 128^3
-        for f in _box_grids(samples):
-            self._assert_matches_fftn(f)
+        boxes = bs.build_boxes(bs.build_perron_rectangles(1))
+        grid = mp.GridFunction(np.zeros(samples), 6.0)
+        for f_box, ntilde in zip(boxes.boxes_f, boxes.normals):
+            for block in (mp.indicator_box(f_box, 6.0, samples),
+                          mp.box_image_grid(f_box, ntilde, grid)):
+                f = embed(block, samples, 6.0)
+                ref = np.fft.fftn(f.values)
+                self._assert_near(mp._spectrum(f), ref)
+                self._assert_near(_tiled_spectrum(block, samples), ref)
 
     @pytest.mark.parametrize("point", [(15, 15, 15), (0, 0, 15), (0, 15, 0),
                                        (15, 0, 0), (7, 15, 3)])
-    def test_one_voxel_at_the_last_index(self, point):
-        self._assert_matches_fftn(_sparse_grid(16, [point]))
+    def test_one_voxel_at_the_last_index(self, point, monkeypatch):
+        self._assert_tiles_match_fftn(_sparse_block([point]), 16,
+                                      monkeypatch)
 
-    def test_row_live_at_both_ends(self):
-        # one row's span is the whole i2 axis; another row is a single column
-        self._assert_matches_fftn(
-            _sparse_grid(16, [(2, 5, 0), (9, 5, 15), (4, 11, 8)]))
+    def test_row_live_at_both_ends(self, monkeypatch):
+        # the block spans the whole i2 axis, but one of its rows is live
+        # only at both ends and another at a single column
+        self._assert_tiles_match_fftn(
+            _sparse_block([(2, 5, 0), (9, 5, 15), (4, 11, 8)]), 16,
+            monkeypatch)
 
     def test_dense_gaussian(self):
         x = mp.GridFunction(np.zeros(32), 4.0).axis()
         r2 = sum(np.meshgrid(x**2, (x - 0.3)**2, (x + 0.7)**2,
                              indexing="ij", sparse=True))
-        self._assert_matches_fftn(mp.GridFunction(np.exp(-r2), 4.0))
+        f = mp.GridFunction(np.exp(-r2), 4.0)
+        self._assert_near(mp._spectrum(f), np.fft.fftn(f.values))
+        # the same values as one block spanning the whole grid
+        block = ((slice(0, 32),) * 3, f.values)
+        self._assert_near(_tiled_spectrum(block, 32), np.fft.fftn(f.values))
 
     def test_zero_grid_is_exactly_zero(self):
-        got = mp._spectrum(mp.GridFunction(np.zeros((16,) * 3), 1.0))
-        assert not np.any(got)
-
-    def test_out_cases(self):
-        f = _box_grids(32)[1]
-        before = f.values.copy()
-        ref = mp._spectrum(f)                     # out=None: a new array
-        assert ref is not f.values and np.array_equal(f.values, before)
-        out = np.full_like(before, np.nan)
-        assert mp._spectrum(f, out=out) is out    # a separate array
-        assert np.array_equal(out, ref) and np.array_equal(f.values, before)
-        assert mp._spectrum(f, out=f.values) is f.values   # the input itself
-        assert np.array_equal(f.values, ref)
+        # an all-zero block, off the grid's origin, and an all-zero grid
+        block = ((slice(3, 7), slice(9, 10), slice(14, 16)),
+                 np.zeros((4, 1, 2), dtype=complex))
+        assert not np.any(_tiled_spectrum(block, 16))
+        assert not np.any(mp._spectrum(embed(block, 16, 1.0)))
 
     def test_1d_is_numpy_fft(self):
         g = mp.indicator_interval(8.0, 256, -0.5, 1.5)
         assert np.array_equal(mp._spectrum(g), np.fft.fft(g.values))
-        out = np.empty_like(g.values)
-        assert mp._spectrum(g, out=out) is out
-        assert np.array_equal(out, np.fft.fft(g.values))
 
     def test_in_place_memory(self):
-        # 0.0021 grid measured at 64^3: the live-column mask and FFT buffers
+        # one copy of the input, transformed in place: 1.00 grid measured at
+        # 64^3; a second full-size buffer would not fit
         f = _box_grids(64)[1]
         tracemalloc.start()
         try:
-            mp._spectrum(f, out=f.values)
+            mp._spectrum(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.05 * f.values.nbytes
+        assert peak <= 1.05 * f.values.nbytes
 
 
 class TestBoxImage:
@@ -380,9 +403,11 @@ class TestBoxImage:
                               0.0, 1.0)
                 return np.prod(cov, axis=-1)
 
-            ind = mp.indicator_box(box, extent, samples).values
+            ind = embed(mp.indicator_box(box, extent, samples), samples,
+                        extent).values
             assert np.array_equal(ind, _full_grid(grid, coverage))
-            img = mp.box_image_grid(box, ntilde, grid).values
+            img = embed(mp.box_image_grid(box, ntilde, grid), samples,
+                        extent).values
             want = _full_grid(
                 grid, lambda pts: mp.box_halfspace_image(box, ntilde, pts))
             assert np.array_equal(img, want)
@@ -392,7 +417,7 @@ class TestBoxImage:
         # modulation-128's grid: k = 1, 128^3, extent 12
         grid = mp.GridFunction(np.zeros(128), 12.0)
         for box, ntilde in zip(boxes_k1.boxes_f, boxes_k1.normals):
-            img = mp.box_image_grid(box, ntilde, grid).values
+            img = embed(mp.box_image_grid(box, ntilde, grid), 128, 12.0).values
             want = _full_grid(
                 grid, lambda pts: mp.box_halfspace_image(box, ntilde, pts))
             assert np.array_equal(img, want) and np.count_nonzero(img) > 0
@@ -408,22 +433,36 @@ class TestBoxImage:
         box = bs.Box3([0.3, -0.2, 0.45], axes, [0.4, 0.3, 0.25])
         ntilde = 2.0 * box.axes[0]
         grid = mp.GridFunction(np.zeros(64), 2.0)
-        img = mp.box_image_grid(box, ntilde, grid).values
+        img = embed(mp.box_image_grid(box, ntilde, grid), 64, 2.0).values
         want = _full_grid(
             grid, lambda pts: mp.box_halfspace_image(box, ntilde, pts))
         assert np.array_equal(img, want) and np.count_nonzero(img) > 0
 
+    def test_image_of_a_prism_off_the_grid_is_an_empty_block(self):
+        # the prism around the x_0 axis passes x_1 = x_2 = 5, outside
+        # [-2, 2)^3: no point passes, and the block is empty
+        box = bs.Box3([0.0, 5.0, 5.0], np.eye(3), [0.3, 0.2, 0.2])
+        grid = mp.GridFunction(np.zeros(16), 2.0)
+        block = mp.box_image_grid(box, 2.0 * box.axes[0], grid)
+        assert block[1].size == 0
+        assert not np.any(embed(block, 16, 2.0).values)
+        assert all(not np.any(tile)
+                   for _, tile in mp._spectrum_tiles(block, 16))
+
     def test_image_allocates_no_full_size_temporary(self, boxes_k1):
-        # the output and the blocks around the prism: 1.03 grids measured
-        # at 64^3; a full-grid float form or boolean mask would not fit
+        # the output block (0.11 grid) and the per-plane blocks around the
+        # prism: 1.31 blocks measured at 64^3; a full-grid float form or
+        # boolean mask would not fit
         grid = mp.GridFunction(np.zeros(64), 6.0)
         tracemalloc.start()
         try:
-            mp.box_image_grid(boxes_k1.boxes_f[0], boxes_k1.normals[0], grid)
+            _, values = mp.box_image_grid(boxes_k1.boxes_f[0],
+                                          boxes_k1.normals[0], grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * 64**3 * 16
+        assert values.nbytes <= 0.15 * 64**3 * 16
+        assert peak <= 1.5 * values.nbytes
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_indicator_near_matmul_frame(self, k):
@@ -440,7 +479,7 @@ class TestBoxImage:
                               0.0, 1.0)
                 return np.prod(cov, axis=-1)
 
-            ind = mp.indicator_box(box, 4.0, 128).values
+            ind = embed(mp.indicator_box(box, 4.0, 128), 128, 4.0).values
             assert np.max(np.abs(ind - _full_grid(grid, coverage))) <= 2e-15
 
     def test_linear_form_order(self):
@@ -836,9 +875,11 @@ class TestModulation:
             row = []
             for f_box, ntilde, ray in zip(boxes.boxes_f, boxes.normals,
                                           boxes.light_rays):
-                g = mp.fft_multiplier_apply(mp.indicator_box(f_box, 6.0, 64),
-                                            mp.Cone(), shift=r_mod * ray)
-                oracle = mp.box_image_grid(f_box, ntilde, grid).values
+                g = mp.fft_multiplier_apply(
+                    embed(mp.indicator_box(f_box, 6.0, 64), 64, 6.0),
+                    mp.Cone(), shift=r_mod * ray)
+                oracle = embed(mp.box_image_grid(f_box, ntilde, grid), 64,
+                               6.0).values
                 row.append(float(np.linalg.norm(g.values - oracle)
                                  / np.linalg.norm(oracle)))
             expected.append(row)
@@ -856,8 +897,10 @@ class TestModulation:
         expected = [[] for _ in r_list]
         for f_box, ntilde, ray in zip(boxes_k1.boxes_f, boxes_k1.normals,
                                       boxes_k1.light_rays):
-            fhat = np.fft.fftn(mp.indicator_box(f_box, 6.0, 64).values)
-            ohat = np.fft.fftn(mp.box_image_grid(f_box, ntilde, grid).values)
+            fhat = np.fft.fftn(
+                embed(mp.indicator_box(f_box, 6.0, 64), 64, 6.0).values)
+            ohat = np.fft.fftn(
+                embed(mp.box_image_grid(f_box, ntilde, grid), 64, 6.0).values)
             for row, r_mod in zip(expected, r_list):
                 m = mp.sample_symbol(mp.Cone(), freqs, shift=r_mod * ray)
                 row.append(float(np.linalg.norm(m * fhat - ohat)
@@ -905,16 +948,59 @@ class TestModulation:
         # 24 on the modulated symbols at either size, more at the apex
         assert sum(halves[:-1]) > 0 and halves[-1] > 0
 
-    def test_peak_memory_is_two_spectra(self, boxes_k1):
-        # the two densities overwrite the oracle's spectrum: 2.23 complex
-        # grids measured at 64^3; a full symbol and product per R took 4.10
+    def test_sweep_holds_no_full_grid(self, boxes_k1):
+        # the oracle's block and its axis-2 lines, two tiles and O(M^2) per
+        # R: 0.50 complex grid measured at 128^3; two full spectra took 2.10
         tracemalloc.start()
         try:
-            mp.modulation_convergence(boxes_k1, [1.0, 3.0, 9.0], 64, 6.0)
+            mp.modulation_convergence(boxes_k1, [1.0, 4.0, 16.0, 64.0], 128,
+                                      12.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 64**3 * 16
+        assert peak <= 0.75 * 128**3 * 16
+
+    @pytest.mark.parametrize("k, samples, extent",
+                             [(1, 64, 6.0), (2, 64, 6.0), (1, 128, 12.0)])
+    def test_rows_do_not_depend_on_the_tile(self, k, samples, extent,
+                                            monkeypatch):
+        # tiles of 1, 3 and 8 columns (the last tile narrower at 3) and of
+        # all M; each budget is seen to give its width
+        boxes = bs.build_boxes(bs.build_perron_rectangles(k))
+        r_list = [1.0, 3.0, 9.0]
+        default = mp.modulation_convergence(boxes, r_list, samples, extent)
+        tiles = mp._spectrum_tiles
+        for width in (1, 3, 8, samples):
+            seen = []
+
+            def recorded(block, m):
+                for cols, tile in tiles(block, m):
+                    seen.append(cols.stop - cols.start)
+                    yield cols, tile
+
+            monkeypatch.setattr(mp, "_spectrum_tiles", recorded)
+            monkeypatch.setattr(mp, "_TILE_VALUES", width * samples**2)
+            rows = mp.modulation_convergence(boxes, r_list, samples, extent)
+            assert rows == default
+            # each box's two spectra, tile by tile
+            last = samples % width or width
+            per_box = [width] * (samples // width) + [last] * (last < width)
+            assert seen == [n for n in per_box for _ in "io"] * boxes.n_boxes
+
+    def test_periodization_refused_before_any_build(self, boxes_k1,
+                                                    monkeypatch):
+        # the k = 1 boxes reach 1.017 from the origin in the sup norm, so
+        # with one cell of antialiasing they exceed half of extent 2.0 at
+        # 64^3 (1.080 > 1.0) but not of 2.2 (1.086 <= 1.1)
+        built = []
+        for name in ("indicator_box", "box_image_grid"):
+            monkeypatch.setattr(mp, name, lambda *a, _f=getattr(mp, name):
+                                built.append(a) or _f(*a))
+        with pytest.raises(ValueError, match="half the extent"):
+            mp.modulation_convergence(boxes_k1, [1.0], 64, 2.0)
+        assert built == []
+        mp.modulation_convergence(boxes_k1, [1.0], 64, 2.2)
+        assert len(built) == 4
 
     def test_empty_sweep(self, boxes_k1):
         assert mp.modulation_convergence(boxes_k1, [], 64, 6.0) == []
@@ -964,7 +1050,7 @@ def _tensor_defect_4d(phi, k, normal_last):
     against the 3D image ⊗ phi."""
     boxes = bs.build_boxes(bs.build_perron_rectangles(k))
     ntilde3 = boxes.normals[0]
-    ind3 = mp.indicator_box(boxes.boxes_f[0], 4.0, 32)
+    ind3 = embed(mp.indicator_box(boxes.boxes_f[0], 4.0, 32), 32, 4.0)
     fhat = np.fft.fftn(np.multiply.outer(ind3.values, phi.values))
     normal4 = np.concatenate([ntilde3, [normal_last]])
     symbol = mp.sample_symbol(mp.HalfSpace(tuple(normal4)),
