@@ -210,10 +210,6 @@ class BoxFamily:
     def boxes_f(self):
         return self.f.boxes
 
-    @property
-    def boxes_f_shifted(self):
-        return self.f_shifted.boxes
-
 
 # --- construction ------------------------------------------------------------
 
@@ -355,8 +351,8 @@ def _sat_overlap(centers, axes, halves, i, j):
 
 # --- union measure -----------------------------------------------------------
 
-# union_measure is exact: the resolution it requires changes nothing (stats.csv
-# keeps the column at the old default)
+# union_measure is exact: the resolution it requires changes nothing, and
+# UNION_RESOLUTION is still passed only because perfbench/ passes one
 UNION_RESOLUTION = 2.0**-14
 _UNION_VALUES = 2**18
 

@@ -149,7 +149,6 @@ def cmd_besicovitch(args):
         "total_area": family.total_area(),
         # build_perron_rectangles returns only SAT-verified families
         "translates_disjoint": True,
-        "resolution": bs.UNION_RESOLUTION,
     }
     write_csv(out_dir / "stats.csv", list(row), [row])
     config = {"command": "besicovitch", "k": args.k}
@@ -160,12 +159,11 @@ def cmd_besicovitch(args):
 
 # --- ratio experiment --------------------------------------------------------------
 
-# report.csv's columns, ExperimentReport's field names; wall_ms is a
-# constant 0, since timings go to manifest.json
-REPORT_COLUMNS = (
-    "k", "N", "eps_hat", "p", "lhs", "rhs_exact", "rhs_stderr",
-    "rhs_holder", "ratio", "ratio_holder", "m_lower", "wall_ms", "control",
-)
+# report.csv's columns: ExperimentReport's fields but kappa, which goes to
+# manifest.json with the timings
+REPORT_COLUMNS = tuple(field.name
+                       for field in dataclasses.fields(mp.ExperimentReport)
+                       if field.name != "kappa")
 
 RATIO_SCHEMA = {
     "k_list": ("ints", REQUIRED),
@@ -191,8 +189,7 @@ def cmd_ratio(args):
             config["mc_samples"], config["seed"])
         timings[f"k{k}"] = 1e3 * (time.perf_counter() - start)
         kappa[f"k{k}"] = reports[0].kappa
-        rows.extend({**dataclasses.asdict(report), "wall_ms": 0.0}
-                    for report in reports)
+        rows.extend(dataclasses.asdict(report) for report in reports)
         # rewritten per level: a failing level leaves the finished rows
         write_csv(out_dir / "report.csv", REPORT_COLUMNS, rows)
 
@@ -453,7 +450,7 @@ def _engine_checks(fast):
         # cross-section area is 4 times the product of the half extents
         boxes = level3()
         nodes, weights = np.polynomial.legendre.leggauss(16)
-        for box, moved, ntilde in zip(boxes.boxes_f, boxes.boxes_f_shifted,
+        for box, moved, ntilde in zip(boxes.boxes_f, boxes.f_shifted.boxes,
                                       boxes.normals):
             i = mp.box_axis_interval(box, ntilde)[0]
             half = moved.half_extents

@@ -47,7 +47,7 @@ def test_criterion_1_construction_identities(families, box_families):
         ok &= bs.translates_disjoint(family)
         vols = np.array([b.volume() for b in boxes.boxes_f])
         ok &= bool(np.max(np.abs(vols - 1.0 / (2 * n))) <= 1e-12)
-        total = sum(b.volume() for b in boxes.boxes_f_shifted)
+        total = sum(b.volume() for b in boxes.f_shifted.boxes)
         ok &= abs(total - 0.5) <= 1e-12
         ok &= all(
             bool(np.all(e.contains(f.vertices(), slack=1e-12)))

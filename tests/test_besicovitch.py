@@ -618,7 +618,7 @@ class TestBoxFamilies:
         for e_box, f_box in zip(boxes_k3.boxes_e, boxes_k3.boxes_f):
             assert e_box.volume() == pytest.approx(1.0 / n, abs=1e-15)
             assert f_box.volume() == pytest.approx(1.0 / (2 * n), abs=1e-15)
-        total = sum(b.volume() for b in boxes_k3.boxes_f_shifted)
+        total = sum(b.volume() for b in boxes_k3.f_shifted.boxes)
         assert total == pytest.approx(0.5, abs=1e-12)
 
     def test_axes_orthonormal(self, boxes_k3):
@@ -701,7 +701,7 @@ class TestBoxFamilies:
         assert np.array_equal(boxes.light_rays, normals * [-1.0, 1.0, 1.0])
         # the Box3 tuples, built on first access, are the same boxes
         for built, per_box in zip((boxes.boxes_e, boxes.boxes_f,
-                                   boxes.boxes_f_shifted), lifted):
+                                   boxes.f_shifted.boxes), lifted):
             assert all(np.array_equal(a.center, b.center)
                        and np.array_equal(a.axes, b.axes)
                        and np.array_equal(a.half_extents, b.half_extents)
@@ -713,7 +713,7 @@ class TestBoxFamilies:
         boxes = bs.build_boxes(bs.build_perron_rectangles(k))
         for stack, rows in zip((boxes.e, boxes.f, boxes.f_shifted),
                                (boxes.boxes_e, boxes.boxes_f,
-                                boxes.boxes_f_shifted)):
+                                boxes.f_shifted.boxes)):
             verts = stack.vertices()
             # every vertex, one ulp inside and one ulp outside its box
             centers = stack.center[:, None, :]
@@ -791,8 +791,8 @@ class TestBoxFamilies:
             boxes = dataclasses.replace(boxes, f_shifted=dataclasses.replace(
                 boxes.f_shifted, center=centers))
         # the LP oracle sees two box translates overlapping
-        assert _lp_margin(boxes.boxes_f_shifted[2],
-                          boxes.boxes_f_shifted[5]) > 1e-3
+        assert _lp_margin(boxes.f_shifted.boxes[2],
+                          boxes.f_shifted.boxes[5]) > 1e-3
         report = bs.box_geometry_check(boxes)
         assert not report["translates_disjoint"]
         assert not report["all_passed"]

@@ -340,7 +340,7 @@ class TestBoxImage:
 
     def test_translate_lower_bound(self, boxes_k1):
         fb, nt = boxes_k1.boxes_f[0], boxes_k1.normals[0]
-        ft = boxes_k1.boxes_f_shifted[0]
+        ft = boxes_k1.f_shifted.boxes[0]
         kappa = mp._translate_images(fb, nt, mp.LHS_TOL)[1]
         rng = np.random.default_rng(73)
         local = rng.uniform(-1, 1, size=(500, 3)) * ft.half_extents
