@@ -448,7 +448,7 @@ def filling_radius(xi, c1):
     if not primitive_idempotent_check(c1):
         raise ValueError("filling_radius expects a primitive idempotent")
     pairing = inner(xi, c1)
-    fillable = pairing > 0.0
+    fillable = np.logical_not(pairing <= 0.0)   # NaN pairing, NaN radius
     lam = np.where(fillable, pairing, 1.0) / inner(c1, c1)
     xi0, shift = _schur_parts(xi, c1, lam)
     low = _v0_compression(xi0 - shift, c1)

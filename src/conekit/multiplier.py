@@ -293,16 +293,11 @@ def halfline_projection_periodic(a, b, t, period):
 
 
 def box_axis_interval(box, n_tilde):
-    """Index of the box axis parallel to n_tilde, its halfline sign, and the
-    1D interval the box occupies along that axis."""
-    idx, sign, a, b, _ = _axis_intervals(box, n_tilde)
-    return int(idx), int(sign), float(a), float(b)
-
-
-def _axis_intervals(box, n_tilde):
-    """``box_axis_interval`` for one box or, row by row, for a stack of
-    boxes and normals, plus the axis rows themselves.  The stacked products
-    are one BLAS call per row, with the bits of the single-box products."""
+    """Index of the box axis parallel to n_tilde, its halfline sign, the 1D
+    interval [a, b] the box occupies along that axis and the axis row, as
+    (idx, sign, a, b, row): 0-d arrays for one box or, row by row, arrays
+    for a stack of boxes and normals.  The stacked products are one BLAS
+    call per row, with the bits of the single-box products."""
     unit = np.asarray(n_tilde, dtype=float)
     unit = unit / np.sqrt(unit[..., None, :] @ unit[..., :, None])[..., 0]
     axes = box.axes
@@ -324,20 +319,18 @@ def box_halfspace_image(box, n_tilde, x):
     """Exact value of the half-space projection of the box indicator at x.
 
     Separates as the 1D half-line projection along the n_tilde axis times
-    the indicator of the cross-section; x may be a single point or an array
-    of points with last dimension 3.
+    the indicator of the cross-section, which ``Box3.contains``'s test
+    decides with that axis left open: an exact 0 off the prism the
+    cross-section sweeps, where the logarithm is not evaluated.  x may be a
+    single point or an array of points with last dimension 3.
     """
-    idx, sign, a, b = box_axis_interval(box, n_tilde)
+    idx, sign, a, b, row = box_axis_interval(box, n_tilde)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    local = (pts - box.center) @ box.axes.T
-    t = pts @ box.axes[idx]
-    line = halfline_projection_1d(a, b, t, sign=sign)
-    cross = np.ones(pts.shape[0], dtype=bool)
-    for other in range(3):
-        if other == idx:
-            continue
-        cross &= np.abs(local[:, other]) <= box.half_extents[other]
-    out = np.where(cross, line, 0.0 + 0.0j)
+    half = np.where(np.arange(3) == idx, np.inf, box.half_extents)
+    cross = bs._box_contains(box.center, box.axes, half, pts)
+    t = pts @ row
+    out = np.zeros(pts.shape[0], dtype=complex)
+    out[cross] = halfline_projection_1d(a, b, t[cross], sign=sign)
     return complex(out[0]) if np.asarray(x).ndim == 1 else out
 
 
@@ -423,7 +416,7 @@ def _translate_images(box, ntilde, tol):
     interval, so the least value sits at the translate end farthest from
     the box, |bs.SHIFT * ntilde| along the axis from the near interval
     endpoint.  The first row that fails a check raises."""
-    idx, _, a, b, row = _axis_intervals(box, ntilde)
+    idx, _, a, b, row = box_axis_interval(box, ntilde)
     shift = bs.SHIFT * np.asarray(ntilde, dtype=float)
     axis_shift = (shift[..., None, :] @ row[..., :, None])[..., 0, 0]
     lo, hi = a + axis_shift, b + axis_shift

@@ -142,12 +142,13 @@ def sample_lie_ball(n, count, rng, margin=0.0):
 def sample_tube(n, count, rng):
     """Tube samples x + iy with x in [-5, 5)^n and y in the cone at margin
     above 0.05, as a batched spin element of shape (count, n)."""
+    a = jd.spin_factor(n)               # refuses n < 3 before any draw
     yprime = rng.normal(size=(count, n - 1))
     y1 = (np.linalg.norm(yprime, axis=-1) + 1e-6
           + np.abs(rng.normal(size=count)) + 0.05)
     x = rng.uniform(-5.0, 5.0, size=(count, n))
     coords = x + 1j * np.concatenate((y1[:, None], yprime), axis=-1)
-    return jd.Element(jd.spin_factor(n), coords)
+    return jd.Element(a, coords)
 
 
 def conformal_consistency_check(n, samples, seed):
@@ -215,11 +216,12 @@ _EPS = np.finfo(float).eps
 def szego_kernel_quadrature(z, u, tol=1e-6):
     """Adaptive tensor quadrature of the kernel integral over the light cone.
 
-    ``z`` is a TubePoint (or complex spin element) with Im z in the cone at
-    margin >= 1e-3; ``u`` is a real n-vector.  Returns a KernelSample whose
-    error estimate is the relative change of the last refinement, as is the
-    estimate a BudgetExceededError carries when ``tol`` is not reached, but
-    at least 2^-52: converged levels can agree to the last bit.
+    ``z`` is a finite TubePoint (or complex spin element) with Im z in the
+    cone at margin >= 1e-3; ``u`` is a finite real n-vector.  Returns a
+    KernelSample whose error estimate is the relative change of the last
+    refinement, as is the estimate a BudgetExceededError carries when
+    ``tol`` is not reached, but at least 2^-52: converged levels can agree
+    to the last bit.
     """
     z_elem = z.z if isinstance(z, TubePoint) else z
     n = z_elem.algebra.dim
@@ -228,11 +230,13 @@ def szego_kernel_quadrature(z, u, tol=1e-6):
             "kernel quadrature is implemented for the light cone in R^3"
         )
     u = np.asarray(u, dtype=float)
+    if not (np.all(np.isfinite(z_elem.coords.real)) and np.all(np.isfinite(u))):
+        raise ValueError("Re z and u must be finite")
     w = z_elem.coords - u
     y = w.imag
     margin = y[0] - np.hypot(y[1], y[2])
-    if not margin >= 1e-3:
-        raise ValueError("Im z must sit in the cone with margin >= 1e-3")
+    if not 1e-3 <= margin < np.inf:
+        raise ValueError("Im z must be finite, in the cone at margin >= 1e-3")
 
     prev = None
     err = None

@@ -112,7 +112,7 @@ def gaussian_box_probe(box, n_tilde, extent, samples, widths=None,
         widths = np.maximum(box.half_extents, 2.0 * h)
     if window is None:
         window = extent / 2.0
-    idx, sign, _, _ = mp.box_axis_interval(box, n_tilde)
+    idx, sign, _, _, _ = mp.box_axis_interval(box, n_tilde)
     reach = np.sqrt(3.0) * window + float(np.linalg.norm(box.center))
     shifts = _live_image_shifts(box, widths, idx, extent, reach)
     x = template.axis()

@@ -384,6 +384,21 @@ class TestFillingRadius:
         for r in [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6]:
             assert not jd.in_cone(xi + r * n)
 
+    @pytest.mark.parametrize("algebra, c1, rows", [
+        (jd.spin_factor(3), [0.5, 0.5, 0.0],
+         [[np.nan, 0.0, 0.0], [1.0, 0.2, 0.1], [-1.0, 0.0, 0.0]]),
+        (jd.sym_matrix(3), jd.mat_to_vec(np.diag([1.0, 0.0, 0.0])),
+         [jd.mat_to_vec(np.diag(d)) for d in
+          ([np.nan, 1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0])]),
+    ], ids=["spin", "sym"])
+    def test_nan_pairing_gives_nan(self, algebra, c1, rows):
+        # a NaN pairing is not a pairing <= 0, so its radius is NaN, not the
+        # +inf of an empty set; the other rows keep 0 and +inf
+        c1 = jd.Element(algebra, np.array(c1))
+        radius = jd.filling_radius(jd.Element(algebra, np.array(rows)), c1)
+        assert np.isnan(radius[0]) and list(radius[1:]) == [0.0, np.inf]
+        assert np.isnan(jd.filling_radius(jd.Element(algebra, rows[0]), c1))
+
     def test_existence_on_random_samples(self):
         rng = np.random.default_rng(37)
         cases = [

@@ -358,13 +358,84 @@ class TestBoxImage:
         with pytest.raises(ValueError):
             mp.box_halfspace_image(fb, np.array([0.0, 0.3, 1.0]), fb.center)
 
+    def test_end_planes_off_the_prism_read_zero(self):
+        # the unit cube with ntilde along x_0: t = a or b at every point
+        # below, in exact arithmetic; only the prism points are singular
+        cube = bs.Box3(np.zeros(3), np.eye(3), np.full(3, 0.5))
+        ntilde = np.array([1.0, 0.0, 0.0])
+        off = np.array([[-0.5, 5.0, 0.0], [0.5, 0.0, -0.7],
+                        [-0.5, np.nextafter(0.5, 1.0), 0.5]])
+        assert not np.any(mp.box_halfspace_image(cube, ntilde, off))
+        for point in off:
+            assert mp.box_halfspace_image(cube, ntilde, point) == 0.0
+        for point in ([-0.5, 0.0, 0.0], [0.5, 0.5, -0.5]):
+            with pytest.raises(SingularPointError):
+                mp.box_halfspace_image(cube, ntilde, np.array(point))
+            with pytest.raises(SingularPointError):
+                mp.box_halfspace_image(cube, ntilde, np.vstack([off, point]))
+
+    def test_end_planes_off_the_prism_read_zero_perron_box(self, boxes_k1):
+        # points around the tilted box's end planes, a few ulps apart; those
+        # whose t, computed as the image computes it, is exactly a or b
+        fb, nt = boxes_k1.boxes_f[0], boxes_k1.normals[0]
+        idx, _, a, b, row = mp.box_axis_interval(fb, nt)
+        rest = [i for i in range(3) if i != idx]
+        end_points = []
+        for end in (-1.0, 1.0):
+            for u in (0.0, 0.5, 1.0, 3.0):
+                local = np.zeros(3)
+                local[idx], local[rest[0]], local[rest[1]] = end, u, -0.4 * u
+                point = fb.center + (local * fb.half_extents) @ fb.axes
+                for step in range(-8, 9):
+                    moved = point + step * np.spacing(point)
+                    if (np.atleast_2d(moved) @ row)[0] in (a, b):
+                        end_points.append(moved)
+        prism = box_contains_row_major(
+            fb, end_points, np.where(np.arange(3) == idx, np.inf, 0.0))
+        assert 0 < np.count_nonzero(prism) < len(end_points)
+        for point, on_prism in zip(end_points, prism):
+            if on_prism:
+                with pytest.raises(SingularPointError):
+                    mp.box_halfspace_image(fb, nt, point)
+            else:
+                assert mp.box_halfspace_image(fb, nt, point) == 0.0
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_nonzero_set_is_row_major_cross_section(self, monkeypatch, k):
+        # every box's image on the face points of all the level's boxes: the
+        # closed form runs on the points of the row-major cross-section
+        # test with the ntilde axis left open and on no other point, and is
+        # nonzero there; a prism point on an end face reads 1 instead of
+        # raising, so that one batch holds all the points
+        closed_form, seen = mp.halfline_projection_1d, []
+
+        def guarded(a, b, t, sign=1):
+            seen.append(t)
+            end = (t == a) | (t == b)
+            out = np.ones(t.shape, dtype=complex)
+            out[~end] = closed_form(a, b, t[~end], sign)
+            return out
+
+        monkeypatch.setattr(mp, "halfline_projection_1d", guarded)
+        boxes = _family(k)
+        pts = _face_points(boxes.boxes_f)
+        for box, nt in zip(boxes.boxes_f, boxes.normals):
+            idx, _, _, _, row = mp.box_axis_interval(box, nt)
+            slack = np.where(np.arange(3) == idx, np.inf, 0.0)
+            cross = box_contains_row_major(box, pts, slack)
+            seen.clear()
+            image = mp.box_halfspace_image(box, nt, pts)
+            assert np.array_equal(image != 0.0, cross)
+            assert len(seen) == 1 and np.array_equal(seen[0],
+                                                     (pts @ row)[cross])
+
     def test_translate_integral_matches_antiderivative(self):
         # independent oracle: adaptive Gauss-Kronrod on the line integrand,
         # for every box at k = 1..8
         for k in range(1, 9):
             boxes = bs.build_boxes(bs.build_perron_rectangles(k))
             for fb, nt in zip(boxes.boxes_f, boxes.normals):
-                idx, _, a, b = mp.box_axis_interval(fb, nt)
+                idx, _, a, b, _ = mp.box_axis_interval(fb, nt)
                 shift = bs.SHIFT * float(nt @ fb.axes[idx])
                 line, _ = quad(
                     lambda t: abs(np.log(abs((t - a) / (t - b)))),

@@ -274,6 +274,24 @@ class TestKernelQuadrature:
             )
             assert s.value == pytest.approx(base.value * lam**-3, rel=1e-7)
 
+    @pytest.mark.parametrize("coords, u", [
+        ((0.0 + 1j, 0.0, 0.0), (0.0, np.nan, 0.0)),
+        ((np.nan + 1j, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, np.inf, 0.0), (0.0, 0.0, 0.0)),
+        ((complex(0.0, np.inf), 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0 + 1j, 0.0, 0.0), (np.inf, 0.0, 0.0)),
+    ], ids=["nan u", "nan Re z", "inf Re z", "inf Im z", "inf u"])
+    def test_non_finite_input_refused_before_any_level(self, monkeypatch,
+                                                       coords, u):
+        # bad input is a usage error, not a missed tolerance: no level runs
+        def no_level(*args):
+            raise AssertionError("a quadrature level ran")
+
+        monkeypatch.setattr(sz, "_kernel_fixed_order", no_level)
+        with pytest.raises(ValueError, match="must be finite"):
+            sz.szego_kernel_quadrature(sz.TubePoint(spin_elem(*coords)),
+                                       np.array(u))
+
     def test_power_law_constancy(self):
         samples = cli._kernel_points(3, 20, np.random.default_rng(149))
         products = sz.kernel_power_law_products(samples)
@@ -466,10 +484,11 @@ class TestSamplers:
             sample(3, -3, _NoDraws())
 
     @pytest.mark.parametrize("sample", [sz.sample_lie_ball,
-                                        sz.sample_shilov_boundary])
+                                        sz.sample_shilov_boundary,
+                                        sz.sample_tube])
     def test_dimension_below_three_refused_before_any_draw(self, sample):
-        # jordan has no spin factor below dimension 3, so neither sampler
-        # may draw for one
+        # jordan has no spin factor below dimension 3, so no sampler may
+        # draw for one
         rng = np.random.default_rng(512)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="dimension >= 3"):
