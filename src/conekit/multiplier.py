@@ -12,7 +12,9 @@ lower bound  sum_j integral over the translated box of |H_j 1_{F_j}|  (the
 translates are pairwise disjoint, so this never overcounts); the right side
 uses the stratified Monte-Carlo identity
 
-    integral count^s = sum_j |F_j| * E_{x ~ Unif(F_j)} [count(x)^(s-1)].
+    integral count^s = sum_j |F_j| * E_{x ~ Unif(F_j)} [count(x)^(s-1)],
+
+each expectation read off the stratum's integer histogram of cover counts.
 """
 
 from __future__ import annotations
@@ -256,11 +258,11 @@ def halfline_projection_1d(a, b, t, sign=1):
     """Value at t of the positive-frequency part of 1_[a,b].
 
     Closed form (1/2) 1_[a,b](t) + sign * (i / 2 pi) log|t-a|/|t-b|; raises
-    at the interval endpoints where the logarithm is singular.
+    at non-finite input and at the interval ends, where the log is singular.
     """
-    if not a < b:
-        raise ValueError("need a < b")
     t = np.asarray(t, dtype=float)
+    if not (-np.inf < a < b < np.inf and np.all(np.isfinite(t))):
+        raise ValueError("need finite a < b and a finite t")
     if np.any(t == a) or np.any(t == b):
         raise SingularPointError("evaluation at an interval endpoint")
     real = 0.5 * ((t > a) & (t < b))
@@ -270,7 +272,7 @@ def halfline_projection_1d(a, b, t, sign=1):
 
 
 def halfline_projection_periodic(a, b, t, period):
-    """Periodized positive-frequency projection of 1_[a,b].
+    """Periodized positive-frequency projection of 1_[a,b], at finite t.
 
     The DFT path acts on the periodization of the input, so its continuum
     limit is this function, not the line closed form: summing the Hilbert
@@ -278,9 +280,9 @@ def halfline_projection_periodic(a, b, t, period):
 
         (1/2 pi) log | sin(pi (t-a)/P) / sin(pi (t-b)/P) |.
     """
-    if not 0.0 < b - a < period < np.inf:
-        raise ValueError("need 0 < b - a < period < inf")
     t = np.asarray(t, dtype=float)
+    if not (0.0 < b - a < period < np.inf and np.all(np.isfinite(t))):
+        raise ValueError("need 0 < b - a < period < inf and a finite t")
     sa = np.sin(np.pi * (t - a) / period)
     sb = np.sin(np.pi * (t - b) / period)
     if np.any(sa == 0.0) or np.any(sb == 0.0):
@@ -321,11 +323,13 @@ def box_halfspace_image(box, n_tilde, x):
     Separates as the 1D half-line projection along the n_tilde axis times
     the indicator of the cross-section, which ``Box3.contains``'s test
     decides with that axis left open: an exact 0 off the prism the
-    cross-section sweeps, where the logarithm is not evaluated.  x may be a
-    single point or an array of points with last dimension 3.
+    cross-section sweeps, where the logarithm is not evaluated.  x, a point
+    or an array of points with last dimension 3, must be finite.
     """
     idx, sign, a, b, row = box_axis_interval(box, n_tilde)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("x must be finite")
     half = np.where(np.arange(3) == idx, np.inf, box.half_extents)
     cross = bs._box_contains(box.center, box.axes, half, pts)
     t = pts @ row
@@ -468,19 +472,6 @@ def _cover_counts(stack, pts):
     return counts
 
 
-def _pooled(acc, g):
-    """The summary (points, mean, sum of squared deviations) ``acc`` pooled
-    with the sample ``g`` by the pairwise update of Chan, Golub & LeVeque
-    (1979); ``acc`` is None before the first sample, summed up as is."""
-    mean = g.mean()
-    m2 = np.sum((g - mean) ** 2)
-    if acc is None:
-        return len(g), mean, m2
-    na, ma, sa = acc
-    n, delta = na + len(g), mean - ma
-    return n, ma + delta * len(g) / n, sa + m2 + delta**2 * na * len(g) / n
-
-
 def stratified_count_moment(boxes, power, n_samples, seed):
     """Stratified Monte-Carlo estimate of integral count(x)^(power+1) via
 
@@ -488,12 +479,14 @@ def stratified_count_moment(boxes, power, n_samples, seed):
 
     returning (estimate, standard error) on the Philox stream of ``seed``.
     ``power`` is a float, or a sequence of them that all read one draw and
-    one count and return arrays; each power is taken on its own, so its pair
-    is bit-identical to a call with that power alone.  Strata are drawn and
-    counted in consecutive groups of at most ``bs._BLOCK_VALUES / 16``
-    points (16 values a point hold the points, counts and copies in
-    ``contains``), and a larger stratum in consecutive chunks of that size,
-    whose statistics are pooled; one that fits keeps the bits of one draw.
+    one count and return arrays.  Strata are drawn and counted in
+    consecutive groups of at most ``bs._BLOCK_VALUES / 16`` points (16
+    values a point hold the points, counts and copies in ``contains``), a
+    larger stratum in chunks of that size, and tallied into one integer
+    histogram [stratum, count], so no grouping or chunking changes a bit.
+    Each power takes its per-stratum mean and two-pass sum of squared
+    deviations from the cells some point hit, never forming 0^power at an
+    empty one, so its pair is bit-identical to a call with it alone.
     ``n_samples`` must be an integer (TypeError) and every power finite
     (ValueError), checked before any draw.
     """
@@ -509,26 +502,32 @@ def stratified_count_moment(boxes, power, n_samples, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     cap = bs._BLOCK_VALUES // 16
     strata = max(1, cap // int(per_box[0]))
-    stats = [[None] * n for _ in powers]     # per power and stratum
+    hist = np.zeros((n, 1), dtype=np.int64)   # [stratum, count]
     f = boxes.f
     for first in range(0, n, strata):
-        group = range(first, min(first + strata, n))
+        group = slice(first, min(first + strata, n))
         for start in range(0, per_box[first], cap):
-            sizes = [min(cap, per_box[j] - start) for j in group]
+            sizes = np.minimum(cap, per_box[group] - start)
             pts = np.concatenate([
                 c + (rng.uniform(-1.0, 1.0, (m, 3)) * half) @ axes
-                for c, axes, half, m in zip(f.center[first:], f.axes[first:],
-                                            f.half_extents[first:], sizes)])
-            counts = _cover_counts(f, pts).astype(float)
-            for j, c in zip(group, np.split(counts, np.cumsum(sizes)[:-1])):
-                for acc, s in zip(stats, powers):
-                    acc[j] = _pooled(acc[j], c**s)
-    vols = f.volume().tolist()
-    estimates = np.array([sum(v * mean for v, (_, mean, _) in zip(vols, acc))
-                          for acc in stats])
-    errors = np.sqrt([sum(v**2 * (m2 / (m - 1)) / m
-                          for v, (m, _, m2) in zip(vols, acc))
-                      for acc in stats])
+                for c, axes, half, m in zip(f.center[group], f.axes[group],
+                                            f.half_extents[group], sizes)])
+            counts = _cover_counts(f, pts)
+            width = max(hist.shape[1], int(counts.max()) + 1)
+            if width > hist.shape[1]:
+                hist = np.pad(hist, ((0, 0), (0, width - hist.shape[1])))
+            cells = np.repeat(np.arange(len(sizes)), sizes) * width + counts
+            hist[group] += np.bincount(cells, minlength=len(sizes) * width
+                                       ).reshape(-1, width)
+    rows, cols = np.nonzero(hist)
+    tally, vols, pairs = hist[rows, cols], f.volume(), []
+    for s in powers:
+        vals = cols.astype(float) ** s
+        mean = np.bincount(rows, tally * vals, n) / per_box
+        m2 = np.bincount(rows, tally * (vals - mean[rows]) ** 2, n)
+        pairs.append((sum(vols * mean),
+                      np.sqrt(sum(vols**2 * (m2 / (per_box - 1)) / per_box))))
+    estimates, errors = np.array(pairs).T
     if np.ndim(power) == 0:
         return float(estimates[0]), float(errors[0])
     return estimates, errors

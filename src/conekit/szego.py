@@ -82,27 +82,27 @@ def cayley(w):
     """Phi(w) = i (e + w)(e - w)^(-1) in the Jordan algebra sense."""
     e = jd.identity(w.algebra)
     wc = jd.Element(w.algebra, w.coords.astype(complex))
-    return 1j * _guarded_quotient(e + wc, e - wc, wc,
-                                  "point is outside Dom Phi (det(e - w) ~ 0)")
+    _guarded_det(e - wc, wc)
+    return 1j * jd.jordan_product(e + wc, jd.jordan_inverse(e - wc))
 
 
 def cayley_inverse(z):
     """Phi^(-1)(z) = (z - i e)(z + i e)^(-1); round-trips with ``cayley``."""
     zc = jd.Element(z.algebra, z.coords.astype(complex))
     ie = 1j * jd.identity(z.algebra)
-    return _guarded_quotient(zc - ie, zc + ie, zc,
-                             "det(z + i e) ~ 0; Cayley inverse singular")
+    _guarded_det(zc + ie, zc, "det(z + i e) ~ 0; Cayley inverse singular")
+    return jd.jordan_product(zc - ie, jd.jordan_inverse(zc + ie))
 
 
-def _guarded_quotient(num, denom, x, message):
-    """num * denom^(-1), refused with NearSingularityError(message) unless
-    |det(denom)| > DOM_PHI_MARGIN (1 + |x|^rank) on every row of x, so a
-    NaN row is refused too."""
+def _guarded_det(denom, x,
+                 message="point is outside Dom Phi (det(e - w) ~ 0)"):
+    """|det(denom)|, refused with NearSingularityError(message) unless above
+    DOM_PHI_MARGIN (1 + |x|^rank) on every row of x, a NaN row included."""
     det = np.abs(jd.determinant(denom))
     if not np.all(det > DOM_PHI_MARGIN
                   * (1.0 + jd.norm(x) ** x.algebra.rank)):
         raise NearSingularityError(message)
-    return jd.jordan_product(num, jd.jordan_inverse(denom))
+    return det
 
 
 def _accepted_rows(count, draw):
@@ -296,9 +296,9 @@ def kernel_power_law_products(samples):
 def cayley_jacobian_modulus(w):
     """|J_Phi(w)| = 2^n |det(e - w)|^(-2n/r), with n and r the dimension
     and rank of the element's algebra (Faraut & Koranyi 1994, ch. X), row
-    by row over a batched element."""
+    by row over a batched element; refused where ``cayley`` refuses."""
     a = w.algebra
-    det = np.abs(jd.determinant(jd.identity(a) - w))
+    det = _guarded_det(jd.identity(a) - w, w)
     # the ufunc, not **: a numpy scalar's ** rounds apart from the array
     # loop, and a batch must equal its per-row calls bit for bit
     return 2.0 ** a.dim * np.power(det, -2 * a.dim / a.rank)

@@ -320,10 +320,14 @@ def translate_image_per_box(f_box, ntilde):
     return integral, minimum
 
 
-def pair_loop_moment(boxes_f, powers, n_samples, seed):
+def pair_loop_moment(boxes_f, powers, n_samples, seed, histogram=True):
     """The count moment as first written, one ``contains`` call per pair of
     stratum and box in the sequence of Box3 ``boxes_f``; one (estimate,
-    stderr) per power, from one draw."""
+    stderr) per power, from one draw.  A stratum's mean and sum of squared
+    deviations are sum_v h_v v^s / m and sum_v h_v (v^s - mean)^2 over the
+    counts v its histogram h holds, added in ascending v; with
+    ``histogram=False``, ``g.mean()`` and ``g.var(ddof=1)`` of the
+    per-point values g = count^s."""
     n = len(boxes_f)
     per_box = np.full(n, n_samples // n)
     per_box[: n_samples % n] += 1
@@ -336,11 +340,24 @@ def pair_loop_moment(boxes_f, powers, n_samples, seed):
         counts = np.zeros(m, dtype=np.int64)
         for other in boxes_f:
             counts += other.contains(pts)
+        hist = np.bincount(counts)
+        hit = np.flatnonzero(hist)
         vol = f_box.volume()
         for acc, power in zip(sums, powers):
-            g = counts.astype(float) ** power
-            acc[0] += vol * g.mean()
-            acc[1] += vol**2 * g.var(ddof=1) / m
+            if histogram:
+                vals = hit.astype(float) ** power
+                mean = m2 = 0.0
+                for h, v in zip(hist[hit], vals):
+                    mean += h * v
+                mean /= m
+                for h, v in zip(hist[hit], vals):
+                    m2 += h * ((v - mean) * (v - mean))
+                var = m2 / (m - 1)
+            else:
+                g = counts.astype(float) ** power
+                mean, var = g.mean(), g.var(ddof=1)
+            acc[0] += vol * mean
+            acc[1] += vol**2 * var / m
     return [(total, float(np.sqrt(var))) for total, var in sums]
 
 

@@ -90,6 +90,24 @@ class TestHalflineClosedForm:
             mp.halfline_projection_periodic(a, b, np.array([1.0, 2.0]),
                                             period)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_refused(self, bad):
+        # the logarithm of a non-finite t is NaN or inf; only the guard
+        # refuses it
+        for t in (bad, np.array([1.0, bad, 2.0])):
+            with pytest.raises(ValueError, match="finite t"):
+                mp.halfline_projection_1d(-0.5, 0.5, t)
+            with pytest.raises(ValueError, match="finite t"):
+                mp.halfline_projection_periodic(-0.5, 0.5, t, 64.0)
+
+    @pytest.mark.parametrize("a, b", [(-np.inf, 0.5), (-0.5, np.inf),
+                                      (np.nan, 0.5), (0.5, -0.5)])
+    def test_infinite_or_reversed_interval_refused(self, a, b):
+        # at an infinite end the imaginary part is inf, and 1j * inf has
+        # the real part 0 * inf = NaN
+        with pytest.raises(ValueError, match="finite a < b"):
+            mp.halfline_projection_1d(a, b, 1.0)
+
 
 class TestFFTPath:
     def test_identity_symbol(self):
@@ -352,6 +370,19 @@ class TestBoxImage:
         fb, nt = boxes_k1.boxes_f[0], boxes_k1.normals[0]
         outside = fb.center + 2.0 * fb.axes[1]
         assert mp.box_halfspace_image(fb, nt, outside) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_non_finite_point_refused(self, boxes_k1, bad, axis):
+        # a non-finite coordinate fails every cross-section test, so only
+        # the guard keeps such a point from reading an exact 0
+        fb, nt = boxes_k1.boxes_f[0], boxes_k1.normals[0]
+        point = fb.center.copy()
+        point[axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mp.box_halfspace_image(fb, nt, point)
+        with pytest.raises(ValueError, match="finite"):
+            mp.box_halfspace_image(fb, nt, np.vstack([fb.center, point]))
 
     def test_non_axis_normal_rejected(self, boxes_k1):
         fb = boxes_k1.boxes_f[0]
@@ -814,19 +845,85 @@ class TestCountMoment:
     def test_groups_of_strata_do_not_change_bits(self, monkeypatch, strata):
         # k = 4: 16 strata of 63 or 62 points, so the groups end unevenly
         boxes = _family(4)
-        expected = pair_loop_moment(boxes.boxes_f, (-0.5,), 1003, 9)[0]
+        expected = pair_loop_moment(boxes.boxes_f, self.POWERS, 1003, 9)
         monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * 63 * strata)
-        assert mp.stratified_count_moment(boxes, -0.5, 1003, 9) == expected
+        assert mp.stratified_count_moment(boxes, -0.5, 1003, 9) == expected[0]
+        got = mp.stratified_count_moment(boxes, self.POWERS, 1003, 9)
+        assert [tuple(pair) for pair in zip(*got)] == expected
 
     @pytest.mark.parametrize("cap", [1, 7, 62])
     def test_split_strata_agree_with_pair_loop(self, monkeypatch, cap):
-        # k = 4: strata of 63 or 62 points, drawn in chunks of at most cap
+        # k = 4: strata of 63 or 62 points, drawn in chunks of at most cap;
+        # integer tallies add exactly, so the chunks change no bit
         boxes = _family(4)
         expected = pair_loop_moment(boxes.boxes_f, self.POWERS, 1003, 9)
         monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * cap)
         got = mp.stratified_count_moment(boxes, self.POWERS, 1003, 9)
-        for pair, ref in zip(zip(*got), expected):
-            assert pair == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert [tuple(pair) for pair in zip(*got)] == expected
+
+    @pytest.mark.parametrize("cap", [None, 1, 7, 62])
+    def test_each_power_alone_matches_the_list(self, monkeypatch, cap):
+        boxes = _family(4)
+        if cap is not None:
+            monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * cap)
+        powers = (*self.POWERS, 0.5, -1.0)
+        got = mp.stratified_count_moment(boxes, powers, 1003, 9)
+        for s, pair in zip(powers, zip(*got), strict=True):
+            assert mp.stratified_count_moment(boxes, s, 1003, 9) == pair
+
+    def test_later_block_widens_the_histogram(self, monkeypatch):
+        # k = 6: strata of 31 or 32 points, drawn 20 at a time; the first
+        # block's largest count is 58, and later blocks meet 60 and 61
+        boxes = _family(6)
+        maxima, cover_counts = [], mp._cover_counts
+
+        def recorded(stack, pts):
+            counts = cover_counts(stack, pts)
+            maxima.append(int(counts.max()))
+            return counts
+
+        expected = pair_loop_moment(boxes.boxes_f, self.POWERS, 2000, 4)
+        monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * 20)
+        monkeypatch.setattr(mp, "_cover_counts", recorded)
+        got = mp.stratified_count_moment(boxes, self.POWERS, 2000, 4)
+        assert [tuple(pair) for pair in zip(*got)] == expected
+        assert any(m > max(maxima[:i]) for i, m in enumerate(maxima) if i)
+
+    def test_planted_zero_count_forms_no_nan(self, monkeypatch):
+        # one point of the fifth stratum counted 0: its power enters that
+        # stratum alone, so no stratum sums 0 * 0^s at a cell it never hit
+        boxes = _family(3)
+        powers = (-0.5, 0.0, 0.5)
+        clean = mp.stratified_count_moment(boxes, powers, 800, 6)
+        cover_counts = mp._cover_counts
+
+        def planted(stack, pts):
+            counts = cover_counts(stack, pts)
+            counts[4 * 100] = 0          # strata of 100 points, one group
+            return counts
+
+        monkeypatch.setattr(mp, "_cover_counts", planted)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            estimates, errors = mp.stratified_count_moment(boxes, powers,
+                                                           800, 6)
+        assert estimates[0] == np.inf
+        assert estimates[1] == clean[0][1] and errors[1] == clean[1][1] == 0
+        assert 0.0 < estimates[2] < clean[0][2]
+        assert np.all(np.isfinite(errors[1:]))
+
+    @pytest.mark.parametrize("k, n_samples", [(1, 2_000_000), (4, 20_000),
+                                              (7, 20_000)])
+    def test_histogram_within_8_ulps_of_per_point_summary(self, k,
+                                                          n_samples):
+        # the per-point g.mean() and g.var(ddof=1) sum the same count^s in
+        # another order; 4 ulps is the largest gap measured at k = 1..7
+        boxes = _family(k)
+        expected = pair_loop_moment(boxes.boxes_f, self.POWERS, n_samples,
+                                    3, histogram=False)
+        got = mp.stratified_count_moment(boxes, self.POWERS, n_samples, 3)
+        for pair, ref in zip(zip(*got), expected, strict=True):
+            for value, reference in zip(pair, ref):
+                assert abs(value - reference) <= 8 * np.spacing(reference)
 
     def test_face_points_counted_as_contains_does(self):
         boxes = _family(6).boxes_f

@@ -389,6 +389,17 @@ class TestErrorPaths:
         with pytest.raises(NearSingularityError, match="Dom Phi"):
             sz.cayley(nan)
 
+    def test_jacobian_refused_where_cayley_is(self):
+        # det(e - w) = 0 at w = e, where the closed form divides by zero
+        singular = spin_elem(1.0, 0.0, 0.0)
+        with pytest.raises(NearSingularityError, match="Dom Phi"):
+            sz.cayley_jacobian_modulus(singular)
+        rng = np.random.default_rng(421)
+        coords = spin_batch(sz.sample_lie_ball(3, 5, rng)).coords.copy()
+        coords[2] = [1.0, 0.0, 0.0]
+        with pytest.raises(NearSingularityError, match="Dom Phi"):
+            sz.cayley_jacobian_modulus(jd.Element(jd.spin_factor(3), coords))
+
     def test_budget_exceeded_carries_partial(self):
         from conekit.errors import BudgetExceededError
 
