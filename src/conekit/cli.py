@@ -225,14 +225,24 @@ def _kernel_points(n, count, rng):
 
 def _kernel_relation(n, n_held_out, rng, tol):
     """Fit |c0| on one (Lie-ball interior, Shilov boundary) pair and return
-    it with the relation residuals on ``n_held_out`` further pairs."""
+    it with the relation residuals on ``n_held_out`` further pairs.  A pair
+    whose Cayley image the kernel quadrature cannot resolve to ``tol``
+    (``sz.kernel_quadrature_resolves``) is drawn again."""
     a = jd.spin_factor(n)
-    interior = sz.sample_lie_ball(n, n_held_out + 1, rng, margin=0.05)
-    boundary = sz.sample_shilov_boundary(n, n_held_out + 1, rng, margin=0.15)
+    pairs = []
+    while len(pairs) <= n_held_out:
+        need = n_held_out + 1 - len(pairs)
+        interior = sz.sample_lie_ball(n, need, rng, margin=0.05)
+        boundary = sz.sample_shilov_boundary(n, need, rng, margin=0.15)
+        image = sz.cayley(
+            jd.Element(a, np.concatenate((interior, boundary)))).coords
+        keep = sz.kernel_quadrature_resolves(image[:need], image[need:].real,
+                                             tol)
+        pairs += zip(interior[keep], boundary[keep])
     c0, *others = (
         sz.fit_kernel_relation_constant(jd.Element(a, w), jd.Element(a, wp),
                                         tol=tol)
-        for w, wp in zip(interior, boundary))
+        for w, wp in pairs)
     residuals = [abs(c0 / c - 1.0) for c in others]
     return c0, residuals
 

@@ -5,15 +5,17 @@ Cauchy-Szego kernel.
 Coordinates: Lie-ball points are stored in spin-factor (Jordan)
 coordinates w, on which the Cayley transform w -> i(e + w)(e - w)^(-1)
 acts and the ball is |det w|^2 < 1, 2|w|^2 - 1 < |det w|^2.  The samplers
-draw in the classical chart (the same inequalities with q(z) = sum z_j^2)
-and apply the twist (z_1, z') -> (z_1, i z') once, as they draw; every other
-function takes Jordan coordinates, in (m, n) batches.
+draw in the classical chart (the same inequalities with q(z) = sum z_j^2),
+the Lie ball in polar form with one candidate per point, and apply the twist
+(z_1, z') -> (z_1, i z') once, as they draw; every other function takes
+Jordan coordinates, in (m, n) batches.
 
 The kernel integral over the light cone factorizes in the coordinates
 (t, rho, phi) with xi_1 = rho + t, xi' = rho (cos phi, sin phi): on rotated
 rays the t and rho factors are exp(-s) and s exp(-s), whose integrals
 Gamma(1) = Gamma(2) = 1 are exact, and only the angle is refined, by the
-periodic trapezoid rule.  This checks the closed form
+periodic trapezoid rule, whose error the poles of the angular integrand fix
+before any angle is summed.  This checks the closed form
 c Delta((z - conj w)/i)^(-n/r) of Faraut & Koranyi (1994) independently.
 The Cayley Jacobian is the closed form |J_Phi(w)| = 2^n |det(e - w)|^(-2n/r)
 on every Euclidean Jordan algebra of dimension n and rank r (ibid., ch. X).
@@ -106,10 +108,10 @@ def _guarded_det(denom, x,
 
 
 def _accepted_rows(count, draw):
-    """The first ``count`` accepted rows, in draw order.  ``draw(m)`` returns
-    m candidate rows and their acceptance mask; m follows the acceptance
-    seen so far and is capped at _BLOCK_ROWS.  A negative ``count`` raises
-    ValueError before any draw."""
+    """The first ``count`` accepted rows, in draw order.  ``draw(m)`` makes
+    m candidates and returns rows and their acceptance mask; m follows the
+    acceptance seen so far and is capped at _BLOCK_ROWS.  A negative
+    ``count`` raises ValueError before any draw."""
     if not count >= 0:
         raise ValueError("sample count must be non-negative")
     blocks, have, drawn = [], 0, 0
@@ -123,17 +125,36 @@ def _accepted_rows(count, draw):
 
 
 def sample_lie_ball(n, count, rng, margin=0.0):
-    """``count`` Lie-ball points in spin-factor coordinates, as a (count, n)
-    array: draws from the complex unit ball, twisted and rejection-sampled
-    with both inequalities held at ``margin``."""
+    """``count`` uniform Lie-ball points in spin-factor coordinates, as a
+    (count, n) array, with both inequalities held at ``margin``.
+
+    Drawn in polar form z = exp(i theta)(a xi + i b eta), a >= b >= 0, with
+    (xi, eta) an orthonormal real 2-frame, then twisted.  In t1 = a + b and
+    t2 = a - b the ball is t1 < 1 and Lebesgue measure is
+    t1 t2 (t1^2 - t2^2)^(n-2) dt1 dt2 (the SVD Jacobian of the real n x 2
+    matrix [Re z, Im z]; Faraut & Koranyi 1994, ch. X), the product of
+    t1^(2n-1) and r (1 - r^2)^(n-2) in r = t2 / t1: t1^(2n) is uniform and
+    1 - r^2 is Beta(1, n - 1).  The margin region is (t1 t2)^2 < 1 - margin
+    and (1 - t1^2)(1 - t2^2) > margin, so frames are built only for pairs
+    that pass it; each row is then held to ``lie_ball_contains``."""
     if not 0.0 <= margin < 1.0:
         raise ValueError("Lie-ball margin must lie in [0, 1)")
     jd.spin_factor(n)                   # refuses n < 3 before any draw
 
     def draw(m):
-        z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-        radius = rng.uniform(size=m) ** (1.0 / (2 * n))
-        w = _twist(z * (radius / np.linalg.norm(z, axis=-1))[:, None])
+        t1 = rng.uniform(size=m) ** (1.0 / (2 * n))
+        t2 = t1 * np.sqrt(1.0 - rng.uniform(size=m) ** (1.0 / (n - 1)))
+        keep = (((t1 * t2) ** 2 < 1.0 - margin)
+                & ((1.0 - t1**2) * (1.0 - t2**2) > margin))
+        t1, t2 = t1[keep], t2[keep]
+        xi, eta = rng.normal(size=(2, len(t1), n))
+        xi /= np.linalg.norm(xi, axis=-1)[:, None]
+        eta -= np.sum(eta * xi, axis=-1)[:, None] * xi
+        eta /= np.linalg.norm(eta, axis=-1)[:, None]
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(t1)))
+        z = phase[:, None] * (((t1 + t2) / 2.0)[:, None] * xi
+                              + 1j * ((t1 - t2) / 2.0)[:, None] * eta)
+        w = _twist(z)
         return w, lie_ball_contains(w, margin)
 
     return _accepted_rows(count, draw)
@@ -211,6 +232,7 @@ def sample_shilov_boundary(n, count, rng, margin=1e-3):
 # --- tube-domain Cauchy-Szego kernel ---------------------------------------------------
 
 _EPS = np.finfo(float).eps
+_ANGLE_LEVELS = (32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def szego_kernel_quadrature(z, u, tol=1e-6):
@@ -240,7 +262,7 @@ def szego_kernel_quadrature(z, u, tol=1e-6):
 
     prev = None
     err = None
-    for n_phi in (32, 64, 128, 256, 512, 1024, 2048, 4096):
+    for n_phi in _ANGLE_LEVELS:
         value = _kernel_fixed_order(w, n_phi)
         if prev is not None:
             err = max(abs(value - prev) / max(abs(value), 1e-300), _EPS)
@@ -272,6 +294,35 @@ def _kernel_fixed_order(w, n_phi):
     g = w[0] + w[1] * np.cos(phi) + w[2] * np.sin(phi)
     radial = (1j / (2.0 * np.pi * g)) ** 2
     return (1j / (2.0 * np.pi * w[0])) * (2.0 * np.pi / n_phi) * np.sum(radial)
+
+
+def kernel_quadrature_resolves(z, u, tol):
+    """Whether ``szego_kernel_quadrature`` reaches ``tol`` at the tube
+    points ``z`` and real points ``u``, (m, 3) coordinate rows, decided
+    before any angle is summed.
+
+    With d = z - u the angular integrand 1/g^2, g(phi) = d_0 + d_1 cos phi
+    + d_2 sin phi, has a double pole at each zero of g, alpha_k off the
+    real axis.  In zeta = exp(i phi) the zeros solve (d_1 - i d_2) zeta^2
+    + 2 d_0 zeta + (d_1 + i d_2) = 0, so with q = |d_0 +- sqrt(det d)|, on
+    the sign that does not cancel, |zeta_1| = q / |d_1 - i d_2|,
+    |zeta_2| = |d_1 + i d_2| / q and exp(-alpha_k) = min(|zeta_k|,
+    1/|zeta_k|).  The poles' Laurent coefficients at +-N, aliased onto the
+    mean d_0 det(d)^(-3/2), give the N-angle trapezoid rule the relative
+    error N sum_k exp(-alpha_k N) |det d|^(1/2) / |d_0| to leading order.
+    The last refinement compares 4096 angles with 2048, so it reads the
+    2048-angle error; a row resolves when that error is at most tol / 2,
+    a factor 2 for the orders dropped.
+    """
+    d = np.asarray(z) - np.asarray(u)
+    root = np.sqrt(d[..., 0] ** 2 - d[..., 1] ** 2 - d[..., 2] ** 2)
+    q = np.abs(d[..., 0] + np.where(
+        np.real(np.conj(d[..., 0]) * root) >= 0.0, root, -root))
+    n_phi = _ANGLE_LEVELS[-2]
+    poles = sum((np.minimum(p, q) / np.maximum(p, q)) ** n_phi
+                for p in (np.abs(d[..., 1] - 1j * d[..., 2]),
+                          np.abs(d[..., 1] + 1j * d[..., 2])))
+    return n_phi * poles * np.abs(root) / np.abs(d[..., 0]) <= tol / 2.0
 
 
 def kernel_power_law_products(samples):

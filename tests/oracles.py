@@ -3,8 +3,8 @@ of the half-space FFT path, the spatial dilation probe of the cone
 multiplier, the tensor check's slice-by-slice sum, the pairwise
 separating-axis predicate, row-major box membership, the Monte-Carlo and
 the exact rational union measure, the ratio level computed one box at a
-time, the Cayley Jacobian bounds on Shilov samples, and the full grid of a
-grid builder's support block."""
+time, the Cayley Jacobian bounds on Shilov samples, the full grid of a
+grid builder's support block, and the Lie ball by rejection."""
 
 from fractions import Fraction
 
@@ -393,3 +393,16 @@ def classical_lie_ball_contains(z, margin=0.0):
     qq = np.abs(np.sum(z * z, axis=-1)) ** 2
     return (qq < 1.0 - margin) & (
         2.0 * np.sum(np.abs(z) ** 2, axis=-1) - 1.0 < qq - margin)
+
+
+def rejection_lie_ball(n, count, rng, margin=0.0):
+    """``count`` uniform Lie-ball points in spin-factor coordinates by
+    rejection from the complex unit ball, which keeps about 2^(1-n) of its
+    draws: the reference for the polar sampler ``sz.sample_lie_ball``."""
+    def draw(m):
+        z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        radius = rng.uniform(size=m) ** (1.0 / (2 * n))
+        w = sz._twist(z * (radius / np.linalg.norm(z, axis=-1))[:, None])
+        return w, sz.lie_ball_contains(w, margin)
+
+    return sz._accepted_rows(count, draw)

@@ -1,14 +1,18 @@
 """Tests for the Cayley transform, Lie-ball membership, boundary density and
 the tube-domain kernel quadrature."""
 
+import collections
+
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from conekit import cli
 from conekit import jordan as jd
 from conekit import szego as sz
-from conekit.errors import NearSingularityError
-from oracles import classical_lie_ball_contains, compact_jacobian_bounds
+from conekit.errors import BudgetExceededError, NearSingularityError
+from oracles import (classical_lie_ball_contains, compact_jacobian_bounds,
+                     rejection_lie_ball)
 
 
 def spin_elem(*coords):
@@ -358,6 +362,35 @@ class TestKernelRelation:
                            for row in w.coords])
             assert np.max(np.abs(fd / exact - 1.0)) <= 1e-9, w.algebra
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_resolvability_rule_agrees_with_the_quadrature(self, tol):
+        # pairs drawn as the CLI draws them, within a factor 10^3 of the
+        # rule's threshold: every admitted pair converges, and every pair
+        # whose leading-order error exceeds 2 tol (4 times the threshold)
+        # does not
+        rng = np.random.default_rng(163)
+        a = jd.spin_factor(3)
+        m = 20_000
+        w = sz.sample_lie_ball(3, m, rng, margin=0.05)
+        wp = sz.sample_shilov_boundary(3, m, rng, margin=0.15)
+        image = sz.cayley(jd.Element(a, np.concatenate((w, wp)))).coords
+        z, u = image[:m], image[m:].real
+        admitted = sz.kernel_quadrature_resolves(z, u, tol)
+        far_out = ~sz.kernel_quadrature_resolves(z, u, 4.0 * tol)
+        near = np.flatnonzero(sz.kernel_quadrature_resolves(z, u, 1e3 * tol)
+                              & ~sz.kernel_quadrature_resolves(z, u,
+                                                               1e-3 * tol))
+        assert np.count_nonzero(admitted[near]) >= 5
+        assert np.count_nonzero(far_out[near]) >= 3
+        for i in near:
+            try:
+                sz.szego_kernel_quadrature(jd.Element(a, z[i]), u[i], tol=tol)
+                converged = True
+            except BudgetExceededError:
+                converged = False
+            assert converged or not admitted[i], i
+            assert not (converged and far_out[i]), i
+
     @pytest.mark.parametrize("bad", [0, 1])
     def test_nan_point_rejected(self, fitted, bad):
         # a NaN z' passed the Shilov check and ended in the quadrature; a
@@ -401,8 +434,6 @@ class TestErrorPaths:
             sz.cayley_jacobian_modulus(jd.Element(jd.spin_factor(3), coords))
 
     def test_budget_exceeded_carries_partial(self):
-        from conekit.errors import BudgetExceededError
-
         z = sz.TubePoint(spin_elem(0.5 + 1.0j, 0.3, -0.2))
         with pytest.raises(BudgetExceededError) as err:
             sz.szego_kernel_quadrature(z, np.zeros(3), tol=1e-18)
@@ -417,6 +448,37 @@ class _NoDraws:
 
     def __getattr__(self, name):
         raise AssertionError(f"rng.{name} used before the margin was checked")
+
+
+class _CountingRng:
+    """Delegates to a numpy Generator and counts the values each method
+    draws, so the sampler sees the same stream as without the proxy."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, size=None, **kwargs):
+            self.draws[name] += 1 if size is None else int(np.prod(size))
+            return method(*args, size=size, **kwargs)
+
+        return counted
+
+
+def lie_ball_statistics(w):
+    """|w|^2, |det w|^2, arg det w (twice the polar phase) and the polar
+    radii t1 >= t2 of Lie-ball rows, from t1^2 + t2^2 = 2|w|^2 and
+    t1 t2 = |det w|."""
+    sq = np.sum(np.abs(w) ** 2, axis=-1)
+    det = jd.determinant(spin_batch(w))
+    plus = np.sqrt(2.0 * sq + 2.0 * np.abs(det))
+    minus = np.sqrt(2.0 * sq - 2.0 * np.abs(det))
+    return {"|w|^2": sq, "|det w|^2": np.abs(det) ** 2,
+            "arg det w": np.angle(det),
+            "t1": (plus + minus) / 2.0, "t2": (plus - minus) / 2.0}
 
 
 class TestBatchedCayley:
@@ -479,6 +541,31 @@ class TestSamplers:
         dd = np.abs(jd.determinant(w)) ** 2
         assert np.all(dd < 1.0 - margin)
         assert np.all(2.0 * jd.norm(w) ** 2 - 1.0 < dd - margin)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_polar_draw_matches_the_rejection_oracle(self, n, margin):
+        # two-sample Kolmogorov-Smirnov at 4 sigma (p >= 6.3e-5) against
+        # rejection from the complex unit ball, on seeded streams
+        polar = sz.sample_lie_ball(n, 4000, np.random.default_rng(530 + n),
+                                   margin=margin)
+        oracle = rejection_lie_ball(n, 4000, np.random.default_rng(540 + n),
+                                    margin=margin)
+        assert np.all(sz.lie_ball_contains(polar, margin))
+        ours, ref = lie_ball_statistics(polar), lie_ball_statistics(oracle)
+        for name in ours:
+            p = ks_2samp(ours[name], ref[name]).pvalue
+            assert p >= 6.3e-5, (name, p)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.2])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_gaussian_draws_do_not_grow_with_two_to_the_n(self, n, margin):
+        # 2n Gaussians per frame, built only for radii in the margin
+        # region; the rejection oracle draws about 2n * 2^(n-1) per row
+        rng = _CountingRng(np.random.default_rng(550 + n))
+        z = sz.sample_lie_ball(n, 1000, rng, margin=margin)
+        assert z.shape == (1000, n)
+        assert rng.draws["normal"] <= 3 * 1000 * n, rng.draws
 
     def test_shilov_boundary_count_and_margin(self):
         rng = np.random.default_rng(511)
