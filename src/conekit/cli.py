@@ -223,28 +223,15 @@ def _kernel_points(n, count, rng):
     return points
 
 
-def _kernel_relation(n, n_held_out, rng, tol):
+def _kernel_relation(n, n_held_out, rng):
     """Fit |c0| on one (Lie-ball interior, Shilov boundary) pair and return
-    it with the relation residuals on ``n_held_out`` further pairs.  A pair
-    whose Cayley image the kernel quadrature cannot resolve to ``tol``
-    (``sz.kernel_quadrature_resolves``) is drawn again."""
+    it with the relation residuals on ``n_held_out`` further pairs."""
     a = jd.spin_factor(n)
-    pairs = []
-    while len(pairs) <= n_held_out:
-        need = n_held_out + 1 - len(pairs)
-        interior = sz.sample_lie_ball(n, need, rng, margin=0.05)
-        boundary = sz.sample_shilov_boundary(n, need, rng, margin=0.15)
-        image = sz.cayley(
-            jd.Element(a, np.concatenate((interior, boundary)))).coords
-        keep = sz.kernel_quadrature_resolves(image[:need], image[need:].real,
-                                             tol)
-        pairs += zip(interior[keep], boundary[keep])
-    c0, *others = (
-        sz.fit_kernel_relation_constant(jd.Element(a, w), jd.Element(a, wp),
-                                        tol=tol)
-        for w, wp in pairs)
-    residuals = [abs(c0 / c - 1.0) for c in others]
-    return c0, residuals
+    interior = sz.sample_lie_ball(n, n_held_out + 1, rng, margin=0.05)
+    boundary = sz.sample_shilov_boundary(n, n_held_out + 1, rng, margin=0.15)
+    c0, *others = sz.fit_kernel_relation_constant(
+        jd.Element(a, interior), jd.Element(a, boundary)).tolist()
+    return c0, [abs(c0 / c - 1.0) for c in others]
 
 
 SZEGO_SCHEMA = {
@@ -295,8 +282,7 @@ def cmd_szego(args):
     timings["consistency"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    c0, residuals = _kernel_relation(n, config["n_relation_samples"], rng,
-                                     config["tol"])
+    c0, residuals = _kernel_relation(n, config["n_relation_samples"], rng)
     timings["kernel_relation"] = 1e3 * (time.perf_counter() - t0)
 
     # a run that fails above leaves no out_dir, as a usage error does
@@ -316,7 +302,8 @@ def cmd_szego(args):
     )
     write_manifest(out_dir, config, timings,
                    ["kernel_samples.csv", "szego_report.json"])
-    return 0 if consistency["failures"] == 0 and max(residuals) < 5e-2 else 1
+    passed = max(residuals) <= sz.RELATION_TOL
+    return 0 if consistency["failures"] == 0 and passed else 1
 
 
 # --- validation suites ----------------------------------------------------------------
@@ -540,8 +527,11 @@ def _szego_checks(fast):
     checks.append(("kernel power-law constancy", power_law))
 
     def relation():
-        _, residuals = _kernel_relation(3, 3, rng, 1e-6)
-        return max(residuals) < 5e-2
+        # c0 = 1 / c_3, with c_3 = S_T(ie, 0), on the fit pair too
+        c0, residuals = _kernel_relation(3, 3, rng)
+        c3 = abs(sz.szego_kernel(1j * jd.identity(jd.spin_factor(3)), 0.0))
+        return bool(max(residuals) <= sz.RELATION_TOL
+                    and abs(c0 * c3 - 1.0) <= sz.RELATION_TOL)
 
     checks.append(("ball/tube kernel relation residual", relation))
     return checks

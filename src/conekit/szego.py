@@ -1,6 +1,6 @@
 """Cayley transform between the Lie ball and the tube over the light cone,
-the boundary-measure density, and numerical evaluation of the tube-domain
-Cauchy-Szego kernel.
+the boundary-measure density, and the tube-domain Cauchy-Szego kernel in
+closed form and by quadrature.
 
 Coordinates: Lie-ball points are stored in spin-factor (Jordan)
 coordinates w, on which the Cayley transform w -> i(e + w)(e - w)^(-1)
@@ -10,19 +10,20 @@ the Lie ball in polar form with one candidate per point, and apply the twist
 (z_1, z') -> (z_1, i z') once, as they draw; every other function takes
 Jordan coordinates, in (m, n) batches.
 
-The kernel integral over the light cone factorizes in the coordinates
-(t, rho, phi) with xi_1 = rho + t, xi' = rho (cos phi, sin phi): on rotated
-rays the t and rho factors are exp(-s) and s exp(-s), whose integrals
-Gamma(1) = Gamma(2) = 1 are exact, and only the angle is refined, by the
-periodic trapezoid rule, whose error the poles of the angular integrand fix
-before any angle is summed.  This checks the closed form
-c Delta((z - conj w)/i)^(-n/r) of Faraut & Koranyi (1994) independently.
+The tube kernel is the closed form c_n Delta((z - u)/i)^(-n/2) on the
+spin factors (Faraut & Koranyi 1994, ch. VII), which the ball/tube kernel
+relation reads.  Its check, and the kernel samples' method, is a quadrature
+over the light cone of R^3 in (t, rho, phi), xi_1 = rho + t,
+xi' = rho (cos phi, sin phi): on rotated rays the t and rho factors are the
+exact moments Gamma(1) = Gamma(2) = 1, and only the angle is refined, by
+the periodic trapezoid rule.
 The Cayley Jacobian is the closed form |J_Phi(w)| = 2^n |det(e - w)|^(-2n/r)
 on every Euclidean Jordan algebra of dimension n and rank r (ibid., ch. X).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,8 +232,24 @@ def sample_shilov_boundary(n, count, rng, margin=1e-3):
 
 # --- tube-domain Cauchy-Szego kernel ---------------------------------------------------
 
+def szego_kernel(z, u):
+    """c_n Delta((z - u)/i)^(-n/2), the tube kernel over the light cone of
+    R^n in closed form (Faraut & Koranyi 1994, ch. VII), at a complex spin
+    element ``z`` with Im z in the cone and real ``u``, row by row, with
+    c_n = Gamma(n/2) 2^(n/2) / (2 pi)^((n+2)/2) its value at (ie, 0).  The
+    roots of Delta at (z - u)/i have positive real parts, as Im z is in the
+    cone, so the principal branch is the one positive on the cone."""
+    a, n = z.algebra, z.algebra.dim
+    if a.kind != "spin":
+        raise NotImplementedError("the closed-form kernel needs a spin factor")
+    d = jd.Element(a, (z.coords - np.asarray(u, dtype=float)) / 1j)
+    if not np.all(jd.cone_margin(jd.Element(a, d.coords.real)) > 0.0):
+        raise ValueError("Im z must lie in the cone")
+    c = math.gamma(n / 2) * 2.0 ** (n / 2) / (2.0 * np.pi) ** (n / 2 + 1)
+    return c * np.power(jd.determinant(d), -n / 2)
+
+
 _EPS = np.finfo(float).eps
-_ANGLE_LEVELS = (32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def szego_kernel_quadrature(z, u, tol=1e-6):
@@ -255,14 +272,13 @@ def szego_kernel_quadrature(z, u, tol=1e-6):
     if not (np.all(np.isfinite(z_elem.coords.real)) and np.all(np.isfinite(u))):
         raise ValueError("Re z and u must be finite")
     w = z_elem.coords - u
-    y = w.imag
-    margin = y[0] - np.hypot(y[1], y[2])
+    margin = jd.cone_margin(jd.Element(z_elem.algebra, w.imag))
     if not 1e-3 <= margin < np.inf:
         raise ValueError("Im z must be finite, in the cone at margin >= 1e-3")
 
     prev = None
     err = None
-    for n_phi in _ANGLE_LEVELS:
+    for n_phi in (32, 64, 128, 256, 512, 1024, 2048, 4096):
         value = _kernel_fixed_order(w, n_phi)
         if prev is not None:
             err = max(abs(value - prev) / max(abs(value), 1e-300), _EPS)
@@ -296,35 +312,6 @@ def _kernel_fixed_order(w, n_phi):
     return (1j / (2.0 * np.pi * w[0])) * (2.0 * np.pi / n_phi) * np.sum(radial)
 
 
-def kernel_quadrature_resolves(z, u, tol):
-    """Whether ``szego_kernel_quadrature`` reaches ``tol`` at the tube
-    points ``z`` and real points ``u``, (m, 3) coordinate rows, decided
-    before any angle is summed.
-
-    With d = z - u the angular integrand 1/g^2, g(phi) = d_0 + d_1 cos phi
-    + d_2 sin phi, has a double pole at each zero of g, alpha_k off the
-    real axis.  In zeta = exp(i phi) the zeros solve (d_1 - i d_2) zeta^2
-    + 2 d_0 zeta + (d_1 + i d_2) = 0, so with q = |d_0 +- sqrt(det d)|, on
-    the sign that does not cancel, |zeta_1| = q / |d_1 - i d_2|,
-    |zeta_2| = |d_1 + i d_2| / q and exp(-alpha_k) = min(|zeta_k|,
-    1/|zeta_k|).  The poles' Laurent coefficients at +-N, aliased onto the
-    mean d_0 det(d)^(-3/2), give the N-angle trapezoid rule the relative
-    error N sum_k exp(-alpha_k N) |det d|^(1/2) / |d_0| to leading order.
-    The last refinement compares 4096 angles with 2048, so it reads the
-    2048-angle error; a row resolves when that error is at most tol / 2,
-    a factor 2 for the orders dropped.
-    """
-    d = np.asarray(z) - np.asarray(u)
-    root = np.sqrt(d[..., 0] ** 2 - d[..., 1] ** 2 - d[..., 2] ** 2)
-    q = np.abs(d[..., 0] + np.where(
-        np.real(np.conj(d[..., 0]) * root) >= 0.0, root, -root))
-    n_phi = _ANGLE_LEVELS[-2]
-    poles = sum((np.minimum(p, q) / np.maximum(p, q)) ** n_phi
-                for p in (np.abs(d[..., 1] - 1j * d[..., 2]),
-                          np.abs(d[..., 1] + 1j * d[..., 2])))
-    return n_phi * poles * np.abs(root) / np.abs(d[..., 0]) <= tol / 2.0
-
-
 def kernel_power_law_products(samples):
     """|kernel| * |det((z - u)/i)|^(n/r) over (z, u) samples, with the
     kernel quadrature at tol 1e-6.
@@ -344,6 +331,9 @@ def kernel_power_law_products(samples):
 
 # --- kernel relation between the ball and the tube ------------------------------------
 
+RELATION_TOL = 1e-12   # gate on |c0 / fit - 1| and on |c0 c_n - 1|
+
+
 def cayley_jacobian_modulus(w):
     """|J_Phi(w)| = 2^n |det(e - w)|^(-2n/r), with n and r the dimension
     and rank of the element's algebra (Faraut & Koranyi 1994, ch. X), row
@@ -355,18 +345,22 @@ def cayley_jacobian_modulus(w):
     return 2.0 ** a.dim * np.power(det, -2 * a.dim / a.rank)
 
 
-def fit_kernel_relation_constant(w, wprime, tol=1e-6):
+def fit_kernel_relation_constant(w, wprime):
     """|c0| = |det(w - w')|^(-n/r) / (|S_T(Phi w, Phi w')| |J|^(1/2) |J'|^(1/2))
-    at one (interior, Shilov boundary) pair of elements: the constant that
-    makes the transported tube kernel match the closed-form ball kernel
-    modulus."""
+    at (interior, Shilov boundary) pairs, row by row, with S_T the closed
+    form ``szego_kernel``: 1 / c_n on every pair.  The 2m rows go through
+    ``cayley`` once; one pair returns a float, bit for bit its batch row."""
     a = w.algebra
-    pair = jd.Element(a, np.array([w.coords, wprime.coords], dtype=complex))
-    image = cayley(pair).coords
-    u = image[1].real
-    if not np.max(np.abs(image[1].imag)) <= 1e-8 * (1 + np.max(np.abs(u))):
+    rows = np.vstack((w.coords, wprime.coords))
+    m = len(rows) // 2
+    pairs = jd.Element(a, rows)
+    image = cayley(pairs).coords
+    u = image[m:].real
+    if not np.all(np.max(np.abs(image[m:].imag), axis=-1)
+                  <= 1e-8 * (1 + np.max(np.abs(u), axis=-1))):
         raise ValueError("w' must come from the Shilov boundary")
-    kernel = szego_kernel_quadrature(jd.Element(a, image[0]), u, tol=tol)
-    jz, jp = cayley_jacobian_modulus(pair)
-    ball = np.abs(jd.determinant(w - wprime)) ** (-a.dim / a.rank)
-    return float(ball / (abs(kernel.value) * np.sqrt(jz) * np.sqrt(jp)))
+    jac = np.sqrt(cayley_jacobian_modulus(pairs))
+    ball = np.abs(jd.determinant(jd.Element(a, rows[:m] - rows[m:])))
+    kernel = np.abs(szego_kernel(jd.Element(a, image[:m]), u))
+    c0 = np.power(ball, -a.dim / a.rank) / (kernel * jac[:m] * jac[m:])
+    return float(c0[0]) if w.coords.ndim == 1 else c0

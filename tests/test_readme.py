@@ -2,8 +2,9 @@
 
 Each number it quotes for the ratio example matches a run of that example
 at the digits quoted; its ``ratio.json`` block is the config that run uses;
-its lists of output columns, config keys and ``validate`` checks are the
-code's; and it quotes no timing, no memory figure and no history.
+its lists of output columns, config keys and ``validate`` checks and the
+``szego`` relation gate are the code's; and it quotes no timing, no memory
+figure and no history.
 """
 
 import csv
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conekit import cli
+from conekit import szego as sz
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -174,6 +176,12 @@ def test_config_keys_and_defaults_are_the_code_s(readme, heading, schema):
                            else json.loads(_names(cells[1])[0]))
     assert documented == {key: default
                           for key, (_, default) in schema.items()}
+
+
+def test_relation_gate_is_the_code_s(readme):
+    rule = re.search(r"a residual exceeds `([^`]+)`",
+                     " ".join(_section(readme, "### `szego`")))
+    assert float(rule.group(1)) == sz.RELATION_TOL
 
 
 def test_validate_checks_are_the_code_s(readme):

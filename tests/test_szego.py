@@ -1,7 +1,9 @@
-"""Tests for the Cayley transform, Lie-ball membership, boundary density and
-the tube-domain kernel quadrature."""
+"""Tests for the Cayley transform, Lie-ball membership, boundary density,
+the tube-domain kernel in closed form and by quadrature, and the ball/tube
+kernel relation."""
 
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -312,6 +314,44 @@ class TestKernelQuadrature:
             sz.szego_kernel_quadrature(z, np.zeros(3))
 
 
+class TestClosedFormKernel:
+    def test_matches_the_quadrature_in_value_and_phase(self):
+        # the phi-trapezoid at tol 1e-10 is the oracle of the closed form
+        points = cli._kernel_points(3, 400, np.random.default_rng(167))
+        quad = np.array([sz.szego_kernel_quadrature(z, u, tol=1e-10).value
+                         for z, u in points])
+        z = np.array([z.coords for z, _ in points])
+        closed = sz.szego_kernel(jd.Element(jd.spin_factor(3), z),
+                                 np.array([u for _, u in points]))
+        assert np.max(np.abs(closed / quad - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.angle(closed / quad))) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_constant_is_the_radial_integral(self, n):
+        # S_T(ie, 0) = integral of exp(-2 pi xi_1) over the cone, whose slice
+        # at xi_1 = s is a ball of radius s: vol(B^(n-1)) Gamma(n) / (2 pi)^n
+        ball = math.pi ** ((n - 1) / 2) / math.gamma((n + 1) / 2)
+        radial = ball * math.gamma(n) / (2.0 * math.pi) ** n
+        ie = 1j * jd.identity(jd.spin_factor(n))
+        c_n = sz.szego_kernel(ie, np.zeros(n))
+        assert c_n.imag == 0.0
+        assert c_n.real == pytest.approx(radial, rel=1e-14)
+
+    def test_batch_equals_per_row_calls(self):
+        points = cli._kernel_points(4, 30, np.random.default_rng(173))
+        z = np.array([z.coords for z, _ in points])
+        u = np.array([u for _, u in points])
+        single = [complex(sz.szego_kernel(zz, uu)) for zz, uu in points]
+        assert sz.szego_kernel(jd.Element(jd.spin_factor(4), z),
+                               u).tolist() == single
+
+    def test_point_off_the_tube_is_refused(self):
+        # the closed form continues past the tube, where it is no kernel
+        z = spin_elem(0.3 + 0.5j, 0.1 + 0.6j, 0.0)
+        with pytest.raises(ValueError, match="in the cone"):
+            sz.szego_kernel(z, np.zeros(3))
+
+
 @pytest.fixture(scope="module")
 def fitted():
     rng = np.random.default_rng(151)
@@ -336,7 +376,7 @@ class TestKernelRelation:
         interior, boundary, c0 = fitted
         for z, zp in zip(interior[1:11], boundary[1:11]):
             res = abs(c0 / sz.fit_kernel_relation_constant(z, zp) - 1.0)
-            assert res < 5e-2
+            assert res <= sz.RELATION_TOL
 
     def test_fitted_constant_is_four_pi_squared(self, fitted):
         # c0 = 1 / c3 with S_T(ie, 0) = c3 = 1 / (4 pi^2)
@@ -362,34 +402,41 @@ class TestKernelRelation:
                            for row in w.coords])
             assert np.max(np.abs(fd / exact - 1.0)) <= 1e-9, w.algebra
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
-    def test_resolvability_rule_agrees_with_the_quadrature(self, tol):
-        # pairs drawn as the CLI draws them, within a factor 10^3 of the
-        # rule's threshold: every admitted pair converges, and every pair
-        # whose leading-order error exceeds 2 tol (4 times the threshold)
-        # does not
-        rng = np.random.default_rng(163)
-        a = jd.spin_factor(3)
-        m = 20_000
-        w = sz.sample_lie_ball(3, m, rng, margin=0.05)
-        wp = sz.sample_shilov_boundary(3, m, rng, margin=0.15)
-        image = sz.cayley(jd.Element(a, np.concatenate((w, wp)))).coords
-        z, u = image[:m], image[m:].real
-        admitted = sz.kernel_quadrature_resolves(z, u, tol)
-        far_out = ~sz.kernel_quadrature_resolves(z, u, 4.0 * tol)
-        near = np.flatnonzero(sz.kernel_quadrature_resolves(z, u, 1e3 * tol)
-                              & ~sz.kernel_quadrature_resolves(z, u,
-                                                               1e-3 * tol))
-        assert np.count_nonzero(admitted[near]) >= 5
-        assert np.count_nonzero(far_out[near]) >= 3
-        for i in near:
-            try:
-                sz.szego_kernel_quadrature(jd.Element(a, z[i]), u[i], tol=tol)
-                converged = True
-            except BudgetExceededError:
-                converged = False
-            assert converged or not admitted[i], i
-            assert not (converged and far_out[i]), i
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_c0_is_one_over_the_kernel_constant_on_every_pair(self, n):
+        # the first relation check above n = 3: with S_T in closed form the
+        # fitted constant is 1 / c_n, c_n = S_T(ie, 0), on each of 1,000
+        # pairs drawn as the CLI draws them
+        rng = np.random.default_rng(181 + n)
+        a = jd.spin_factor(n)
+        w = sz.sample_lie_ball(n, 1_000, rng, margin=0.05)
+        wp = sz.sample_shilov_boundary(n, 1_000, rng, margin=0.15)
+        c0 = sz.fit_kernel_relation_constant(jd.Element(a, w),
+                                             jd.Element(a, wp))
+        c_n = sz.szego_kernel(1j * jd.identity(a), np.zeros(n)).real
+        assert np.max(np.abs(c0 * c_n - 1.0)) <= sz.RELATION_TOL
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_batch_equals_per_pair_calls(self, n):
+        rng = np.random.default_rng(191 + n)
+        a = jd.spin_factor(n)
+        w = sz.sample_lie_ball(n, 40, rng, margin=0.05)
+        wp = sz.sample_shilov_boundary(n, 40, rng, margin=0.15)
+        batch = sz.fit_kernel_relation_constant(jd.Element(a, w),
+                                                jd.Element(a, wp))
+        single = [sz.fit_kernel_relation_constant(jd.Element(a, x),
+                                                  jd.Element(a, y))
+                  for x, y in zip(w, wp)]
+        assert all(type(c) is float for c in single)
+        assert batch.tolist() == single
+
+    def test_sym2_pair_is_refused(self):
+        # a Cayley image is formed on Sym(2) too, but the closed-form kernel
+        # covers the spin factors only
+        w = jd.from_matrix(np.array([[0.2, 0.1j], [0.1j, -0.3]]))
+        wp = jd.from_matrix(np.diag(np.exp([0.7j, 2.1j])))
+        with pytest.raises(NotImplementedError, match="spin factor"):
+            sz.fit_kernel_relation_constant(w, wp)
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_nan_point_rejected(self, fitted, bad):
