@@ -12,11 +12,12 @@ Jordan coordinates, in (m, n) batches.
 
 The tube kernel is the closed form c_n Delta((z - u)/i)^(-n/2) on the
 spin factors (Faraut & Koranyi 1994, ch. VII), which the ball/tube kernel
-relation reads.  Its check, and the kernel samples' method, is a quadrature
-over the light cone of R^3 in (t, rho, phi), xi_1 = rho + t,
+relation reads.  The kernel samples are written by a quadrature over the
+light cone of R^3 in (t, rho, phi), xi_1 = rho + t,
 xi' = rho (cos phi, sin phi): on rotated rays the t and rho factors are the
 exact moments Gamma(1) = Gamma(2) = 1, and only the angle is refined, by
-the periodic trapezoid rule.
+the periodic trapezoid rule.  ``conekit validate`` ties the quadrature to
+the closed form, in value and phase.
 The Cayley Jacobian is the closed form |J_Phi(w)| = 2^n |det(e - w)|^(-2n/r)
 on every Euclidean Jordan algebra of dimension n and rank r (ibid., ch. X).
 """
@@ -310,23 +311,6 @@ def _kernel_fixed_order(w, n_phi):
     g = w[0] + w[1] * np.cos(phi) + w[2] * np.sin(phi)
     radial = (1j / (2.0 * np.pi * g)) ** 2
     return (1j / (2.0 * np.pi * w[0])) * (2.0 * np.pi / n_phi) * np.sum(radial)
-
-
-def kernel_power_law_products(samples):
-    """|kernel| * |det((z - u)/i)|^(n/r) over (z, u) samples, with the
-    kernel quadrature at tol 1e-6.
-
-    The classical closed form predicts this is constant; the constant is
-    measured, not asserted.
-    """
-    products = []
-    for z_elem, u in samples:
-        sample = szego_kernel_quadrature(TubePoint(z_elem), u, tol=1e-6)
-        w = z_elem.coords - np.asarray(u)
-        det = jd.determinant(jd.Element(z_elem.algebra, w / 1j))
-        exponent = z_elem.algebra.dim / z_elem.algebra.rank
-        products.append(abs(sample.value) * abs(det) ** exponent)
-    return np.array(products)
 
 
 # --- kernel relation between the ball and the tube ------------------------------------

@@ -283,9 +283,17 @@ def test_criterion_6_cayley_tube_suite():
     translation_defect = abs(s1.value - s2.value) / abs(s1.value)
     ok &= scaling_defect <= 1e-6 and translation_defect <= 1e-6
 
-    products = sz.kernel_power_law_products(cli._kernel_points(3, 20, rng))
+    z, u = cli._kernel_points(3, 20, rng)
+    quad = np.array([
+        sz.szego_kernel_quadrature(jd.Element(z.algebra, zz), uu,
+                                   tol=1e-6).value
+        for zz, uu in zip(z.coords, u)])
+    det = jd.determinant(jd.Element(z.algebra, (z.coords - u) / 1j))
+    products = np.abs(quad) * np.abs(det) ** 1.5
     cv = float(products.std() / products.mean())
-    ok &= cv < 1e-3
+    # the complex ratio checks the constant and the phase as well
+    closed_defect = float(np.max(np.abs(quad / sz.szego_kernel(z, u) - 1.0)))
+    ok &= cv < 1e-3 and closed_defect <= 1e-6
 
     spin3 = jd.spin_factor(3)
     interior = [jd.Element(spin3, w)
@@ -305,7 +313,8 @@ def test_criterion_6_cayley_tube_suite():
         ok and elapsed < 600.0,
         f"round-trip {worst_rt:.1e}, consistency failures {failures}, "
         f"scaling/translation {scaling_defect:.1e}/{translation_defect:.1e}, "
-        f"power-law CV {cv:.1e}, relation residual {max_res:.1e}, "
+        f"power-law CV {cv:.1e}, closed-form defect {closed_defect:.1e}, "
+        f"relation residual {max_res:.1e}, "
         f"{elapsed:.0f}s",
     )
 

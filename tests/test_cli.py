@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conekit import besicovitch as bs
 from conekit import cli
+from conekit import jordan as jd
 from conekit import multiplier as mp
 from conekit import szego as sz
 from conekit.errors import BudgetExceededError, ConstructionFailedError
@@ -102,6 +104,10 @@ def _union_over_budget(shapes, resolution):
     raise BudgetExceededError("union bound above tolerance")
 
 
+def _union_missing_key(shapes, resolution):
+    raise KeyError("planted")
+
+
 class TestBesicovitchCommand:
     def test_outputs_and_stats(self, tmp_path):
         out = tmp_path / "fam"
@@ -130,6 +136,8 @@ class TestBesicovitchCommand:
         # the family fails its verification: an internal failure
         ("translates_disjoint", lambda family: False, 3, "k=3"),
         ("union_measure", _union_over_budget, 1, "union bound"),
+        # no usage error raises a KeyError, so one is a bug
+        ("union_measure", _union_missing_key, 3, "KeyError('planted')"),
     ])
     def test_failed_build_or_union_leaves_no_output(
             self, tmp_path, monkeypatch, capsys, name, fake, code, message):
@@ -352,6 +360,22 @@ class TestValidateCommand:
         assert [line.split(" - ")[0] for line in self._failed_lines(capsys)] \
             == ["not ok 4", "not ok 5", "not ok 6"]
 
+    @pytest.mark.parametrize("name, plant", [
+        ("_kernel_fixed_order", lambda order: lambda *a: 2.0 * order(*a)),
+        ("_kernel_fixed_order", lambda order: lambda *a: np.conj(order(*a))),
+        ("szego_kernel", lambda kernel: lambda *a: 2.0 * kernel(*a)),
+    ], ids=["scaled quadrature", "conjugated quadrature",
+            "scaled closed form"])
+    def test_kernel_line_fails_on_planted_defect(self, monkeypatch, capsys,
+                                                 name, plant):
+        # a det^(-3/2) power-law check sees none of these: it fits the
+        # constant, reads the modulus only and never reads the closed form
+        monkeypatch.setattr(sz, name, plant(getattr(sz, name)))
+        assert run_main(["validate", "--suite", "szego", "--fast"]) == 1
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("not ok")] == [
+            "not ok 4 - szego: kernel quadrature matches the closed form"]
+
     def test_usage_error_for_unknown_suite(self):
         with pytest.raises(SystemExit) as err:
             run_main(["validate", "--suite", "nonsense"])
@@ -359,6 +383,24 @@ class TestValidateCommand:
 
 
 class TestSzegoCommand:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_kernel_points_are_the_per_point_draws(self, n):
+        # the batch keeps the draws that were made one (z, u) pair at a time
+        rng = np.random.default_rng(181)
+        z_rows, u_rows = [], []
+        for _ in range(12):
+            yprime = rng.normal(size=n - 1) * 0.3
+            y1 = np.linalg.norm(yprime) + 0.3 + abs(rng.normal()) * 0.5
+            x = rng.uniform(-1.5, 1.5, size=n)
+            z_rows.append((x + 1j * np.concatenate(([y1], yprime))).tolist())
+            u_rows.append(rng.uniform(-1.5, 1.5, size=n).tolist())
+        batch_rng = np.random.default_rng(181)
+        z, u = cli._kernel_points(n, 12, batch_rng)
+        assert z.algebra == jd.spin_factor(n)
+        assert z.coords.tolist() == z_rows and u.tolist() == u_rows
+        # and leaves the stream where the later draws expect it
+        assert batch_rng.random() == rng.random()
+
     @pytest.mark.parametrize("seed", [134, 143, 242, 313])
     def test_seeds_with_poles_near_the_angle_axis_exit_0(self, tmp_path,
                                                          seed):
