@@ -127,14 +127,16 @@ _SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
                    for sz in (-1, 1)], dtype=float)
 
 
-def _box_contains(center, axes, half_extents, points, slack=0.0):
+def _box_contains(center, axes, half_extents, coords, slack=0.0):
     """True where a point lies within the extents of its box: one box and
-    points (m, 3), or a stack of boxes and points (N, m, 3) each.
+    coordinates (3, m), or a stack of boxes and coordinates (N, 3, m) each,
+    one row per world axis.
 
-    The box-frame coordinates form a (..., 3, m) array, one contiguous row
-    per axis, so each axis is compared as one row; every entry is the same
-    length-3 dot product as in the row-major ``(points - center) @ axes.T``."""
-    local = axes @ (points - center[..., None, :]).swapaxes(-1, -2)
+    The box-frame coordinates ``axes @ (coords - center)`` form a (..., 3, m)
+    array, one contiguous row per box axis, so each axis is compared as one
+    row; every entry is the same length-3 dot product as in the row-major
+    ``(points - center) @ axes.T``."""
+    local = axes @ (coords - center[..., :, None])
     np.abs(local, out=local)
     bound = half_extents[..., None] + slack
     inside = local[..., 0, :] <= bound[..., 0, :]
@@ -179,10 +181,11 @@ class Box3:
                 + (_SIGNS * self.half_extents[..., None, :]) @ self.axes)
 
     def contains(self, points, slack=0.0):
-        """True where a point lies within the extents: points (m, 3) for one
-        box, (N, m, 3) for a stack of N."""
+        """True where a point lies within the extents: points in rows, (m, 3)
+        for one box, (N, m, 3) for a stack of N, handed to ``_box_contains``
+        as a transposed view."""
         return _box_contains(self.center, self.axes, self.half_extents,
-                             np.atleast_2d(points), slack)
+                             np.atleast_2d(points).swapaxes(-1, -2), slack)
 
 
 @dataclass(frozen=True)

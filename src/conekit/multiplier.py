@@ -321,17 +321,17 @@ def box_halfspace_image(box, n_tilde, x):
     """Exact value of the half-space projection of the box indicator at x.
 
     Separates as the 1D half-line projection along the n_tilde axis times
-    the indicator of the cross-section, which ``Box3.contains``'s test
-    decides with that axis left open: an exact 0 off the prism the
-    cross-section sweeps, where the logarithm is not evaluated.  x, a point
-    or an array of points with last dimension 3, must be finite.
+    the indicator of the cross-section, which ``_box_contains`` decides on
+    the transposed points with that axis left open: an exact 0 off the prism
+    the cross-section sweeps, where the logarithm is not evaluated.  x, a
+    point (3,) or points in rows (m, 3), must be finite.
     """
     idx, sign, a, b, row = box_axis_interval(box, n_tilde)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise ValueError("x must be finite")
     half = np.where(np.arange(3) == idx, np.inf, box.half_extents)
-    cross = bs._box_contains(box.center, box.axes, half, pts)
+    cross = bs._box_contains(box.center, box.axes, half, pts.T)
     t = pts @ row
     out = np.zeros(pts.shape[0], dtype=complex)
     out[cross] = halfline_projection_1d(a, b, t[cross], sign=sign)
@@ -451,14 +451,19 @@ def _translate_images(box, ntilde, tol):
 
 
 def _cover_counts(stack, pts):
-    """How many boxes of the Box3 stack ``stack`` contain each point.
-    ``Box3.contains``'s test decides only the points within a margin of each
-    box's thinnest slab.  The slab coordinate ``pts @ a - center @ a`` and
-    the one the test computes are each within 2 sqrt(3) eps S of the exact
-    value, S = max |pts| + max |center|, so the margin 16 eps S drops no
-    point the test keeps.  ``np.take`` gathers the same candidate rows as
-    ``pts[cand]``, faster."""
-    counts = np.zeros(len(pts), dtype=np.int64)
+    """How many boxes of the Box3 stack ``stack`` contain each point of
+    ``pts`` (m, 3).  The chunk is transposed once into C-contiguous (3, m)
+    coordinates, so each slab coordinate is one pass over three rows and
+    the candidates are gathered as columns.  ``_box_contains`` decides only
+    the points within a margin of each box's thinnest slab.  The slab
+    coordinate ``a @ coords - center @ a`` and the one the test computes
+    are each within 2 sqrt(3) eps S of the exact value, in any summation
+    order of the 3-term dot product, S = max |pts| + max |center|, so the
+    margin 16 eps S drops no point the test keeps."""
+    coords = np.ascontiguousarray(pts.T)
+    m = coords.shape[1]
+    counts = np.zeros(m, dtype=np.int64)
+    slab, near = np.empty(m), np.empty(m, dtype=bool)
     reach = np.max(np.abs(pts), initial=0.0)
     thin = np.argmin(stack.half_extents, axis=1)
     margins = 16.0 * np.finfo(float).eps * (
@@ -466,10 +471,21 @@ def _cover_counts(stack, pts):
     for c, axes, half, t, margin in zip(stack.center, stack.axes,
                                         stack.half_extents, thin, margins):
         a = axes[t]
-        cand = np.flatnonzero(np.abs(pts @ a - c @ a) <= half[t] + margin)
+        np.matmul(a, coords, out=slab)
+        slab -= c @ a
+        np.abs(slab, out=slab)
+        np.less_equal(slab, half[t] + margin, out=near)
+        cand = np.flatnonzero(near)
         counts[cand] += bs._box_contains(c, axes, half,
-                                         np.take(pts, cand, axis=0))
+                                         np.take(coords, cand, axis=1))
     return counts
+
+
+# 8-byte values a point of a chunk may hold at once: about 21 when it is a
+# box's candidate (its row, column and gathered copies 15, the counts and slab
+# buffers 2, its candidate index and gathered count 2, the last chunk's counts
+# and cells 2)
+_POINT_VALUES = 24
 
 
 def stratified_count_moment(boxes, power, n_samples, seed):
@@ -480,11 +496,10 @@ def stratified_count_moment(boxes, power, n_samples, seed):
     returning (estimate, standard error) on the Philox stream of ``seed``.
     ``power`` is a float, or a sequence of them that all read one draw and
     one count and return arrays.  Strata are drawn and counted in
-    consecutive groups of at most ``bs._BLOCK_VALUES / 16`` points (16
-    values a point hold the points, counts and copies in ``contains``), a
-    larger stratum in chunks of that size, and tallied into one integer
-    histogram [stratum, count], so no grouping or chunking changes a bit.
-    Each power takes its per-stratum mean and two-pass sum of squared
+    consecutive groups of at most ``bs._BLOCK_VALUES / _POINT_VALUES``
+    points, a larger stratum in chunks of that size, and tallied into one
+    integer histogram [stratum, count], so no grouping or chunking changes a
+    bit.  Each power takes its per-stratum mean and two-pass sum of squared
     deviations from the cells some point hit, never forming 0^power at an
     empty one, so its pair is bit-identical to a call with it alone.
     ``n_samples`` must be an integer (TypeError) and every power finite
@@ -500,7 +515,7 @@ def stratified_count_moment(boxes, power, n_samples, seed):
     per_box = np.full(n, n_samples // n)
     per_box[: n_samples % n] += 1
     rng = np.random.Generator(np.random.Philox(seed))
-    cap = bs._BLOCK_VALUES // 16
+    cap = bs._BLOCK_VALUES // _POINT_VALUES
     strata = max(1, cap // int(per_box[0]))
     hist = np.zeros((n, 1), dtype=np.int64)   # [stratum, count]
     f = boxes.f

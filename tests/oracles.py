@@ -321,8 +321,9 @@ def translate_image_per_box(f_box, ntilde):
 
 
 def pair_loop_moment(boxes_f, powers, n_samples, seed, histogram=True):
-    """The count moment as first written, one ``contains`` call per pair of
-    stratum and box in the sequence of Box3 ``boxes_f``; one (estimate,
+    """The count moment as first written, one ``box_contains_row_major`` call
+    per pair of stratum and box in the sequence of Box3 ``boxes_f``, so no
+    verdict comes from the kernel's ``_box_contains``; one (estimate,
     stderr) per power, from one draw.  A stratum's mean and sum of squared
     deviations are sum_v h_v v^s / m and sum_v h_v (v^s - mean)^2 over the
     counts v its histogram h holds, added in ascending v; with
@@ -339,7 +340,7 @@ def pair_loop_moment(boxes_f, powers, n_samples, seed, histogram=True):
         pts = f_box.center + local @ f_box.axes
         counts = np.zeros(m, dtype=np.int64)
         for other in boxes_f:
-            counts += other.contains(pts)
+            counts += box_contains_row_major(other, pts)
         hist = np.bincount(counts)
         hit = np.flatnonzero(hist)
         vol = f_box.volume()

@@ -824,6 +824,15 @@ def _face_points(boxes):
     return np.concatenate(pts)
 
 
+def _row_major_counts(boxes, pts):
+    """How many F boxes contain each point, box by box in the row-major
+    formula."""
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for box in boxes.boxes_f:
+        counts += box_contains_row_major(box, pts)
+    return counts
+
+
 class TestCountMoment:
     POWERS = (-0.5, -0.25, 0.0)
 
@@ -846,7 +855,8 @@ class TestCountMoment:
         # k = 4: 16 strata of 63 or 62 points, so the groups end unevenly
         boxes = _family(4)
         expected = pair_loop_moment(boxes.boxes_f, self.POWERS, 1003, 9)
-        monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * 63 * strata)
+        monkeypatch.setattr(bs, "_BLOCK_VALUES",
+                            mp._POINT_VALUES * 63 * strata)
         assert mp.stratified_count_moment(boxes, -0.5, 1003, 9) == expected[0]
         got = mp.stratified_count_moment(boxes, self.POWERS, 1003, 9)
         assert [tuple(pair) for pair in zip(*got)] == expected
@@ -857,7 +867,7 @@ class TestCountMoment:
         # integer tallies add exactly, so the chunks change no bit
         boxes = _family(4)
         expected = pair_loop_moment(boxes.boxes_f, self.POWERS, 1003, 9)
-        monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * cap)
+        monkeypatch.setattr(bs, "_BLOCK_VALUES", mp._POINT_VALUES * cap)
         got = mp.stratified_count_moment(boxes, self.POWERS, 1003, 9)
         assert [tuple(pair) for pair in zip(*got)] == expected
 
@@ -865,7 +875,7 @@ class TestCountMoment:
     def test_each_power_alone_matches_the_list(self, monkeypatch, cap):
         boxes = _family(4)
         if cap is not None:
-            monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * cap)
+            monkeypatch.setattr(bs, "_BLOCK_VALUES", mp._POINT_VALUES * cap)
         powers = (*self.POWERS, 0.5, -1.0)
         got = mp.stratified_count_moment(boxes, powers, 1003, 9)
         for s, pair in zip(powers, zip(*got), strict=True):
@@ -883,7 +893,7 @@ class TestCountMoment:
             return counts
 
         expected = pair_loop_moment(boxes.boxes_f, self.POWERS, 2000, 4)
-        monkeypatch.setattr(bs, "_BLOCK_VALUES", 16 * 20)
+        monkeypatch.setattr(bs, "_BLOCK_VALUES", mp._POINT_VALUES * 20)
         monkeypatch.setattr(mp, "_cover_counts", recorded)
         got = mp.stratified_count_moment(boxes, self.POWERS, 2000, 4)
         assert [tuple(pair) for pair in zip(*got)] == expected
@@ -926,12 +936,42 @@ class TestCountMoment:
                 assert abs(value - reference) <= 8 * np.spacing(reference)
 
     def test_face_points_counted_as_contains_does(self):
-        boxes = _family(6).boxes_f
-        pts = _face_points(boxes)
-        expected = np.zeros(len(pts), dtype=np.int64)
-        for box in boxes:
-            expected += box.contains(pts)
-        assert np.array_equal(mp._cover_counts(_family(6).f, pts), expected)
+        # the row-major formula, not Box3.contains, which shares the
+        # kernel's _box_contains
+        for k in range(1, 9):
+            pts = _face_points(_family(k).boxes_f)
+            assert np.array_equal(mp._cover_counts(_family(k).f, pts),
+                                  _row_major_counts(_family(k), pts))
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_counts_of_the_draws_match_row_major_formula(self, monkeypatch,
+                                                         k):
+        # every chunk the moment draws, counted box by box in rows
+        chunks, cover_counts = [], mp._cover_counts
+
+        def recorded(stack, pts):
+            counts = cover_counts(stack, pts)
+            chunks.append((pts, counts))
+            return counts
+
+        monkeypatch.setattr(mp, "_cover_counts", recorded)
+        mp.stratified_count_moment(_family(k), -0.5, 20_000, 2026 + k)
+        assert chunks
+        for pts, counts in chunks:
+            assert np.array_equal(counts, _row_major_counts(_family(k), pts))
+
+    def test_containment_reads_contiguous_coordinate_rows(self, monkeypatch):
+        layouts, contains = [], bs._box_contains
+
+        def recorded(center, axes, half_extents, coords, slack=0.0):
+            layouts.append((coords.shape, coords.flags.c_contiguous))
+            return contains(center, axes, half_extents, coords, slack)
+
+        monkeypatch.setattr(bs, "_box_contains", recorded)
+        mp.stratified_count_moment(_family(7), -0.5, 20_000, 1)
+        assert len(layouts) == _family(7).n_boxes
+        assert all(len(shape) == 2 and shape[0] == 3 and contiguous
+                   for shape, contiguous in layouts)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_contains_matches_row_major_formula(self, k):
