@@ -269,15 +269,11 @@ def build_perron_rectangles(k):
         )
         for j in range(n)
     ))
-    if not (translates_disjoint(family) and _family_in_ball(family)):
+    if not (translates_disjoint(family) and np.max(np.linalg.norm(
+            family.vertices().reshape(-1, 2), axis=1)) <= BALL_RADIUS_2D):
         raise ConstructionFailedError(
             f"the bisection placement for k={k} failed its verification")
     return family
-
-
-def _family_in_ball(family, radius=BALL_RADIUS_2D):
-    verts = family.vertices().reshape(-1, 2)
-    return bool(np.max(np.linalg.norm(verts, axis=1)) <= radius)
 
 
 # --- exact intersection predicates -------------------------------------------

@@ -123,7 +123,6 @@ def load_config(path, schema):
 # --- besicovitch -----------------------------------------------------------------
 
 def cmd_besicovitch(args):
-    bs.check_level(args.k)
     if not args.out:
         raise ValueError("--out must be a non-empty path")
     timings = {}

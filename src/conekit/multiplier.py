@@ -482,9 +482,9 @@ def _cover_counts(stack, pts):
 
 
 # 8-byte values a point of a chunk may hold at once: about 21 when it is a
-# box's candidate (its row, column and gathered copies 15, the counts and slab
-# buffers 2, its candidate index and gathered count 2, the last chunk's counts
-# and cells 2)
+# box's candidate (its drawn row, column and gathered copies 15, the counts and
+# slab buffers 2, its candidate index and gathered count 2, the last chunk's
+# counts and cells 2)
 _POINT_VALUES = 24
 
 
@@ -495,11 +495,12 @@ def stratified_count_moment(boxes, power, n_samples, seed):
 
     returning (estimate, standard error) on the Philox stream of ``seed``.
     ``power`` is a float, or a sequence of them that all read one draw and
-    one count and return arrays.  Strata are drawn and counted in
-    consecutive groups of at most ``bs._BLOCK_VALUES / _POINT_VALUES``
-    points, a larger stratum in chunks of that size, and tallied into one
-    integer histogram [stratum, count], so no grouping or chunking changes a
-    bit.  Each power takes its per-stratum mean and two-pass sum of squared
+    one count and return arrays.  The draws run stratum after stratum and
+    are taken in chunks of at most ``bs._BLOCK_VALUES // _POINT_VALUES``
+    consecutive points, one ``uniform`` call a chunk, each stratum's run of
+    the chunk mapped into its box; the chunk's counts are tallied into one
+    integer histogram [stratum, count], so no chunk size changes a bit.
+    Each power takes its per-stratum mean and two-pass sum of squared
     deviations from the cells some point hit, never forming 0^power at an
     empty one, so its pair is bit-identical to a call with it alone.
     ``n_samples`` must be an integer (TypeError) and every power finite
@@ -516,24 +517,22 @@ def stratified_count_moment(boxes, power, n_samples, seed):
     per_box[: n_samples % n] += 1
     rng = np.random.Generator(np.random.Philox(seed))
     cap = bs._BLOCK_VALUES // _POINT_VALUES
-    strata = max(1, cap // int(per_box[0]))
+    ends = np.cumsum(per_box)
     hist = np.zeros((n, 1), dtype=np.int64)   # [stratum, count]
     f = boxes.f
-    for first in range(0, n, strata):
-        group = slice(first, min(first + strata, n))
-        for start in range(0, per_box[first], cap):
-            sizes = np.minimum(cap, per_box[group] - start)
-            pts = np.concatenate([
-                c + (rng.uniform(-1.0, 1.0, (m, 3)) * half) @ axes
-                for c, axes, half, m in zip(f.center[group], f.axes[group],
-                                            f.half_extents[group], sizes)])
-            counts = _cover_counts(f, pts)
-            width = max(hist.shape[1], int(counts.max()) + 1)
-            if width > hist.shape[1]:
-                hist = np.pad(hist, ((0, 0), (0, width - hist.shape[1])))
-            cells = np.repeat(np.arange(len(sizes)), sizes) * width + counts
-            hist[group] += np.bincount(cells, minlength=len(sizes) * width
-                                       ).reshape(-1, width)
+    for start in range(0, n_samples, cap):
+        pts = rng.uniform(-1.0, 1.0, (min(cap, n_samples - start), 3))
+        # each stratum's run [lo, hi) of the chunk, empty where it misses
+        lo, hi = np.clip([ends - per_box - start, ends - start], 0, len(pts))
+        for j in np.flatnonzero(hi > lo):
+            run = pts[lo[j]:hi[j]]
+            run[:] = f.center[j] + (run * f.half_extents[j]) @ f.axes[j]
+        counts = _cover_counts(f, pts)
+        width = max(hist.shape[1], int(counts.max()) + 1)
+        if width > hist.shape[1]:
+            hist = np.pad(hist, ((0, 0), (0, width - hist.shape[1])))
+        cells = np.repeat(np.arange(n), hi - lo) * width + counts
+        hist += np.bincount(cells, minlength=n * width).reshape(n, width)
     rows, cols = np.nonzero(hist)
     tally, vols, pairs = hist[rows, cols], f.volume(), []
     for s in powers:

@@ -871,6 +871,31 @@ class TestCountMoment:
         got = mp.stratified_count_moment(boxes, self.POWERS, 1003, 9)
         assert [tuple(pair) for pair in zip(*got)] == expected
 
+    def test_chunks_are_consecutive_draws_across_strata(self, monkeypatch):
+        # k = 4: strata of 63 or 62 points, drawn 50 consecutive points a
+        # chunk, so 15 of the 21 chunks hold the end of one stratum and the
+        # start of the next
+        boxes = _family(4)
+        chunks, cover_counts = [], mp._cover_counts
+
+        def recorded(stack, pts):
+            chunks.append(pts.copy())
+            return cover_counts(stack, pts)
+
+        expected = pair_loop_moment(boxes.boxes_f, self.POWERS, 1003, 9)
+        monkeypatch.setattr(bs, "_BLOCK_VALUES", mp._POINT_VALUES * 50)
+        monkeypatch.setattr(mp, "_cover_counts", recorded)
+        got = mp.stratified_count_moment(boxes, self.POWERS, 1003, 9)
+        assert [tuple(pair) for pair in zip(*got)] == expected
+        assert [len(pts) for pts in chunks] == [50] * 20 + [3]
+        # the oracle's draw: one uniform call and one map per stratum
+        rng = np.random.Generator(np.random.Philox(9))
+        drawn = np.concatenate([
+            box.center + (rng.uniform(-1.0, 1.0, (m, 3)) * box.half_extents)
+            @ box.axes
+            for box, m in zip(boxes.boxes_f, [63] * 11 + [62] * 5)])
+        assert np.array_equal(np.concatenate(chunks), drawn)
+
     @pytest.mark.parametrize("cap", [None, 1, 7, 62])
     def test_each_power_alone_matches_the_list(self, monkeypatch, cap):
         boxes = _family(4)

@@ -2,9 +2,9 @@
 
 Each number it quotes for the ratio example matches a run of that example
 at the digits quoted; its ``ratio.json`` block is the config that run uses;
-its lists of output columns, config keys and ``validate`` checks and the
-``szego`` relation gate are the code's; and it quotes no timing, no memory
-figure and no history.
+its lists of output columns, config keys and ``validate`` checks, the
+``szego`` relation gate and the count moment's chunk cap are the code's; and
+it quotes no timing, no memory figure and no history.
 """
 
 import csv
@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from conekit import besicovitch as bs
 from conekit import cli
+from conekit import multiplier as mp
 from conekit import szego as sz
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -201,6 +203,13 @@ def test_validate_checks_are_the_code_s(readme):
     count = re.search(r"`all` runs (\d+) checks",
                       " ".join(_section(readme, "### `validate`")))
     assert int(count.group(1)) == sum(map(len, code.values())) == 17
+
+
+def test_chunk_cap_is_the_code_s(readme):
+    cap = re.search(r"in chunks of at most `([\d,]+)` consecutive points",
+                    " ".join(line.strip() for line in readme.splitlines()))
+    assert int(cap.group(1).replace(",", "")) == (bs._BLOCK_VALUES
+                                                  // mp._POINT_VALUES)
 
 
 # --- (d) no timings and no history ----------------------------------------------
