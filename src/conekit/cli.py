@@ -402,6 +402,17 @@ def _jordan_checks(fast):
     return checks
 
 
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1] by Golub-Welsch: the
+    nodes are the eigenvalues of the symmetric Jacobi matrix of the Legendre
+    recurrence, whose off-diagonal entries are k / sqrt(4 k^2 - 1), and each
+    weight is 2 times the squared first component of its unit eigenvector."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k**2 - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 def _engine_checks(fast):
     mc = 10_000 if fast else 20_000
     rng = np.random.default_rng(4048)
@@ -447,7 +458,7 @@ def _engine_checks(fast):
         # the pointwise image along its axis; the half-length times the
         # cross-section area is 4 times the product of the half extents
         boxes = level3()
-        nodes, weights = np.polynomial.legendre.leggauss(16)
+        nodes, weights = _gauss_legendre(16)
         for box, moved, ntilde in zip(boxes.boxes_f, boxes.f_shifted.boxes,
                                       boxes.normals):
             i = mp.box_axis_interval(box, ntilde)[0]

@@ -146,12 +146,26 @@ def _rule_counts(values, offsets):
     """Counts [lo, hi] per entry of ``offsets``: over ascending ``values``,
     ``_boundary_rule(values - offset)`` reads 0 on the first lo,
     BOUNDARY_VALUE up to hi and 1 after, since fl(a - r) is monotone in a.
-    Both are bisections of all offsets at once through the rule itself."""
-    m = len(values)
-    n = np.zeros((2,) + np.shape(offsets), dtype=np.intp)
+
+    lo counts the a with fl(a - r) < -t and hi those with fl(a - r) <= t,
+    t = BOUNDARY_TOL.  Two searches for each edge e = r -+ t, widened by
+    w = 4 eps (S + t), S = max |a| + max |r|, bracket each count, and the
+    bisection through the rule itself runs only inside the bracket, so the
+    counts are the rule's.  fl(a - r) is within eps S / 2 of a - r, so an
+    a below e - eps S / 2 is counted and one above e + eps S / 2 is not;
+    the searched keys e -+ w, rounded twice, are within
+    eps (S + t) + eps w / 2 of their exact values, which keeps them
+    outside those two bounds."""
     level = np.reshape([BOUNDARY_VALUE, 1.0], (2,) + (1,) * np.ndim(offsets))
-    for step in 1 << np.arange(m.bit_length())[::-1]:   # ..., 4, 2, 1
-        i = np.minimum(n + step, m)
+    edges = np.add.outer([-BOUNDARY_TOL, BOUNDARY_TOL], offsets)
+    w = 4.0 * np.finfo(float).eps * (np.max(np.abs(values), initial=0.0)
+                                     + np.max(np.abs(offsets), initial=0.0)
+                                     + BOUNDARY_TOL)
+    n = np.searchsorted(values, edges - w)
+    last = np.searchsorted(values, edges + w, side="right")
+    width = int(np.max(last - n, initial=0))
+    for step in 1 << np.arange(width.bit_length())[::-1]:   # ..., 4, 2, 1
+        i = np.minimum(n + step, last)
         n = np.where(_boundary_rule(values[i - 1] - offsets) < level, i, n)
     return n
 
@@ -634,12 +648,15 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     spectra; by Parseval they equal the relative distances between grids.
     The builders return support blocks and both spectra come one tile of
     xi_3 columns at a time (``_spectrum_tiles``), so no M^3 array exists.
-    Per tile, prefix sums along ascending xi_1 of the densities in
+    Of the densities in
     |m fhat - ohat|^2 = m^2 |fhat|^2 - 2 m Re(fhat conj(ohat)) + |ohat|^2
-    are read at the symbol's two thresholds per column for every R
-    (``_cone_thresholds``); per-column (M, M) arrays are summed once per
-    box, so the rows do not depend on the tile width.  Memory holds one
-    box's blocks and O(M^2) per R.  The translated cones grow with the
+    the last sums by Parseval to M^3 sum |o|^2 over the oracle's block,
+    once per box (``np.einsum``: no BLAS call, no block-sized temporary).
+    Per tile, prefix sums along ascending xi_1 of the other two are read in
+    one gather at every R's two thresholds per column (``_cone_thresholds``)
+    and at its end; these (M, 2 |R| + 1, M) reads are summed once per box,
+    so the rows do not depend on the tile width.  Memory holds one box's
+    blocks and O(M^2) per R.  The translated cones grow with the
     modulation (Omega - R1 n is in Omega - R2 n for R1 < R2), so the
     distances decrease monotonically.
     """
@@ -662,30 +679,32 @@ def modulation_convergence(boxes, r_list, samples_per_axis=256, extent=24.0):
     rows = [[] for _ in r_list]
     for f_box, ntilde, ray in zip(boxes.boxes_f, boxes.normals,
                                   boxes.light_rays):
-        counts = [np.moveaxis(_cone_thresholds(freqs, r_mod * ray), 2, 0)
-                  for r_mod in r_list]
-        reads = [np.empty((m, 2, m), dtype=complex) for _ in r_list]
-        total = np.empty((m, m), dtype=complex)
-        nrm = np.empty((m, m))
+        # [xi_3, :, xi_2]: R_i's lo and hi at 2 i and 2 i + 1, then m
+        counts = np.full((m, 2 * len(r_list) + 1, m), m)
+        for i, r_mod in enumerate(r_list):
+            counts[:, 2 * i:2 * i + 2] = np.moveaxis(
+                _cone_thresholds(freqs, r_mod * ray), 2, 0)
+        reads = np.empty(counts.shape, dtype=complex)
+        oracle = box_image_grid(f_box, ntilde, grid)
+        # by Parseval, |ohat|^2 sums to m^3 sum |o|^2
+        flat = oracle[1].reshape(-1).view(float)
+        nrm2 = m**3 * float(np.einsum("i,i", flat, flat))
         for (cols, fhat), (_, dens) in zip(
                 _spectrum_tiles(indicator_box(f_box, extent, m), m),
-                _spectrum_tiles(box_image_grid(f_box, ntilde, grid), m)):
-            nrm[cols] = np.sum(dens.real**2 + dens.imag**2, axis=1)
+                _spectrum_tiles(oracle, m)):
             # the oracle's spectrum becomes Re(fhat conj(ohat)) + i |fhat|^2
             np.conjugate(dens, out=dens)
             dens *= fhat
             np.square(np.abs(fhat, out=dens.imag), out=dens.imag)
             sums = np.take(dens, order, axis=1)         # ascending xi_1
             np.cumsum(sums, axis=1, out=sums)
-            total[cols] = sums[:, -1]
-            for read, n in zip(reads, counts):
-                n = n[cols]
-                read[cols] = np.where(
-                    n > 0, np.take_along_axis(sums, n - 1, 1), 0.0)
-        nrm2 = float(np.sum(nrm))
-        for row, read in zip(rows, reads):
+            reads[cols] = np.take_along_axis(sums, counts[cols] - 1, 1)
+        del oracle, flat    # before the next box builds its own
+        reads[counts == 0] = 0.0    # index -1 read the total; n = 0 sums none
+        for i, row in enumerate(rows):
             # m: 0 on a column's first lo, BOUNDARY_VALUE up to hi, 1 after
-            above, mid = total - read[:, 1], read[:, 1] - read[:, 0]
+            above = reads[:, -1] - reads[:, 2 * i + 1]
+            mid = reads[:, 2 * i + 1] - reads[:, 2 * i]
             d2 = (np.sum(above.imag + BOUNDARY_VALUE**2 * mid.imag) + nrm2
                   - 2.0 * np.sum(above.real + BOUNDARY_VALUE * mid.real))
             row.append(float(np.sqrt(max(d2, 0.0) / nrm2)))

@@ -318,6 +318,18 @@ class TestValidateCommand:
                "disjoint translates\n" in out
         assert "not ok" not in out
 
+    def test_gauss_legendre_rule_matches_numpy(self):
+        # Golub-Welsch against numpy's Newton-polished rule, at the
+        # validate size and at sizes the line does not use
+        for n in (1, 2, 5, 16):
+            nodes, weights = cli._gauss_legendre(n)
+            expected_nodes, expected_weights = \
+                np.polynomial.legendre.leggauss(n)
+            np.testing.assert_allclose(nodes, expected_nodes, rtol=0.0,
+                                       atol=4.0 * np.finfo(float).eps)
+            np.testing.assert_allclose(weights, expected_weights,
+                                       rtol=1e-13, atol=0.0)
+
     def _failed_lines(self, capsys):
         assert run_main(["validate", "--suite", "engine", "--fast"]) == 1
         return [line for line in capsys.readouterr().out.splitlines()

@@ -851,8 +851,10 @@ class TestCountMoment:
         assert [tuple(pair) for pair in zip(*got)] == expected
 
     @pytest.mark.parametrize("strata", [1, 3, 5])
-    def test_groups_of_strata_do_not_change_bits(self, monkeypatch, strata):
-        # k = 4: 16 strata of 63 or 62 points, so the groups end unevenly
+    def test_chunks_across_strata_do_not_change_bits(self, monkeypatch,
+                                                     strata):
+        # k = 4: 16 strata of 63 or 62 points in chunks of 63 * strata
+        # points, so after the 63-point strata the chunks end inside strata
         boxes = _family(4)
         expected = pair_loop_moment(boxes.boxes_f, self.POWERS, 1003, 9)
         monkeypatch.setattr(bs, "_BLOCK_VALUES",
@@ -934,7 +936,7 @@ class TestCountMoment:
 
         def planted(stack, pts):
             counts = cover_counts(stack, pts)
-            counts[4 * 100] = 0          # strata of 100 points, one group
+            counts[4 * 100] = 0          # strata of 100 points, one chunk
             return counts
 
         monkeypatch.setattr(mp, "_cover_counts", planted)
@@ -1030,7 +1032,7 @@ class TestCountMoment:
         assert seen["points"] < 0.25 * boxes.n_boxes * 20_000
         assert seen["hits"] > 0.99 * seen["points"]
 
-    def test_memory_bounded_by_groups(self):
+    def test_memory_bounded_by_chunks(self):
         boxes = _family(5)
         tracemalloc.start()
         try:
@@ -1038,7 +1040,7 @@ class TestCountMoment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one group of all 2 * 10^6 points would hold about 100 MB
+        # one chunk of all 2 * 10^6 points would hold about 100 MB
         assert peak <= 1.5 * bs._BLOCK_VALUES * 8
 
     def test_memory_bounded_by_chunks_of_a_large_stratum(self):
@@ -1181,9 +1183,29 @@ class TestModulation:
         # 24 on the modulated symbols at either size, more at the apex
         assert sum(halves[:-1]) > 0 and halves[-1] > 0
 
+    def test_rule_counts_on_planted_ties(self):
+        # runs of equal values, with offsets at v -+ BOUNDARY_TOL, where
+        # fl(v - r) and the edge r -+ BOUNDARY_TOL round apart, and at v
+        tol = mp.BOUNDARY_TOL
+        runs = np.array([-37.25, -1.0, -3e-13, 0.0, 1e-12, 0.1, 0.7, 1.0,
+                         1.0 + 2.0**-40, 5.5, 1e3])
+        values = np.repeat(runs, [3, 5, 2, 4, 1, 6, 2, 7, 2, 3, 4])
+        offsets = np.stack([runs - tol, runs + tol, runs])
+        lo, hi = mp._rule_counts(values, offsets)
+        for index, offset in np.ndenumerate(offsets):
+            rule = mp._boundary_rule(values - offset)
+            assert lo[index] == np.count_nonzero(rule < mp.BOUNDARY_VALUE)
+            assert hi[index] == np.count_nonzero(rule < 1.0)
+        # the bare search positions miss some of these counts, by whole runs
+        bare = np.searchsorted(values, offsets - tol)
+        assert np.any(bare != lo) and np.any(hi > lo + 1)
+        # past both ends every value reads 1, or every value reads 0
+        lo, hi = mp._rule_counts(values, np.array([-38.25, 1001.0]))
+        assert list(lo) == list(hi) == [0, len(values)]
+
     def test_sweep_holds_no_full_grid(self, boxes_k1):
         # the oracle's block and its axis-2 lines, two tiles and O(M^2) per
-        # R: 0.50 complex grid measured at 128^3; two full spectra took 2.10
+        # R: 0.48 complex grid measured at 128^3; two full spectra took 2.10
         tracemalloc.start()
         try:
             mp.modulation_convergence(boxes_k1, [1.0, 4.0, 16.0, 64.0], 128,
